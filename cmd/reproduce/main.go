@@ -22,11 +22,14 @@
 //
 // With -cache-dir (or $PARGRAPH_CACHE) the phase-2 re-run resolves
 // inputs and whole sweep-cell results from the cache, which makes
-// checking a large manifest fast; every recomputed hash is still
-// diffed against the record, so a stale or corrupted cache entry
-// surfaces as a reported mismatch, never as a silent pass.
-// -no-result-cache keeps the input cache but forces every cell to
-// re-simulate.
+// checking a large manifest fast. Artifact hashes are recomputed from
+// the re-run's bytes either way, and every hash is diffed against the
+// record. The inputs differ: a warm re-run reports, for each replayed
+// result, the input digests stored with it — it never opens those
+// inputs — while a cold or -no-result-cache re-run re-hashes every
+// input from its bytes. To re-check the inputs themselves, re-run
+// without the cache or with -no-result-cache, which keeps the input
+// cache but forces every cell to re-simulate.
 package main
 
 import (
@@ -47,7 +50,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reproduce: ")
 	verifyOnly := flag.Bool("verify-only", false, "only check the on-disk artifacts against the manifest; skip the re-run")
-	cacheDir := flag.String("cache-dir", "", "let the phase-2 re-run consult a content-addressed input/result cache at this directory (default $PARGRAPH_CACHE; empty = off); hashes are diffed either way, so a poisoned cache fails the check rather than hiding drift")
+	cacheDir := flag.String("cache-dir", "", "let the phase-2 re-run consult a content-addressed input/result cache at this directory (default $PARGRAPH_CACHE; empty = off); artifact hashes are recomputed and diffed either way, but a replayed result reports the input digests stored with it instead of re-hashing its inputs (use -no-result-cache to re-hash them)")
 	noResult := flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but force the re-run to re-simulate every cell")
 	flag.Parse()
 	if flag.NArg() != 1 {

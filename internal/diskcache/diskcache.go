@@ -76,6 +76,7 @@ type Store struct {
 
 	pruneMu    sync.Mutex
 	approxSize atomic.Int64 // directory bytes as of the last scan plus later puts; -1 = never scanned
+	scans      atomic.Int64 // directory scans prune has made
 }
 
 // Stats counts this handle's cache traffic (not the directory's —
@@ -109,10 +110,12 @@ func Open(dir, schema string) (*Store, error) {
 // SetMaxBytes installs a best-effort size cap on the store's directory:
 // when a Put pushes the directory (all entry files, whatever schema
 // wrote them) past n bytes, the least-recently-used entries are removed
-// until it fits, never touching the entry just written. Recency is
-// approximated by file mtime: a Put stamps it and a valid Get refreshes
-// it (see Get's throttle), so pruning walks oldest-mtime-first and a
-// frequently-hit entry outlives a cold one that was written after it.
+// until it is back under pruneLowWater of n, never touching the entry
+// just written — so a full store rescans once per several puts, not on
+// every one. Recency is approximated by file mtime: a Put stamps it and
+// a valid Get refreshes it (see Get's throttle), so pruning walks
+// oldest-mtime-first and a frequently-hit entry outlives a cold one
+// that was written after it.
 // Zero means unbounded. Call once after Open, before the store is
 // shared; the cap is advisory — a single entry larger than n, or
 // concurrent writers in other processes, can leave the directory
@@ -220,14 +223,28 @@ func (s *Store) Put(key string, payload []byte) error {
 	return nil
 }
 
+// pruneLowWater is the fraction of the cap a prune trims the directory
+// down to. Trimming to exactly the cap would leave a full store one Put
+// from its next scan; the headroom spaces the scans out.
+const pruneLowWater = 0.9
+
+// staleTempAge is how old a ".put-*" temp file must be before prune
+// deletes it. Put removes its own temp file on every path it returns
+// through, so an old one was left by a killed writer; the age spares
+// puts still in flight in other processes.
+const staleTempAge = time.Hour
+
 // prune scans the directory and removes entry files oldest-mtime-first
 // — approximate LRU, since Get refreshes the mtime of entries it hits —
-// until the total fits under maxBytes, sparing keep (the entry whose Put
-// triggered the scan). All failures are swallowed: the cap is a
-// housekeeping promise, not a correctness one.
+// until the total fits under pruneLowWater of maxBytes, sparing keep
+// (the entry whose Put triggered the scan). The same scan deletes stale
+// temp files, which the cap never counts. Only Put calls prune; Open
+// and Get never walk the directory. All failures are swallowed: the cap
+// is a housekeeping promise, not a correctness one.
 func (s *Store) prune(keep string) {
 	s.pruneMu.Lock()
 	defer s.pruneMu.Unlock()
+	s.scans.Add(1)
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -240,19 +257,31 @@ func (s *Store) prune(keep string) {
 	var files []entry
 	var total int64
 	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".pgc") {
+		if de.IsDir() {
+			continue
+		}
+		name := de.Name()
+		isTemp := strings.HasPrefix(name, ".put-")
+		if !isTemp && !strings.HasSuffix(name, ".pgc") {
 			continue
 		}
 		info, err := de.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, entry{filepath.Join(s.dir, de.Name()), info.Size(), info.ModTime()})
+		if isTemp {
+			if time.Since(info.ModTime()) > staleTempAge {
+				os.Remove(filepath.Join(s.dir, name))
+			}
+			continue
+		}
+		files = append(files, entry{filepath.Join(s.dir, name), info.Size(), info.ModTime()})
 		total += info.Size()
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+	lowWater := int64(float64(s.maxBytes) * pruneLowWater)
 	for _, f := range files {
-		if total <= s.maxBytes {
+		if total <= lowWater {
 			break
 		}
 		if f.path == keep {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +23,9 @@ func TestPruneIsLRUNotFIFO(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("x"), 1024)
 	entrySize := int64(len(encodeEntry("v1", "a", payload)))
-	s.SetMaxBytes(3 * entrySize)
+	// Three and a half entries: the fourth Put overflows, and one
+	// eviction brings the directory under the low-water mark.
+	s.SetMaxBytes(3*entrySize + entrySize/2)
 
 	// Three entries written oldest-first, backdated well past the
 	// refresh throttle so the Get below must restamp.
@@ -144,4 +147,73 @@ func TestPruneConcurrentGet(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestFullStorePutsScanRarely: once a capped store is full, a prune
+// trims it to the low-water mark, so the puts that follow fit in the
+// headroom and only every few puts rescan the directory. Trimming to
+// exactly the cap rescans on every put.
+func TestFullStorePutsScanRarely(t *testing.T) {
+	s, err := Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("z"), 64)
+	entrySize := int64(len(encodeEntry("v1", "k000", payload)))
+	s.SetMaxBytes(40 * entrySize)
+	const puts = 200
+	for i := 0; i < puts; i++ {
+		if err := s.Put(fmt.Sprintf("k%03d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.scans.Load(); got*4 > puts {
+		t.Errorf("%d puts into a full store made %d directory scans; want far fewer", puts, got)
+	}
+	if _, ok := s.Get(fmt.Sprintf("k%03d", puts-1)); !ok {
+		t.Error("the last entry written was evicted")
+	}
+}
+
+// TestPruneCollectsStaleTempFiles: a temp file a killed writer left
+// behind is deleted by the next prune once it is old enough, while a
+// fresh one — possibly another process's Put in flight — is left
+// alone. Open and Get never scan, so neither touches them.
+func TestPruneCollectsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, ".put-stale")
+	fresh := filepath.Join(dir, ".put-fresh")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("partial"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetMaxBytes(1 << 20)
+	s.Get("absent")
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("Open or Get touched the directory: %v", err)
+	}
+	if s.scans.Load() != 0 {
+		t.Fatalf("Open or Get scanned the directory %d times", s.scans.Load())
+	}
+
+	// The store's first Put scans it.
+	if err := s.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale temp file survived a prune scan: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temp file was removed: %v", err)
+	}
 }

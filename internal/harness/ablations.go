@@ -69,9 +69,9 @@ func (e *Env) RunAblScheduling(n, procs int, seed uint64) *AblationResult {
 	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
 		g, sched := grains[idx/len(scheds)], scheds[idx%len(scheds)]
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
-		row, err := memo(c, fmt.Sprintf("abl/sched/p=%d/nwalk=%d/sched=%s/grain=%s", procs, g.nwalk, sched.name, g.name),
+		row, err := Memo(c, fmt.Sprintf("abl/sched/p=%d/nwalk=%d/sched=%s/grain=%s", procs, g.nwalk, sched.name, g.name),
 			[]string{lKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				m := c.MTA(cfg)
 				listrank.RankMTA(l, m, g.nwalk, sched.s)
 				return AblationRow{
@@ -102,7 +102,7 @@ func (e *Env) RunAblHashing(refs, procs int) *AblationResult {
 	res.Rows = make([]AblationRow, len(hashedBy))
 	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
 		hashed := hashedBy[idx]
-		row, err := memo(c, fmt.Sprintf("abl/hashing/refs=%d/p=%d/hashed=%t", refs, procs, hashed),
+		row, err := Memo(c, fmt.Sprintf("abl/hashing/refs=%d/p=%d/hashed=%t", refs, procs, hashed),
 			nil, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
 				cfg := mta.DefaultConfig(procs)
 				cfg.HashMemory = hashed
@@ -147,9 +147,9 @@ func (e *Env) RunAblSublists(n, procs int, factors []int, seed uint64) *Ablation
 		f := factors[idx]
 		s := f * procs
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
-		row, err := memo(c, fmt.Sprintf("abl/sublists/p=%d/s=%d/seed=%d", procs, s, seed),
+		row, err := Memo(c, fmt.Sprintf("abl/sublists/p=%d/s=%d/seed=%d", procs, s, seed),
 			[]string{lKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				m := c.SMP(smp.DefaultConfig(procs))
 				listrank.RankSMP(l, m, s, seed^uint64(s))
 				extra := ""
@@ -192,10 +192,10 @@ func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) *AblationRes
 		v := variants[idx]
 		gKey := sweep.GnmKey(n, edgeFactor*n, seed)
 		ufKey := sweep.UnionFindKey(gKey)
-		g := cached(c, gKey, func() *graph.Graph { return graph.RandomGnm(n, edgeFactor*n, seed) })
-		want := cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
-		row, err := memo(c, fmt.Sprintf("abl/shortcut/p=%d/variant=%d", procs, idx),
+		row, err := Memo(c, fmt.Sprintf("abl/shortcut/p=%d/variant=%d", procs, idx),
 			[]string{gKey, ufKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+				g := cached(c, gKey, func() *graph.Graph { return graph.RandomGnm(n, edgeFactor*n, seed) })
+				want := cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
 				m := c.MTA(mta.DefaultConfig(procs))
 				got := v.label(g, m, sim.SchedDynamic)
 				if !graph.SameComponents(want, got) {
@@ -229,19 +229,18 @@ func (e *Env) RunAblCache(n, procs int, l2MB []int, seed uint64) *AblationResult
 		mb := l2MB[idx]
 		layouts := []list.Layout{list.Ordered, list.Random}
 		keys := make([]string, len(layouts))
-		lists := make([]*list.List, len(layouts))
 		for li, layout := range layouts {
 			keys[li] = sweep.ListKey(n, layout.String(), seed)
-			lists[li] = cached(c, keys[li], func() *list.List { return list.New(n, layout, seed) })
 		}
-		row, err := memo(c, fmt.Sprintf("abl/cache/p=%d/l2mb=%d/seed=%d", procs, mb, seed),
+		row, err := Memo(c, fmt.Sprintf("abl/cache/p=%d/l2mb=%d/seed=%d", procs, mb, seed),
 			keys, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
 				var secs [2]float64
-				for li := range layouts {
+				for li, layout := range layouts {
+					l := cached(c, keys[li], func() *list.List { return list.New(n, layout, seed) })
 					cfg := smp.DefaultConfig(procs)
 					cfg.L2Bytes = mb << 20
 					m := c.SMP(cfg)
-					listrank.RankSMP(lists[li], m, 8*procs, seed^uint64(mb))
+					listrank.RankSMP(l, m, 8*procs, seed^uint64(mb))
 					secs[li] = m.Seconds()
 				}
 				return AblationRow{
@@ -271,9 +270,9 @@ func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) *Abla
 	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
 		a := assocs[idx]
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
-		row, err := memo(c, fmt.Sprintf("abl/assoc/p=%d/assoc=%d/seed=%d", procs, a, seed),
+		row, err := Memo(c, fmt.Sprintf("abl/assoc/p=%d/assoc=%d/seed=%d", procs, a, seed),
 			[]string{lKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				cfg := smp.DefaultConfig(procs)
 				cfg.L1Assoc = a
 				cfg.L2Assoc = a
@@ -313,7 +312,7 @@ func (e *Env) RunAblReduction(n, procs int) *AblationResult {
 
 	res.Rows = make([]AblationRow, 2)
 	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
-		row, err := memo(c, fmt.Sprintf("abl/reduction/n=%d/p=%d/variant=%d", n, procs, idx),
+		row, err := Memo(c, fmt.Sprintf("abl/reduction/n=%d/p=%d/variant=%d", n, procs, idx),
 			nil, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
 				m := c.MTA(mta.DefaultConfig(procs))
 				var config string

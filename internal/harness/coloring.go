@@ -144,19 +144,24 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 	_, err := e.runSweep(len(inputs)*stride, e.stdOpts(), func(idx int, c *Cell) error {
 		in := inputs[idx/stride]
 		gi, name := idx/stride, in.name
-		g := cached(c, in.key, in.build)
 		refKey := sweep.SpecRefKey(in.key)
-		ref := cached(c, refKey, func() specRef {
-			color, st := coloring.Speculative(g)
-			return specRef{Color: color, Stats: st}
-		})
 		memoInputs := []string{in.key, refKey}
+		// resolve reads both inputs; every cell on this input lists and
+		// resolves both, verifying or not.
+		resolve := func() (*graph.Graph, specRef) {
+			g := cached(c, in.key, in.build)
+			return g, cached(c, refKey, func() specRef {
+				color, st := coloring.Speculative(g)
+				return specRef{Color: color, Stats: st}
+			})
+		}
 
 		if pi := idx%stride - 1; pi < 0 {
 			// Dynamics cell: the machine-independent round behaviour.
-			d, err := memo(c,
+			d, err := Memo(c,
 				fmt.Sprintf("coloring/dynamics/verify=%t", params.Verify),
 				memoInputs, appendColoringDynamics, consumeColoringDynamics, func() (ColoringDynamics, error) {
+					g, ref := resolve()
 					if params.Verify {
 						if err := coloring.Validate(g, ref.Color); err != nil {
 							return ColoringDynamics{}, fmt.Errorf("coloring %s: reference is improper: %w", name, err)
@@ -177,9 +182,10 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 			return nil
 		} else {
 			procs := params.Procs[pi]
-			row, err := memo(c,
+			row, err := Memo(c,
 				fmt.Sprintf("coloring/time/p=%d/verify=%t", procs, params.Verify),
 				memoInputs, appendColoringRow, consumeColoringRow, func() (ColoringRow, error) {
+					g, ref := resolve()
 					row := ColoringRow{Input: name, Procs: procs}
 
 					mm := c.MTA(mta.DefaultConfig(procs))
@@ -310,15 +316,15 @@ func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) *Ab
 	err := e.ablSweep(len(scheds), func(idx int, c *Cell) error {
 		sched := scheds[idx]
 		gKey := sweep.RMATKey(scale, edgeFactor*n, seed)
-		g := cached(c, gKey, func() *graph.Graph { return graph.RMAT(scale, edgeFactor*n, seed) })
 		refKey := sweep.SpecRefKey(gKey)
-		want := cached(c, refKey, func() []int32 {
-			color, _ := coloring.Speculative(g)
-			return color
-		})
-		row, err := memo(c,
+		row, err := Memo(c,
 			fmt.Sprintf("abl/colorsched/p=%d/sched=%s", procs, sched.name),
 			[]string{gKey, refKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+				g := cached(c, gKey, func() *graph.Graph { return graph.RMAT(scale, edgeFactor*n, seed) })
+				want := cached(c, refKey, func() []int32 {
+					color, _ := coloring.Speculative(g)
+					return color
+				})
 				m := c.MTA(mta.DefaultConfig(procs))
 				got, st := coloring.ColorMTA(g, m, sched.s)
 				if err := sameColors(want, got); err != nil {

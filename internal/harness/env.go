@@ -54,11 +54,13 @@ type Env struct {
 	CacheStore  *diskcache.Store
 	ResultStore *diskcache.Store
 
-	// InputHook observes every resolved input (sweep.Cache.Hook);
-	// ResultHook observes every memoized-cell decision (key, hit).
-	// Both serve manifest provenance and must be safe for concurrent
-	// calls from cells.
-	InputHook  func(key string, data []byte)
+	// InputHook observes the digest of every input a cell consumes:
+	// hashed by the input cache when the cell resolves it
+	// (sweep.Cache.Hook), or replayed from the cell's memoized result
+	// when the result cache serves it. ResultHook observes every
+	// memoized-cell decision (key, hit). Both serve manifest provenance
+	// and must be safe for concurrent calls from cells.
+	InputHook  func(sweep.Digest)
 	ResultHook func(key string, hit bool)
 
 	// TraceSink, when non-nil, receives every traced cell's events in
@@ -92,14 +94,15 @@ type Env struct {
 
 // NewInputCache returns a fresh single-flight input cache wired to the
 // Env: backed by the persistent store when one is attached and persist
-// is true, observed by the Env's input hook, and joined to the
-// process-wide build flight for that store's directory+schema so
-// concurrent Envs sharing one cache directory generate each input once
-// between them instead of once each. persist=false keeps the cache
-// memory-only (path-keyed DIMACS inputs must not outlive the file they
-// were read from).
+// is true, observed by the Env's input hook, keeping input digests when
+// results are memoized (Memo stores them beside each result), and
+// joined to the process-wide build flight for that store's
+// directory+schema so concurrent Envs sharing one cache directory
+// generate each input once between them instead of once each.
+// persist=false keeps the cache memory-only (path-keyed DIMACS inputs
+// must not outlive the file they were read from).
 func (e *Env) NewInputCache(persist bool) *sweep.Cache {
-	c := &sweep.Cache{Hook: e.InputHook}
+	c := &sweep.Cache{Hook: e.InputHook, Digests: e.ResultStore != nil}
 	if persist && e.CacheStore != nil {
 		c.Disk = e.CacheStore
 		c.Flight = sweep.FlightFor(e.CacheStore.Dir() + "\x00" + e.CacheStore.Schema())

@@ -145,9 +145,9 @@ func (e *Env) RunSaturation(procs []int, perProc []int, seed uint64) *Saturation
 		p := procs[idx/nK]
 		n := perProc[idx%nK] * p
 		lKey := sweep.ListKey(n, list.Random.String(), seed+uint64(n))
-		l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed+uint64(n)) })
-		row, err := memo(c, fmt.Sprintf("saturation/p=%d", p),
+		row, err := Memo(c, fmt.Sprintf("saturation/p=%d", p),
 			[]string{lKey}, appendSaturationRow, consumeSaturationRow, func() (SaturationRow, error) {
+				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed+uint64(n)) })
 				m := c.MTA(mta.DefaultConfig(p))
 				listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
 				return SaturationRow{Procs: p, N: n, Utilization: m.Utilization()}, nil
@@ -197,9 +197,9 @@ func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) *StreamsResul
 	rows := make([]StreamsRow, len(streams))
 	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
-		row, err := memo(c, fmt.Sprintf("streams/p=%d/streams=%d", procs, streams[idx]),
+		row, err := Memo(c, fmt.Sprintf("streams/p=%d/streams=%d", procs, streams[idx]),
 			[]string{lKey}, appendStreamsRow, consumeStreamsRow, func() (StreamsRow, error) {
+				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				cfg := mta.DefaultConfig(procs)
 				cfg.UseStreams = streams[idx]
 				m := c.MTA(cfg)
@@ -261,12 +261,12 @@ func (e *Env) RunTreeEval(leaves []int, procs int, seed uint64) (*TreeEvalResult
 	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
 		nl := leaves[idx]
 		eKey := sweep.ExprKey(nl, seed+uint64(nl))
-		ref := cached(c, eKey, func() exprRef {
-			e := treecon.RandomExpr(nl, seed+uint64(nl))
-			return exprRef{E: e, Want: treecon.EvalSequential(e)}
-		})
-		row, err := memo(c, fmt.Sprintf("treeeval/p=%d/seed=%d", procs, seed),
+		row, err := Memo(c, fmt.Sprintf("treeeval/p=%d/seed=%d", procs, seed),
 			[]string{eKey}, appendTreeEvalRow, consumeTreeEvalRow, func() (TreeEvalRow, error) {
+				ref := cached(c, eKey, func() exprRef {
+					e := treecon.RandomExpr(nl, seed+uint64(nl))
+					return exprRef{E: e, Want: treecon.EvalSequential(e)}
+				})
 				mm := c.MTA(mta.DefaultConfig(procs))
 				if got := treecon.EvalMTA(ref.E, mm, sim.SchedDynamic); got != ref.Want {
 					return TreeEvalRow{}, fmt.Errorf("harness: E7 MTA wrong value at %d leaves", nl)

@@ -65,12 +65,12 @@ func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 		procs := params.Procs[idx/nS%nP]
 		n := params.Sizes[idx%nS]
 		lKey := sweep.ListKey(n, layout.String(), params.Seed+uint64(n))
-		l := cached(c, lKey, func() *list.List { return list.New(n, layout, params.Seed+uint64(n)) })
 
-		out, err := memo(c,
+		out, err := Memo(c,
 			fmt.Sprintf("fig1/p=%d/npw=%d/sub=%d/seed=%d/verify=%t",
 				procs, params.NodesPerWalk, params.Sublists, params.Seed, params.Verify),
 			[]string{lKey}, appendPointPair, consumePointPair, func() (pointPair, error) {
+				l := cached(c, lKey, func() *list.List { return list.New(n, layout, params.Seed+uint64(n)) })
 				mm := c.MTA(mta.DefaultConfig(procs))
 				rank := listrank.RankMTA(l, mm, n/params.NodesPerWalk, sim.SchedDynamic)
 				if params.Verify {

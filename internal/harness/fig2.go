@@ -62,20 +62,22 @@ func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 		f := params.EdgeFactors[idx%nF]
 		m := f * params.N
 		gKey := sweep.GnmKey(params.N, m, params.Seed+uint64(f))
-		g := cached(c, gKey, func() *graph.Graph {
-			return graph.RandomGnm(params.N, m, params.Seed+uint64(f))
-		})
+		ufKey := sweep.UnionFindKey(gKey)
 		inputs := []string{gKey}
-		var want []int32
 		if params.Verify {
-			ufKey := sweep.UnionFindKey(gKey)
-			want = cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
 			inputs = append(inputs, ufKey)
 		}
 
-		out, err := memo(c,
+		out, err := Memo(c,
 			fmt.Sprintf("fig2/p=%d/seed=%d/verify=%t", procs, params.Seed, params.Verify),
 			inputs, appendPointPair, consumePointPair, func() (pointPair, error) {
+				g := cached(c, gKey, func() *graph.Graph {
+					return graph.RandomGnm(params.N, m, params.Seed+uint64(f))
+				})
+				var want []int32
+				if params.Verify {
+					want = cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
+				}
 				mm := c.MTA(mta.DefaultConfig(procs))
 				got := concomp.LabelMTA(g, mm, sim.SchedDynamic)
 				if params.Verify && !graph.SameComponents(want, got) {

@@ -88,17 +88,15 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 		return nil, fmt.Errorf("profile: unknown machine %q (want mta, smp, or both)", params.Machine)
 	}
 
-	// Per kernel: how to build the shared input (cached, so with both
-	// machines scheduled it is built once), and the machine kernels
-	// verifying against the sequential reference.
+	// Per kernel: the content keys of every cached input the kernels
+	// read (including verify-only references), and the machine kernels,
+	// which resolve those inputs themselves (cached, so with both
+	// machines scheduled each is built once) and verify against the
+	// sequential reference.
 	n := params.N
+	var inputs []string
 	var mtaKernel func(c *Cell, m *mta.Machine) error
 	var smpKernel func(c *Cell, m *smp.Machine) error
-	// resolveInputs materializes every cached input the kernel will read
-	// (including verify-only references) and returns their content keys,
-	// so a result-cache hit still records the complete input set in the
-	// manifest.
-	var resolveInputs func(c *Cell) []string
 	switch params.Kernel {
 	case "fig1":
 		lKey := sweep.ListKey(n, params.Layout.String(), params.Seed)
@@ -106,7 +104,7 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 			return cached(c, lKey,
 				func() *list.List { return list.New(n, params.Layout, params.Seed) })
 		}
-		resolveInputs = func(c *Cell) []string { getList(c); return []string{lKey} }
+		inputs = []string{lKey}
 		mtaKernel = func(c *Cell, m *mta.Machine) error {
 			l := getList(c)
 			rank := listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
@@ -131,11 +129,7 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 			}
 			return nil
 		}
-		resolveInputs = func(c *Cell) []string {
-			g := getGraph(c)
-			cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
-			return []string{gKey, ufKey}
-		}
+		inputs = []string{gKey, ufKey}
 		mtaKernel = func(c *Cell, m *mta.Machine) error {
 			g := getGraph(c)
 			return check(c, g, concomp.LabelMTA(g, m, sim.SchedDynamic))
@@ -165,7 +159,7 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 				return prefixIn{L: l, Vals: vals, Want: listrank.SequentialPrefix(l, vals)}
 			})
 		}
-		resolveInputs = func(c *Cell) []string { getIn(c); return []string{pKey} }
+		inputs = []string{pKey}
 		check := func(want, got []int64) error {
 			for i := range want {
 				if got[i] != want[i] {
@@ -195,7 +189,7 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 				return exprIn{E: e, Want: treecon.EvalSequential(e)}
 			})
 		}
-		resolveInputs = func(c *Cell) []string { getIn(c); return []string{eKey} }
+		inputs = []string{eKey}
 		check := func(want, got int64) error {
 			if got != want {
 				return fmt.Errorf("tree evaluation mismatch: got %d, want %d", got, want)
@@ -229,11 +223,7 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 			}
 			return coloring.Validate(g, got)
 		}
-		resolveInputs = func(c *Cell) []string {
-			g := getGraph(c)
-			getRef(c, g)
-			return []string{gKey, refKey}
-		}
+		inputs = []string{gKey, refKey}
 		mtaKernel = func(c *Cell, m *mta.Machine) error {
 			g := getGraph(c)
 			got, _ := coloring.ColorMTA(g, m, sim.SchedDynamic)
@@ -281,7 +271,7 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 	}
 	runs := make([]ProfileRun, len(cells))
 	recs, err := e.runSweep(len(cells), sweepOpts{record: true, sample: params.SampleCycles}, func(i int, c *Cell) error {
-		pt, err := memo(c, cfg+"/machine="+cells[i].machine, resolveInputs(c),
+		pt, err := Memo(c, cfg+"/machine="+cells[i].machine, inputs,
 			appendProfPoint, consumeProfPoint, func() (profPoint, error) {
 				cycles, seconds, err := cells[i].run(c)
 				if err != nil {

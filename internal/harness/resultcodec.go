@@ -1,6 +1,9 @@
 package harness
 
-import "pargraph/internal/binenc"
+import (
+	"pargraph/internal/binenc"
+	"pargraph/internal/sweep"
+)
 
 // Hand-rolled binenc codecs for the memoized result types (see
 // memo.go). Each append/consume pair must round-trip its type exactly —
@@ -40,6 +43,40 @@ func consumePointPair(b []byte) (pointPair, []byte, bool) {
 		return v, nil, false
 	}
 	return v, b, true
+}
+
+// appendDigests / consumeDigests frame the input digests Memo stores
+// after a result's value and events.
+func appendDigests(buf []byte, ds []sweep.Digest) []byte {
+	buf = binenc.AppendUint64(buf, uint64(len(ds)))
+	for _, d := range ds {
+		buf = binenc.AppendString(buf, d.Key)
+		buf = binenc.AppendString(buf, d.SHA256)
+		buf = binenc.AppendUint64(buf, uint64(d.Bytes))
+	}
+	return buf
+}
+
+func consumeDigests(b []byte) ([]sweep.Digest, []byte, bool) {
+	n, b, ok := binenc.ConsumeUint64(b)
+	if !ok || n > uint64(len(b)) { // every digest costs well over one byte
+		return nil, nil, false
+	}
+	ds := make([]sweep.Digest, n)
+	for i := range ds {
+		var u uint64
+		if ds[i].Key, b, ok = binenc.ConsumeString(b); !ok {
+			return nil, nil, false
+		}
+		if ds[i].SHA256, b, ok = binenc.ConsumeString(b); !ok {
+			return nil, nil, false
+		}
+		if u, b, ok = binenc.ConsumeUint64(b); !ok {
+			return nil, nil, false
+		}
+		ds[i].Bytes = int64(u)
+	}
+	return ds, b, true
 }
 
 func appendF64(buf []byte, v float64) []byte { return binenc.AppendFloat64(buf, v) }

@@ -29,35 +29,51 @@ var Jobs = 1
 // Deprecated: set Env.Interrupt.
 var Interrupt context.Context
 
-// InputHook, when non-nil, observes every input a package-level sweep's
-// cache resolves (see sweep.Cache.Hook): once per key, with the
-// serialized content.
+// InputHook, when non-nil, observes every input a package-level sweep
+// records (see Env.InputHook): once per key, as a digest.
 //
 // Deprecated: set Env.InputHook.
-var InputHook func(key string, data []byte)
+var InputHook func(sweep.Digest)
 
 // Cell is one scheduled experiment cell's view of its run: it hands out
 // pooled machines (leased from the Env, Reset between borrows, wired to
 // the Env's HostWorkers and, when tracing, to the cell's private
-// recorder) and, via cached, the sweep's shared inputs. A Cell is
-// confined to its cell's goroutine.
+// recorder) and, via Resolve, the sweep's shared inputs, noting every
+// key it resolves so Memo can check them against the keys the cell
+// lists. A Cell is confined to its cell's goroutine.
 type Cell struct {
-	env    *Env
-	inputs *sweep.Cache    // the sweep's shared single-flight input cache
-	rec    *trace.Recorder // per-cell event stream; nil when not tracing
-	sample float64         // MTA within-region sampling for traced cells
+	env      *Env
+	inputs   *sweep.Cache    // the sweep's shared single-flight input cache
+	rec      *trace.Recorder // per-cell event stream; nil when not tracing
+	sample   float64         // MTA within-region sampling for traced cells
+	resolved []string        // input keys this cell resolved, in call order
 
 	mtas []*mta.Machine
 	smps []*smp.Machine
 }
 
-// cached builds (or waits for) the sweep-wide value under key: every
-// parameter the build depends on must appear in the key. The build runs
-// once across all concurrent cells; its result is shared read-only. A
-// build failure re-panics in this cell and is captured by the scheduler
-// as this cell's error — inputs never fail the process.
+// NewCell returns a Cell for one memoized computation outside a sweep —
+// the single-run workloads of internal/runner — with an input cache of
+// its own (see NewInputCache for persist) and, when rec is non-nil, its
+// events recorded there.
+func (e *Env) NewCell(persist bool, rec *trace.Recorder) *Cell {
+	return &Cell{env: e, inputs: e.NewInputCache(persist), rec: rec}
+}
+
+// Resolve builds (or waits for) the value under key in the cell's input
+// cache: every parameter the build depends on must appear in the key.
+// The build runs once across all cells sharing the cache; its result is
+// shared read-only.
+func Resolve[T any](c *Cell, key string, build func() (T, error)) (T, error) {
+	c.resolved = append(c.resolved, key)
+	return sweep.GetAs(c.inputs, key, build)
+}
+
+// cached is Resolve for builds that cannot fail. A build panic
+// re-panics in this cell and is captured by the scheduler as this
+// cell's error — inputs never fail the process.
 func cached[T any](c *Cell, key string, build func() T) T {
-	v, err := sweep.GetAs(c.inputs, key, func() (T, error) { return build(), nil })
+	v, err := Resolve(c, key, func() (T, error) { return build(), nil })
 	if err != nil {
 		panic(err)
 	}

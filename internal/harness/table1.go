@@ -79,16 +79,18 @@ func (e *Env) RunTable1(params Table1Params) *Table1Result {
 		if row < 2 {
 			layout := layouts[row]
 			inKey = sweep.ListKey(params.ListN, layout.String(), params.Seed)
-			l := cached(c, inKey, func() *list.List { return list.New(params.ListN, layout, params.Seed) })
 			kernel = func(m *mta.Machine) {
+				l := cached(c, inKey, func() *list.List { return list.New(params.ListN, layout, params.Seed) })
 				listrank.RankMTA(l, m, params.ListN/params.NodesPerWalk, sim.SchedDynamic)
 			}
 		} else {
 			inKey = sweep.GnmKey(params.GraphN, params.GraphM, params.Seed+1)
-			g := cached(c, inKey, func() *graph.Graph { return graph.RandomGnm(params.GraphN, params.GraphM, params.Seed+1) })
-			kernel = func(m *mta.Machine) { concomp.LabelMTA(g, m, sim.SchedDynamic) }
+			kernel = func(m *mta.Machine) {
+				g := cached(c, inKey, func() *graph.Graph { return graph.RandomGnm(params.GraphN, params.GraphM, params.Seed+1) })
+				concomp.LabelMTA(g, m, sim.SchedDynamic)
+			}
 		}
-		u, err := memo(c,
+		u, err := Memo(c,
 			fmt.Sprintf("table1/row=%d/p=%d/npw=%d", row, procs, params.NodesPerWalk),
 			[]string{inKey}, appendF64, consumeF64, func() (float64, error) {
 				m := c.MTA(mta.DefaultConfig(procs))

@@ -1,11 +1,12 @@
 // Package manifest records what a run actually consumed and produced,
 // so the run can be re-executed and checked: the canonical experiment
 // spec and its hash (internal/spec), the toolchain and commit that ran
-// it, the content hash of every input the sweep cache resolved, and
-// the content hash of every artifact written. cmd/reproduce replays a
-// manifest; cmd/shardmerge merges the manifests of a sharded run,
-// failing loudly if the shards disagree on the spec or on any input's
-// content.
+// it, the content hash of every input its cells consumed — hashed by
+// the sweep cache when a cell resolved the input, or replayed from the
+// digests stored with a memoized result — and the content hash of
+// every artifact written. cmd/reproduce replays a manifest;
+// cmd/shardmerge merges the manifests of a sharded run, failing loudly
+// if the shards disagree on the spec or on any input's content.
 //
 // A manifest is deliberately execution-blind: workers, jobs, and
 // sharding never appear (the spec's canonical form excludes them), so
@@ -235,13 +236,14 @@ func Merge(parts []*Manifest) (*Manifest, error) {
 	return out, nil
 }
 
-// Log collects the inputs a run resolves; its Add method matches the
-// sweep cache's Hook signature. Concurrent cells may resolve inputs at
-// once, and sharded processes may resolve the same key repeatedly —
-// each key is recorded once, and a key resurfacing with different
-// content is latched as an error (a nondeterministic generator or a
-// key missing one of its parameters) that the runner surfaces after
-// the run.
+// Log collects the inputs a run resolves, as digests: hashed once by
+// the sweep cache where the input's bytes were in hand, or replayed
+// from a memoized result that stored them. Concurrent cells may record
+// inputs at once, and one key may be recorded repeatedly — each key is
+// recorded once, and a key resurfacing with different content is
+// latched as an error (a nondeterministic generator, a key missing one
+// of its parameters, or a result entry whose stored digest disagrees
+// with the input it names) that the runner surfaces after the run.
 type Log struct {
 	mu  sync.Mutex
 	m   map[string]Input
@@ -249,9 +251,9 @@ type Log struct {
 	err error
 }
 
-// Add records one resolved input from its serialized bytes.
-func (l *Log) Add(key string, data []byte) {
-	in := Input{Key: key, SHA256: HashBytes(data), Bytes: int64(len(data))}
+// Add records one input's digest.
+func (l *Log) Add(in Input) {
+	key := in.Key
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.m == nil {

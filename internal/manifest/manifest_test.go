@@ -6,12 +6,17 @@ import (
 	"testing"
 )
 
+// input digests data the way the sweep cache does before recording it.
+func input(key string, data []byte) Input {
+	return Input{Key: key, SHA256: HashBytes(data), Bytes: int64(len(data))}
+}
+
 func sample() *Manifest {
 	m := New([]byte("[run]\ncommand = \"listrank\"\n"), "abc123", "pargraph-inputs-v1")
 	m.Commit = "deadbeef" // pin: the real value depends on the build
 	var l Log
-	l.Add("list/1024/Random/7", []byte("list-bytes"))
-	l.Add("gnm/64/128/1", []byte("graph-bytes"))
+	l.Add(input("list/1024/Random/7", []byte("list-bytes")))
+	l.Add(input("gnm/64/128/1", []byte("graph-bytes")))
 	m.Inputs, _ = l.Inputs()
 	m.AddArtifact("stdout", "", []byte("machine=MTA\n"))
 	m.AddArtifact("trace", "t.json", []byte("{}"))
@@ -49,12 +54,12 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 
 func TestLogConflict(t *testing.T) {
 	var l Log
-	l.Add("gnm/64/128/1", []byte("one"))
-	l.Add("gnm/64/128/1", []byte("one")) // benign repeat
+	l.Add(input("gnm/64/128/1", []byte("one")))
+	l.Add(input("gnm/64/128/1", []byte("one"))) // benign repeat
 	if _, err := l.Inputs(); err != nil {
 		t.Fatalf("benign repeat errored: %v", err)
 	}
-	l.Add("gnm/64/128/1", []byte("two"))
+	l.Add(input("gnm/64/128/1", []byte("two")))
 	_, err := l.Inputs()
 	if err == nil || !strings.Contains(err.Error(), `input "gnm/64/128/1" resolved twice with different content`) {
 		t.Fatalf("err = %v", err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -36,7 +37,9 @@ func parseCacheStats(t *testing.T, stderr, name string) (hits, misses int) {
 // core guarantee: a second run of the same spec against the same cache
 // directory produces byte-identical output without simulating a single
 // cell — every cell replays from the store, which the manifest's result
-// provenance and the store's own counters both attest.
+// provenance and the store's own counters both attest. The warm run
+// opens no input either: its manifest records the input digests stored
+// with the results, identical to the cold run's.
 func TestWarmRunIsByteIdenticalAndSkipsSimulation(t *testing.T) {
 	t.Setenv(cmdutil.CacheEnv, "")
 	dir := t.TempDir()
@@ -70,6 +73,12 @@ func TestWarmRunIsByteIdenticalAndSkipsSimulation(t *testing.T) {
 	if mc.SpecSHA256 != mw.SpecSHA256 {
 		t.Errorf("spec hash drifted between cold (%s) and warm (%s)", mc.SpecSHA256, mw.SpecSHA256)
 	}
+	if len(mc.Inputs) == 0 {
+		t.Fatal("cold manifest records no inputs")
+	}
+	if !reflect.DeepEqual(mc.Inputs, mw.Inputs) {
+		t.Errorf("warm manifest inputs differ from cold:\n%+v\nvs\n%+v", mw.Inputs, mc.Inputs)
+	}
 	if len(mc.Results) == 0 {
 		t.Fatal("cold manifest records no result provenance")
 	}
@@ -87,10 +96,14 @@ func TestWarmRunIsByteIdenticalAndSkipsSimulation(t *testing.T) {
 		}
 	}
 
-	// Zero cells re-simulated, by the store's own counters.
+	// Zero cells re-simulated and zero inputs read, by the stores' own
+	// counters.
 	hits, misses := parseCacheStats(t, warmErr.String(), "result")
 	if misses != 0 || hits == 0 {
 		t.Errorf("warm run result cache: hits=%d misses=%d, want every cell a hit", hits, misses)
+	}
+	if hits, misses := parseCacheStats(t, warmErr.String(), "input"); hits != 0 || misses != 0 {
+		t.Errorf("warm run input cache: hits=%d misses=%d, want no lookups", hits, misses)
 	}
 }
 
@@ -132,8 +145,9 @@ func TestNoResultCacheForcesRecompute(t *testing.T) {
 }
 
 // TestResultKeysPinSchemaVersion: every result key a run records must
-// carry sim.CostSchemaVersion, and bumping the version must change the
-// address so stale entries simply stop being found.
+// carry sim.CostSchemaVersion and harness.InputSchema, and bumping
+// either must change the address so stale entries simply stop being
+// found.
 func TestResultKeysPinSchemaVersion(t *testing.T) {
 	t.Setenv(cmdutil.CacheEnv, "")
 	dir := t.TempDir()
@@ -150,6 +164,8 @@ func TestResultKeysPinSchemaVersion(t *testing.T) {
 		t.Fatal("no result provenance recorded")
 	}
 	prefix := fmt.Sprintf("result/c%d/", sim.CostSchemaVersion)
+	inPrefix := fmt.Sprintf("%s%d:%s/", prefix, len(harness.InputSchema), harness.InputSchema)
+	const bumpedSchema = "pargraph-inputs-bumped"
 	store, err := diskcache.Open(sp.Run.CacheDir, harness.ResultSchema)
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +174,19 @@ func TestResultKeysPinSchemaVersion(t *testing.T) {
 		if !strings.HasPrefix(r.Key, prefix) {
 			t.Errorf("result key %q lacks the cost-schema prefix %q", r.Key, prefix)
 		}
+		if !strings.HasPrefix(r.Key, inPrefix) {
+			t.Errorf("result key %q lacks the input-schema prefix %q", r.Key, inPrefix)
+		}
 		if _, ok := store.Get(r.Key); !ok {
 			t.Errorf("entry for %q missing from the result store", r.Key)
 		}
 		bumped := strings.Replace(r.Key, prefix, fmt.Sprintf("result/c%d/", sim.CostSchemaVersion+1), 1)
 		if _, ok := store.Get(bumped); ok {
 			t.Errorf("entry still addressed under bumped key %q; a schema bump would serve stale results", bumped)
+		}
+		inBumped := strings.Replace(r.Key, inPrefix, fmt.Sprintf("%s%d:%s/", prefix, len(bumpedSchema), bumpedSchema), 1)
+		if _, ok := store.Get(inBumped); ok || inBumped == r.Key {
+			t.Errorf("entry still addressed under input-schema-bumped key %q; an input schema bump would serve results of old inputs", inBumped)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"pargraph/internal/harness"
 	"pargraph/internal/manifest"
 	"pargraph/internal/spec"
+	"pargraph/internal/sweep"
 )
 
 // Options carries the execution extras that live outside the spec:
@@ -214,7 +215,7 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 	rc := &runCtx{sp: sp, o: &o, collect: collect, env: env}
 	if sp.Output.Manifest != "" || collect {
 		rc.mlog = &manifest.Log{}
-		env.InputHook = rc.mlog.Add
+		env.InputHook = func(d sweep.Digest) { rc.mlog.Add(manifest.Input(d)) }
 		env.ResultHook = rc.mlog.AddResult
 	}
 	if shard.Active() && (sp.Run.Command == spec.CmdProfile || o.WithTrace) {

@@ -12,6 +12,7 @@ import (
 	"pargraph/internal/concomp"
 	"pargraph/internal/gio"
 	"pargraph/internal/graph"
+	"pargraph/internal/harness"
 	"pargraph/internal/list"
 	"pargraph/internal/listrank"
 	"pargraph/internal/mta"
@@ -22,95 +23,59 @@ import (
 	"pargraph/internal/trace"
 )
 
-// The single-run commands (coloring, listrank, concomp) resolve their
-// inputs through a private sweep.Cache so the manifest hook observes
-// them exactly like the harness sweeps' inputs, under the same typed
-// keys — spec-driven and harness-driven runs of one workload record
-// the same input identity.
+// The single-run commands (coloring, listrank, concomp) each run as one
+// harness.Cell: their inputs resolve through the cell's private input
+// cache, so the manifest hook observes them exactly like the harness
+// sweeps' inputs, under the same typed keys — spec-driven and
+// harness-driven runs of one workload record the same input identity —
+// and their simulated machines memoize through harness.Memo like any
+// sweep cell.
 
-// workloadCache returns the run's input cache, backed by the Env's
-// persistent store when one is attached and hooked to the Env's input
-// hook (the manifest log) when one is active. DIMACS inputs are keyed
-// by path, not content, so a file-loaded workload stays memory-only — a
-// persistent entry could outlive an edit to the file it claims to
-// represent.
-func (rc *runCtx) workloadCache() *sweep.Cache {
-	return rc.env.NewInputCache(rc.sp.Workload.Input == "")
+// workloadCell returns the run's cell, recording into rec when non-nil.
+// Its input cache is backed by the Env's persistent store when one is
+// attached and hooked to the Env's input hook (the manifest log) when
+// one is active. DIMACS inputs are keyed by path, not content, so a
+// file-loaded workload stays memory-only — a persistent entry could
+// outlive an edit to the file it claims to represent.
+func (rc *runCtx) workloadCell(rec *trace.Recorder) *harness.Cell {
+	return rc.env.NewCell(rc.sp.Workload.Input == "", rec)
 }
 
-// memoWorkload wraps a single-run workload body in the result cache.
-// The cached payload is the run's rendered stdout bytes plus its
-// recorded trace events, so a warm run replays byte-identical
-// artifacts without simulating; verification happened when the entry
-// was computed and the verify flag is part of the cell key. Runs that
-// cannot be keyed on content (DIMACS inputs are path-keyed) or whose
-// stdout is not a pure function of the cell (-trace region dumps share
-// the RegionTrace restriction with manifests) always compute.
-func (rc *runCtx) memoWorkload(cellCfg string, inputs []string, rec *trace.Recorder,
+// memoWorkload wraps a single-run workload body in the result cache
+// (harness.Memo). The cached payload is the run's rendered stdout bytes
+// plus its recorded trace events and input digests, so a warm run
+// replays byte-identical artifacts without simulating or reading an
+// input; verification happened when the entry was computed and the
+// verify flag is part of the cell key. compute resolves its own inputs
+// through c, exactly the listed ones. Runs that cannot be keyed on
+// content (DIMACS inputs are path-keyed) or whose stdout is not a pure
+// function of the cell (-trace region dumps share the RegionTrace
+// restriction with manifests) always compute.
+func (rc *runCtx) memoWorkload(c *harness.Cell, cellCfg string, inputs []string,
 	compute func() ([]byte, error)) ([]byte, error) {
-	store, hook := rc.env.ResultStore, rc.env.ResultHook
-	if (store == nil && hook == nil) || rc.sp.Workload.Input != "" || rc.o.RegionTrace {
+	if rc.sp.Workload.Input != "" || rc.o.RegionTrace {
 		return compute()
 	}
-	mode := "notrace"
-	if rec != nil {
-		mode = "trace"
-	}
-	key := sweep.ResultKey(sim.CostSchemaVersion, cellCfg+"|"+mode, inputs...)
-	if store != nil {
-		if data, ok := store.Get(key); ok {
-			if out, rest, ok := binenc.ConsumeBytes(data); ok {
-				if evs, rest, ok := trace.ConsumeEvents(rest); ok && len(rest) == 0 {
-					if rec != nil {
-						rec.Events = append(rec.Events, evs...)
-					}
-					if hook != nil {
-						hook(key, true)
-					}
-					return out, nil
-				}
-			}
-		}
-	}
-	out, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	if store != nil {
-		var evs []trace.Event
-		if rec != nil {
-			evs = rec.Events
-		}
-		store.Put(key, trace.AppendEvents(binenc.AppendBytes(nil, out), evs))
-	}
-	if hook != nil {
-		hook(key, false)
-	}
-	return out, nil
+	return harness.Memo(c, cellCfg, inputs, binenc.AppendBytes, binenc.ConsumeBytes, compute)
 }
 
-// buildGraph resolves the workload's graph — from the DIMACS input
-// file when set, else from the named generator — through the cache,
-// returning the graph's content key for deriving reference keys.
-func buildGraph(c *sweep.Cache, w *spec.Workload, seed uint64) (string, *graph.Graph, error) {
+// graphInput names the workload's graph — the DIMACS input file when
+// set, else the named generator — by its content key and build; the
+// caller resolves it through its cell when it needs the graph.
+func graphInput(w *spec.Workload, seed uint64) (string, func() (*graph.Graph, error)) {
 	if w.Input != "" {
-		key := sweep.DIMACSKey(w.Input)
-		g, err := sweep.GetAs(c, key, func() (*graph.Graph, error) {
+		return sweep.DIMACSKey(w.Input), func() (*graph.Graph, error) {
 			f, err := os.Open(w.Input)
 			if err != nil {
 				return nil, err
 			}
 			defer f.Close()
 			return gio.ReadDIMACS(f)
-		})
-		return key, g, err
+		}
 	}
-	var key string
-	var build func() (*graph.Graph, error)
 	switch w.Gen {
 	case "gnm":
-		key = sweep.GnmKey(w.N, w.M, seed)
-		build = func() (*graph.Graph, error) { return graph.RandomGnm(w.N, w.M, seed), nil }
+		return sweep.GnmKey(w.N, w.M, seed), func() (*graph.Graph, error) { return graph.RandomGnm(w.N, w.M, seed), nil }
 	case "rmat":
 		scale := 0
 		for 1<<scale < w.N {
@@ -119,20 +84,14 @@ func buildGraph(c *sweep.Cache, w *spec.Workload, seed uint64) (string, *graph.G
 		if scale < 1 {
 			scale = 1
 		}
-		key = sweep.RMATKey(scale, w.M, seed)
-		build = func() (*graph.Graph, error) { return graph.RMAT(scale, w.M, seed), nil }
+		return sweep.RMATKey(scale, w.M, seed), func() (*graph.Graph, error) { return graph.RMAT(scale, w.M, seed), nil }
 	case "mesh2d":
-		key = sweep.Mesh2DKey(w.Rows, w.Cols)
-		build = func() (*graph.Graph, error) { return graph.Mesh2D(w.Rows, w.Cols), nil }
+		return sweep.Mesh2DKey(w.Rows, w.Cols), func() (*graph.Graph, error) { return graph.Mesh2D(w.Rows, w.Cols), nil }
 	case "mesh3d":
-		key = sweep.Mesh3DKey(w.Rows, w.Cols, w.Depth)
-		build = func() (*graph.Graph, error) { return graph.Mesh3D(w.Rows, w.Cols, w.Depth), nil }
+		return sweep.Mesh3DKey(w.Rows, w.Cols, w.Depth), func() (*graph.Graph, error) { return graph.Mesh3D(w.Rows, w.Cols, w.Depth), nil }
 	default: // torus; the spec validator already rejected unknown names
-		key = sweep.Torus2DKey(w.Rows, w.Cols)
-		build = func() (*graph.Graph, error) { return graph.Torus2D(w.Rows, w.Cols), nil }
+		return sweep.Torus2DKey(w.Rows, w.Cols), func() (*graph.Graph, error) { return graph.Torus2D(w.Rows, w.Cols), nil }
 	}
-	g, err := sweep.GetAs(c, key, build)
-	return key, g, err
 }
 
 // traceArtifacts renders and writes the trace / attribution artifacts
@@ -167,23 +126,28 @@ func (rc *runCtx) traceArtifacts(rec *trace.Recorder) error {
 func (rc *runCtx) runColoring() error {
 	sp, o := rc.sp, rc.o
 	w := &sp.Workload
-	cache := rc.workloadCache()
 
 	sched := sim.SchedDynamic
 	if w.Sched == "block" {
 		sched = sim.SchedBlock
 	}
-	gKey, g, err := buildGraph(cache, w, sp.Run.Seed)
-	if err != nil {
-		return err
-	}
-
-	header := fmt.Sprintf("graph: %s n=%d m=%d maxdeg=%d\n", w.Gen, g.N, g.M(), g.MaxDegree())
-
 	var rec *trace.Recorder
 	if sp.Output.Trace != "" || sp.Output.Attr != "" {
 		rec = &trace.Recorder{}
 	}
+	c := rc.workloadCell(rec)
+	gKey, buildG := graphInput(w, sp.Run.Seed)
+	refKey := sweep.SpecRefKey(gKey)
+	// begin resolves the graph and opens the output with its header.
+	begin := func(buf *bytes.Buffer) (*graph.Graph, error) {
+		g, err := harness.Resolve(c, gKey, buildG)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(buf, "graph: %s n=%d m=%d maxdeg=%d\n", w.Gen, g.N, g.M(), g.MaxDegree())
+		return g, nil
+	}
+
 	printStats := func(buf *bytes.Buffer, st coloring.Stats) {
 		parts := make([]string, len(st.Conflicts))
 		for i, c := range st.Conflicts {
@@ -192,14 +156,11 @@ func (rc *runCtx) runColoring() error {
 		fmt.Fprintf(buf, "colors: %d  rounds: %d  conflicts/round: %s (total %d)\n",
 			st.Colors, st.Rounds, strings.Join(parts, ","), st.TotalConflicts())
 	}
-	reference := func() ([]int32, error) {
-		return sweep.GetAs(cache, sweep.SpecRefKey(gKey), func() ([]int32, error) {
+	checkRef := func(g *graph.Graph, color []int32) error {
+		want, err := harness.Resolve(c, refKey, func() ([]int32, error) {
 			ref, _ := coloring.Speculative(g)
 			return ref, nil
 		})
-	}
-	checkRef := func(color []int32) error {
-		want, err := reference()
 		if err != nil {
 			return err
 		}
@@ -210,7 +171,7 @@ func (rc *runCtx) runColoring() error {
 		}
 		return nil
 	}
-	validate := func(buf *bytes.Buffer, color []int32) error {
+	validate := func(buf *bytes.Buffer, g *graph.Graph, color []int32) error {
 		if !w.Verify {
 			return nil
 		}
@@ -222,23 +183,21 @@ func (rc *runCtx) runColoring() error {
 	}
 
 	var out []byte
+	var err error
 	switch w.Machine {
 	case "mta", "smp":
 		inputs := []string{gKey}
 		if w.Verify {
-			// Resolve the host reference before consulting the result
-			// cache, so a warm run's manifest still records the
-			// complete input set.
-			if _, err := reference(); err != nil {
-				return err
-			}
-			inputs = append(inputs, sweep.SpecRefKey(gKey))
+			inputs = append(inputs, refKey)
 		}
-		out, err = rc.memoWorkload(
+		out, err = rc.memoWorkload(c,
 			fmt.Sprintf("wl/coloring/%s/p=%d/sched=%s/verify=%t", w.Machine, w.Procs, w.Sched, w.Verify),
-			inputs, rec, func() ([]byte, error) {
+			inputs, func() ([]byte, error) {
 				var buf bytes.Buffer
-				buf.WriteString(header)
+				g, err := begin(&buf)
+				if err != nil {
+					return nil, err
+				}
 				var color []int32
 				var st coloring.Stats
 				if w.Machine == "mta" {
@@ -273,11 +232,11 @@ func (rc *runCtx) runColoring() error {
 				}
 				printStats(&buf, st)
 				if w.Verify {
-					if err := checkRef(color); err != nil {
+					if err := checkRef(g, color); err != nil {
 						return nil, err
 					}
 				}
-				if err := validate(&buf, color); err != nil {
+				if err := validate(&buf, g, color); err != nil {
 					return nil, err
 				}
 				return buf.Bytes(), nil
@@ -290,17 +249,23 @@ func (rc *runCtx) runColoring() error {
 		}
 	case "spec":
 		var buf bytes.Buffer
-		buf.WriteString(header)
+		g, err := begin(&buf)
+		if err != nil {
+			return err
+		}
 		color, st := coloring.Speculative(g)
 		fmt.Fprintln(&buf, "machine=host(speculative rounds)")
 		printStats(&buf, st)
-		if err := validate(&buf, color); err != nil {
+		if err := validate(&buf, g, color); err != nil {
 			return err
 		}
 		out = buf.Bytes()
 	default: // seq
 		var buf bytes.Buffer
-		buf.WriteString(header)
+		g, err := begin(&buf)
+		if err != nil {
+			return err
+		}
 		color := coloring.Sequential(g)
 		max := int32(-1)
 		for _, c := range color {
@@ -309,7 +274,7 @@ func (rc *runCtx) runColoring() error {
 			}
 		}
 		fmt.Fprintf(&buf, "machine=sequential(first-fit)\ncolors: %d\n", max+1)
-		if err := validate(&buf, color); err != nil {
+		if err := validate(&buf, g, color); err != nil {
 			return err
 		}
 		out = buf.Bytes()
@@ -328,7 +293,6 @@ func (rc *runCtx) runColoring() error {
 func (rc *runCtx) runListrank() error {
 	sp, o := rc.sp, rc.o
 	w := &sp.Workload
-	cache := rc.workloadCache()
 
 	lay := list.Random
 	switch w.Layout {
@@ -337,19 +301,18 @@ func (rc *runCtx) runListrank() error {
 	case "clustered":
 		lay = list.Clustered
 	}
-	lKey := sweep.ListKey(w.N, lay.String(), sp.Run.Seed)
-	l, err := sweep.GetAs(cache, lKey,
-		func() (*list.List, error) { return list.New(w.N, lay, sp.Run.Seed), nil })
-	if err != nil {
-		return err
-	}
-
 	var rec *trace.Recorder
 	if sp.Output.Trace != "" {
 		rec = &trace.Recorder{}
 	}
+	c := rc.workloadCell(rec)
+	lKey := sweep.ListKey(w.N, lay.String(), sp.Run.Seed)
+	getList := func() (*list.List, error) {
+		return harness.Resolve(c, lKey,
+			func() (*list.List, error) { return list.New(w.N, lay, sp.Run.Seed), nil })
+	}
 
-	verify := func(buf *bytes.Buffer, rank []int64) error {
+	verify := func(buf *bytes.Buffer, l *list.List, rank []int64) error {
 		if !w.Verify {
 			return nil
 		}
@@ -361,13 +324,18 @@ func (rc *runCtx) runListrank() error {
 	}
 
 	var out []byte
+	var err error
 	deterministic := false
 	switch w.Machine {
 	case "mta":
 		deterministic = true
-		out, err = rc.memoWorkload(
+		out, err = rc.memoWorkload(c,
 			fmt.Sprintf("wl/listrank/mta/p=%d/sched=%s/npw=%d/verify=%t", w.Procs, w.Sched, w.NodesPerWalk, w.Verify),
-			[]string{lKey}, rec, func() ([]byte, error) {
+			[]string{lKey}, func() ([]byte, error) {
+				l, err := getList()
+				if err != nil {
+					return nil, err
+				}
 				var buf bytes.Buffer
 				s := sim.SchedDynamic
 				if w.Sched == "block" {
@@ -390,7 +358,7 @@ func (rc *runCtx) runListrank() error {
 				if o.RegionTrace {
 					m.WriteTrace(&buf)
 				}
-				if err := verify(&buf, rank); err != nil {
+				if err := verify(&buf, l, rank); err != nil {
 					return nil, err
 				}
 				return buf.Bytes(), nil
@@ -403,9 +371,13 @@ func (rc *runCtx) runListrank() error {
 		}
 	case "smp":
 		deterministic = true
-		out, err = rc.memoWorkload(
+		out, err = rc.memoWorkload(c,
 			fmt.Sprintf("wl/listrank/smp/p=%d/sublists=%d/seed=%d/verify=%t", w.Procs, w.Sublists, sp.Run.Seed, w.Verify),
-			[]string{lKey}, rec, func() ([]byte, error) {
+			[]string{lKey}, func() ([]byte, error) {
+				l, err := getList()
+				if err != nil {
+					return nil, err
+				}
 				var buf bytes.Buffer
 				m := smp.New(smp.DefaultConfig(w.Procs))
 				m.SetHostWorkers(sp.Run.Workers)
@@ -429,7 +401,7 @@ func (rc *runCtx) runListrank() error {
 				if o.RegionTrace {
 					m.WriteTrace(&buf)
 				}
-				if err := verify(&buf, rank); err != nil {
+				if err := verify(&buf, l, rank); err != nil {
 					return nil, err
 				}
 				return buf.Bytes(), nil
@@ -441,22 +413,30 @@ func (rc *runCtx) runListrank() error {
 			return err
 		}
 	case "native":
+		l, err := getList()
+		if err != nil {
+			return err
+		}
 		var buf bytes.Buffer
 		start := time.Now()
 		rank := listrank.HelmanJaja(l, w.Procs)
 		fmt.Fprintf(&buf, "machine=native(goroutines) p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
 		fmt.Fprintf(&buf, "wall clock: %.6f s\n", time.Since(start).Seconds())
-		if err := verify(&buf, rank); err != nil {
+		if err := verify(&buf, l, rank); err != nil {
 			return err
 		}
 		out = buf.Bytes()
 	default: // seq
+		l, err := getList()
+		if err != nil {
+			return err
+		}
 		var buf bytes.Buffer
 		start := time.Now()
 		rank := listrank.Sequential(l)
 		fmt.Fprintf(&buf, "machine=sequential n=%d layout=%s\n", w.N, lay)
 		fmt.Fprintf(&buf, "wall clock: %.6f s\n", time.Since(start).Seconds())
-		if err := verify(&buf, rank); err != nil {
+		if err := verify(&buf, l, rank); err != nil {
 			return err
 		}
 		out = buf.Bytes()
@@ -480,13 +460,30 @@ func (rc *runCtx) runListrank() error {
 func (rc *runCtx) runConcomp() error {
 	sp, o := rc.sp, rc.o
 	w := &sp.Workload
-	cache := rc.workloadCache()
 
-	gKey, g, err := buildGraph(cache, w, sp.Run.Seed)
-	if err != nil {
-		return err
+	var rec *trace.Recorder
+	if sp.Output.Trace != "" {
+		rec = &trace.Recorder{}
+	}
+	c := rc.workloadCell(rec)
+	gKey, buildG := graphInput(w, sp.Run.Seed)
+	ufKey := sweep.UnionFindKey(gKey)
+	// begin resolves the graph and opens the output with its header.
+	begin := func(buf *bytes.Buffer) (*graph.Graph, error) {
+		g, err := harness.Resolve(c, gKey, buildG)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(buf, "graph: %s n=%d m=%d\n", w.Gen, g.N, g.M())
+		return g, nil
 	}
 	if o.DumpGraph != "" {
+		// The dump needs the graph outside the memoized body, so it
+		// resolves eagerly; the body's own resolve then hits memory.
+		g, err := harness.Resolve(c, gKey, buildG)
+		if err != nil {
+			return err
+		}
 		f, err := os.Create(o.DumpGraph)
 		if err != nil {
 			return err
@@ -500,25 +497,16 @@ func (rc *runCtx) runConcomp() error {
 		}
 	}
 
-	var rec *trace.Recorder
-	if sp.Output.Trace != "" {
-		rec = &trace.Recorder{}
-	}
-
-	header := fmt.Sprintf("graph: %s n=%d m=%d\n", w.Gen, g.N, g.M())
-	reference := func() ([]int32, error) {
-		return sweep.GetAs(cache, sweep.UnionFindKey(gKey), func() ([]int32, error) {
-			return concomp.UnionFind(g), nil
-		})
-	}
 	// finish appends the component count and the verification trailer
 	// every machine shares.
-	finish := func(buf *bytes.Buffer, labels []int32) error {
+	finish := func(buf *bytes.Buffer, g *graph.Graph, labels []int32) error {
 		fmt.Fprintf(buf, "components: %d\n", graph.CountComponents(labels))
 		if !w.Verify {
 			return nil
 		}
-		want, err := reference()
+		want, err := harness.Resolve(c, ufKey, func() ([]int32, error) {
+			return concomp.UnionFind(g), nil
+		})
 		if err != nil {
 			return err
 		}
@@ -530,25 +518,23 @@ func (rc *runCtx) runConcomp() error {
 	}
 
 	var out []byte
+	var err error
 	deterministic := false
 	switch w.Machine {
 	case "mta", "mta-star", "smp":
 		deterministic = true
 		inputs := []string{gKey}
 		if w.Verify {
-			// Resolve the union-find reference before consulting the
-			// result cache, so a warm run's manifest still records the
-			// complete input set.
-			if _, err := reference(); err != nil {
-				return err
-			}
-			inputs = append(inputs, sweep.UnionFindKey(gKey))
+			inputs = append(inputs, ufKey)
 		}
-		out, err = rc.memoWorkload(
+		out, err = rc.memoWorkload(c,
 			fmt.Sprintf("wl/concomp/%s/p=%d/verify=%t", w.Machine, w.Procs, w.Verify),
-			inputs, rec, func() ([]byte, error) {
+			inputs, func() ([]byte, error) {
 				var buf bytes.Buffer
-				buf.WriteString(header)
+				g, err := begin(&buf)
+				if err != nil {
+					return nil, err
+				}
 				var labels []int32
 				if w.Machine == "smp" {
 					sm := smp.New(smp.DefaultConfig(w.Procs))
@@ -584,7 +570,7 @@ func (rc *runCtx) runConcomp() error {
 					fmt.Fprintf(&buf, "utilization: %.1f%%  refs=%d regions=%d barriers=%d\n",
 						mm.Utilization()*100, st.Refs, st.Regions, st.Barriers)
 				}
-				if err := finish(&buf, labels); err != nil {
+				if err := finish(&buf, g, labels); err != nil {
 					return nil, err
 				}
 				return buf.Bytes(), nil
@@ -597,7 +583,10 @@ func (rc *runCtx) runConcomp() error {
 		}
 	default:
 		var buf bytes.Buffer
-		buf.WriteString(header)
+		g, err := begin(&buf)
+		if err != nil {
+			return err
+		}
 		var labels []int32
 		switch w.Machine {
 		case "native":
@@ -625,7 +614,7 @@ func (rc *runCtx) runConcomp() error {
 			labels = concomp.BFS(g)
 			fmt.Fprintf(&buf, "machine=sequential(BFS) wall=%.6f s\n", time.Since(start).Seconds())
 		}
-		if err := finish(&buf, labels); err != nil {
+		if err := finish(&buf, g, labels); err != nil {
 			return err
 		}
 		out = buf.Bytes()

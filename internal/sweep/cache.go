@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sync"
@@ -36,14 +38,21 @@ type Cache struct {
 	Disk *diskcache.Store
 
 	// Hook, when non-nil, observes every input GetAs resolves — once
-	// per key, with the value's serialized bytes (the same encoding the
-	// disk tier stores), whether the value came from a build or a disk
-	// hit. Reproducibility manifests hang off this: the hook hashes the
-	// bytes, so a run records the exact content of every input it
-	// consumed. Set it before the first Get, like Disk. With a hook
-	// attached, a value that cannot be serialized is an error rather
-	// than a silent gap in the record.
-	Hook func(key string, data []byte)
+	// per key, with the digest of the value's serialized bytes (the
+	// same encoding the disk tier stores), whether the value came from
+	// a build or a disk hit. Reproducibility manifests hang off this,
+	// so a run records the exact content of every input it consumed.
+	// Set it before the first Get, like Disk. With a hook attached, a
+	// value that cannot be serialized is an error rather than a silent
+	// gap in the record.
+	Hook func(Digest)
+
+	// Digests makes GetAs serialize and hash every value it resolves
+	// even with neither Disk nor Hook attached, so Digest can report
+	// it; with either attached the bytes are in hand anyway. Result
+	// memoization needs this: it stores the digests of a result's
+	// inputs beside the result. Set it before the first Get.
+	Digests bool
 
 	// Flight, when non-nil alongside Disk, joins this Cache to a
 	// process-wide single-flight group (see FlightFor): before building
@@ -54,10 +63,27 @@ type Cache struct {
 	Flight *Flight
 }
 
+// Digest is the content record of one resolved input: its key and the
+// SHA-256 (hex) and length of its serialized bytes. Manifests record
+// inputs in exactly this form, and memoized results carry the digests
+// of the inputs they were computed from.
+type Digest struct {
+	Key    string
+	SHA256 string
+	Bytes  int64
+}
+
+// digestOf hashes one input's serialized bytes.
+func digestOf(key string, data []byte) Digest {
+	sum := sha256.Sum256(data)
+	return Digest{Key: key, SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(data))}
+}
+
 type cacheEntry struct {
-	done chan struct{}
-	val  any
-	err  error
+	done   chan struct{}
+	val    any
+	digest Digest // zero unless the value was serialized
+	err    error
 }
 
 // Get returns the value for key, running build at most once per key
@@ -65,6 +91,13 @@ type cacheEntry struct {
 // returned as an error to the builder and every waiter, so one bad
 // input fails the cells that need it rather than the process.
 func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
+	e := c.resolve(key, func(e *cacheEntry) { e.val, e.err = build() })
+	return e.val, e.err
+}
+
+// resolve is Get's single flight: the first caller for key runs fill
+// on the fresh entry, everyone else waits for it to finish.
+func (c *Cache) resolve(key string, fill func(*cacheEntry)) *cacheEntry {
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheEntry)
@@ -72,7 +105,7 @@ func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		<-e.done
-		return e.val, e.err
+		return e
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	c.entries[key] = e
@@ -85,9 +118,28 @@ func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
 			}
 			close(e.done)
 		}()
-		e.val, e.err = build()
+		fill(e)
 	}()
-	return e.val, e.err
+	return e
+}
+
+// Digest returns the digest of the value resolved under key. ok is
+// false while the key is unresolved or still building, when its build
+// failed, and when the value was never serialized (no Disk, Hook or
+// Digests).
+func (c *Cache) Digest(key string) (Digest, bool) {
+	c.mu.Lock()
+	e := c.entries[key]
+	c.mu.Unlock()
+	if e == nil {
+		return Digest{}, false
+	}
+	select {
+	case <-e.done:
+	default:
+		return Digest{}, false
+	}
+	return e.digest, e.err == nil && e.digest.Key != ""
 }
 
 // Len reports how many keys the cache holds, including in-flight
@@ -110,24 +162,36 @@ func (c *Cache) Len() int {
 // never load-bearing: a failed disk read or write costs one rebuild or
 // one re-generation on the next run, not an error.
 //
+// Whenever the value is serialized (Disk, Hook or Digests set), GetAs
+// hashes its bytes exactly once, where they are already in hand — as
+// read on a disk hit, as encoded after a build — and keeps the digest
+// for Digest and the Hook.
+//
 // Types that implement encoding.BinaryMarshaler/BinaryUnmarshaler (as
 // the big workload types do, via internal/binenc) persist through those
 // methods; everything else goes through gob. The warm path must beat
 // regeneration to be worth anything, and gob's per-element reflection
 // loses that race on multi-megabyte slices by an order of magnitude.
 func GetAs[T any](c *Cache, key string, build func() (T, error)) (T, error) {
-	v, err := c.Get(key, func() (any, error) {
+	e := c.resolve(key, func(e *cacheEntry) {
 		disk, hook := c.Disk, c.Hook
-		if disk == nil && hook == nil {
-			return build()
+		if disk == nil && hook == nil && !c.Digests {
+			e.val, e.err = build()
+			return
+		}
+		// found records a value together with its serialized bytes:
+		// hashed here, once, whichever tier supplied them.
+		found := func(v T, data []byte) {
+			e.val, e.digest = v, digestOf(key, data)
+			if hook != nil {
+				hook(e.digest)
+			}
 		}
 		if disk != nil {
 			if data, ok := disk.Get(key); ok {
 				if v, ok := decodeValue[T](data); ok {
-					if hook != nil {
-						hook(key, data)
-					}
-					return v, nil
+					found(v, data)
+					return
 				}
 			}
 			if c.Flight != nil {
@@ -150,35 +214,35 @@ func GetAs[T any](c *Cache, key string, build func() (T, error)) (T, error) {
 				defer c.Flight.end(key)
 				if data, ok := disk.Get(key); ok {
 					if v, ok := decodeValue[T](data); ok {
-						if hook != nil {
-							hook(key, data)
-						}
-						return v, nil
+						found(v, data)
+						return
 					}
 				}
 			}
 		}
 		v, err := build()
 		if err != nil {
-			return v, err
+			e.err = err
+			return
 		}
-		if data, ok := encodeValue(v); ok {
-			if disk != nil {
-				disk.Put(key, data)
+		data, ok := encodeValue(v)
+		if !ok {
+			e.val = v
+			if hook != nil || c.Digests {
+				e.err = fmt.Errorf("sweep: input %q is not serializable, so the run's input record would be incomplete", key)
 			}
-			if hook != nil {
-				hook(key, data)
-			}
-		} else if hook != nil {
-			return v, fmt.Errorf("sweep: input %q is not serializable, so the run's input record would be incomplete", key)
+			return
 		}
-		return v, err
+		if disk != nil {
+			disk.Put(key, data)
+		}
+		found(v, data)
 	})
-	if err != nil {
+	if e.err != nil {
 		var zero T
-		return zero, err
+		return zero, e.err
 	}
-	return v.(T), nil
+	return e.val.(T), nil
 }
 
 var binaryUnmarshalerType = reflect.TypeFor[encoding.BinaryUnmarshaler]()

@@ -75,15 +75,17 @@ func SpecRefKey(graphKey string) string { return graphKey + "/specref" }
 // ResultKey addresses one memoized sweep-cell result: the outcome of
 // simulating one cell of one experiment sweep. costVersion is
 // sim.CostSchemaVersion — the cost semantics of the simulator stack at
-// the time the result was computed — so bumping that constant strands
-// every cached result at once. cell is the canonical result-relevant
-// cell config (experiment, machine parameters, seeds, trace mode;
-// never execution knobs like jobs or shard), and inputs are the
-// content keys of the cached inputs the cell consumed. Each component
-// is length-framed so no two (cell, inputs) combinations can collide
-// by concatenation.
-func ResultKey(costVersion int, cell string, inputs ...string) string {
-	key := fmt.Sprintf("result/c%d/%d:%s", costVersion, len(cell), cell)
+// the time the result was computed — and inputSchema is the input
+// cache's schema (internal/harness.InputSchema) — the generators and
+// encodings that produced the inputs — so bumping either strands every
+// cached result at once. cell is the canonical result-relevant cell
+// config (experiment, machine parameters, seeds, trace mode; never
+// execution knobs like jobs or shard), and inputs are the content keys
+// of the cached inputs the cell consumed. Each component after the
+// cost version is length-framed so no two combinations can collide by
+// concatenation.
+func ResultKey(costVersion int, inputSchema, cell string, inputs ...string) string {
+	key := fmt.Sprintf("result/c%d/%d:%s/%d:%s", costVersion, len(inputSchema), inputSchema, len(cell), cell)
 	for _, in := range inputs {
 		key += fmt.Sprintf("|%d:%s", len(in), in)
 	}

@@ -30,9 +30,9 @@ func TestKeyProducers(t *testing.T) {
 		{"dimacs", DIMACSKey("data/g.dimacs"), "dimacs/data/g.dimacs"},
 		{"unionfind", UnionFindKey(GnmKey(10, 20, 1)), "gnm/10/20/1/unionfind"},
 		{"specref", SpecRefKey(RMATKey(11, 100, 2)), "rmat/11/100/2/specref"},
-		{"result-no-inputs", ResultKey(1, "fig1/p=2"), "result/c1/8:fig1/p=2"},
-		{"result", ResultKey(2, "fig2/n=4096", GnmKey(10, 20, 1), UnionFindKey(GnmKey(10, 20, 1))),
-			"result/c2/11:fig2/n=4096|11:gnm/10/20/1|21:gnm/10/20/1/unionfind"},
+		{"result-no-inputs", ResultKey(1, "in-v1", "fig1/p=2"), "result/c1/5:in-v1/8:fig1/p=2"},
+		{"result", ResultKey(2, "in-v3", "fig2/n=4096", GnmKey(10, 20, 1), UnionFindKey(GnmKey(10, 20, 1))),
+			"result/c2/5:in-v3/11:fig2/n=4096|11:gnm/10/20/1|21:gnm/10/20/1/unionfind"},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

@@ -290,3 +290,49 @@ func TestBinaryRoundTripThroughDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDigestsAcrossTiers: the digest a Cache keeps for a key is the
+// SHA-256 of the value's serialized bytes — the same whether the value
+// was built or read back from disk — and the hook sees exactly that
+// digest, once per key. A cache that never serializes keeps none.
+func TestDigestsAcrossTiers(t *testing.T) {
+	dir := t.TempDir()
+	build := func() (*list.List, error) { return list.New(256, list.Random, 3), nil }
+	data, ok := encodeValue(list.New(256, list.Random, 3))
+	if !ok {
+		t.Fatal("list does not serialize")
+	}
+	want := digestOf("k", data)
+
+	var seen []Digest
+	hook := func(d Digest) { seen = append(seen, d) }
+	for i, c := range []*Cache{
+		{Digests: true},                          // memory only
+		{Disk: openStore(t, dir), Hook: hook},    // cold: build, then put
+		{Disk: openStore(t, dir), Hook: hook},    // warm: disk hit
+		{Disk: openStore(t, dir), Digests: true}, // warm, no hook
+	} {
+		for j := 0; j < 2; j++ { // the second Get is a memory hit
+			if _, err := GetAs(c, "k", build); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, ok := c.Digest("k"); !ok || got != want {
+			t.Errorf("cache %d: Digest = %+v, %v; want %+v", i, got, ok, want)
+		}
+	}
+	if len(seen) != 2 || seen[0] != want || seen[1] != want {
+		t.Errorf("hook saw %+v, want %+v twice", seen, want)
+	}
+
+	bare := &Cache{}
+	if _, err := GetAs(bare, "k", build); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := bare.Digest("k"); ok {
+		t.Error("a cache that never serializes reported a digest")
+	}
+	if _, ok := bare.Digest("absent"); ok {
+		t.Error("an unresolved key reported a digest")
+	}
+}

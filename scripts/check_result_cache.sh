@@ -1,12 +1,16 @@
 #!/bin/sh
 # CI gate for the result cache: against a shared cache directory, a warm
-# re-run of each sweep (fig1, fig2, table1, coloring) must emit
-# byte-identical stdout to the cold run, the cold and warm manifests
-# must agree on the spec hash, and the warm run's result store must
-# report zero misses — no cell re-simulated. The warm fig1 sweep must
-# also be at least 5x faster than the cold one (the measured margin is
-# orders of magnitude; 5x just guards against the cache silently
-# degrading to recompute-always).
+# re-run of each sweep (fig1, fig2, table1, coloring) and of the
+# single-run commands (listrank on the MTA, concomp on the MTA with
+# verification) must emit byte-identical stdout to the cold run, the
+# cold and warm manifests must agree on the spec hash and byte for byte
+# on their inputs sections, the warm run's result store must report
+# zero misses — no cell re-simulated — and its input store zero hits
+# and zero misses: a warm run replays the input digests stored with
+# each result and opens no input. The warm fig1 sweep must also be at
+# least 5x faster than the cold one (the measured margin is orders of
+# magnitude; 5x just guards against the cache silently degrading to
+# recompute-always).
 #
 # Usage: scripts/check_result_cache.sh
 set -eu
@@ -18,7 +22,7 @@ trap 'rm -rf "$work"' EXIT
 commit=$(sh "$root/scripts/version.sh")
 bin="$work/bin"
 mkdir -p "$bin"
-(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures)
+(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/listrank ./cmd/concomp)
 
 cache="$work/cache"
 fail=0
@@ -27,17 +31,22 @@ now_ns() { date +%s%N; }
 
 spec_hash() { sed -n 's/.*"spec_sha256": "\([0-9a-f]*\)".*/\1/p' "$1"; }
 
-# check <name> <figures args...>: cold run primes the cache, warm run
+# inputs_of prints a manifest's inputs section: from its "inputs" line
+# through the closing bracket at the same indentation.
+inputs_of() { awk '/^  "inputs": /{on=1} on{print} on && (/^  \]/ || /\[\],?$/){exit}' "$1"; }
+
+# check <name> <cmd> <args...>: cold run primes the cache, warm run
 # must replay it exactly.
 check() {
     name=$1
-    shift
+    cmd=$2
+    shift 2
     dir="$work/$name"
     mkdir -p "$dir"
     t0=$(now_ns)
-    "$bin/figures" "$@" -cache-dir "$cache" -emit-manifest "$dir/cold.manifest.json" >"$dir/cold.out" 2>/dev/null
+    "$bin/$cmd" "$@" -cache-dir "$cache" -emit-manifest "$dir/cold.manifest.json" >"$dir/cold.out" 2>/dev/null
     t1=$(now_ns)
-    "$bin/figures" "$@" -cache-dir "$cache" -cache-stats -emit-manifest "$dir/warm.manifest.json" >"$dir/warm.out" 2>"$dir/warm.stats"
+    "$bin/$cmd" "$@" -cache-dir "$cache" -cache-stats -emit-manifest "$dir/warm.manifest.json" >"$dir/warm.out" 2>"$dir/warm.stats"
     t2=$(now_ns)
 
     if ! cmp -s "$dir/cold.out" "$dir/warm.out"; then
@@ -50,6 +59,28 @@ check() {
         fail=1
         return
     fi
+    inputs_of "$dir/cold.manifest.json" >"$dir/cold.inputs"
+    inputs_of "$dir/warm.manifest.json" >"$dir/warm.inputs"
+    if ! grep -q '"sha256"' "$dir/cold.inputs"; then
+        echo "FAIL: $name: cold manifest records no inputs"
+        fail=1
+        return
+    fi
+    if ! cmp -s "$dir/cold.inputs" "$dir/warm.inputs"; then
+        echo "FAIL: $name: cold and warm manifests disagree on their inputs"
+        diff "$dir/cold.inputs" "$dir/warm.inputs" | head -20
+        fail=1
+        return
+    fi
+    instats=$(grep '^input cache' "$dir/warm.stats" || true)
+    case $instats in
+    *" hits=0 misses=0 "*) ;;
+    *)
+        echo "FAIL: $name: warm run looked up inputs: $instats"
+        fail=1
+        return
+        ;;
+    esac
     stats=$(grep '^result cache' "$dir/warm.stats" || true)
     case $stats in
     *" misses=0 "*) ;;
@@ -80,9 +111,11 @@ check() {
     echo "ok: $name$extra"
 }
 
-check fig1     -fig 1 -json
-check fig2     -fig 2 -json
-check table1   -table 1 -json
-check coloring -exp coloring -json
+check fig1     figures -fig 1 -json
+check fig2     figures -fig 2 -json
+check table1   figures -table 1 -json
+check coloring figures -exp coloring -json
+check listrank listrank -machine mta -n 65536 -p 4
+check concomp  concomp -machine mta -n 16384 -m 65536 -p 4 -verify
 
 exit $fail
