@@ -46,8 +46,10 @@ bench-sweeps:
 check-sweep-scaling:
 	sh scripts/check_sweep_scaling.sh
 
-# Fail if the fig1 sweep run as shards 0..N-1 and merged by shardmerge
-# is not byte-identical to the unsharded run, for N in {2, 4}.
+# Fail if the unsharded run over the result cache that shards 0..N-1
+# filled is not byte-identical to a cold unsharded run (fig1 for N in
+# {2, 4}, profile -machine both for N = 2), replays anything but the
+# shards' cells, or if a shard writes to stdout.
 check-shard-equivalence:
 	sh scripts/check_shard_equivalence.sh
 

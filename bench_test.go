@@ -40,6 +40,10 @@ const (
 	benchProcs  = 8
 )
 
+// benchEnv is the Env the harness benchmarks run under: cells in
+// sequence, regions replayed serially, nothing cached or traced.
+func benchEnv() *harness.Env { return &harness.Env{HostWorkers: 1} }
+
 // --- Fig. 1: list ranking ---------------------------------------------
 
 func benchFig1(b *testing.B, machine Machine, layout Layout) {
@@ -83,7 +87,7 @@ func BenchmarkTable1(b *testing.B) {
 	p.GraphM = 20 * benchGraphN
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunTable1(p)
+		res := benchEnv().RunTable1(p)
 		util = res.Rows[0].Utilization[len(res.Rows[0].Utilization)-1]
 	}
 	b.ReportMetric(util*100, "util_%")
@@ -99,11 +103,11 @@ func BenchmarkSummary(b *testing.B) {
 	f2p.EdgeFactors = []int{4, 20}
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		f1, err := harness.RunFig1(f1p)
+		f1, err := benchEnv().RunFig1(f1p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f2, err := harness.RunFig2(f2p)
+		f2, err := benchEnv().RunFig2(f2p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +125,7 @@ func BenchmarkSummary(b *testing.B) {
 func BenchmarkSaturation(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunSaturation([]int{benchProcs}, []int{10000}, 3)
+		res := benchEnv().RunSaturation([]int{benchProcs}, []int{10000}, 3)
 		util = res.Rows[0].Utilization
 	}
 	b.ReportMetric(util*100, "util_%")
@@ -131,31 +135,31 @@ func BenchmarkSaturation(b *testing.B) {
 
 func BenchmarkAblationScheduling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblScheduling(1<<15, benchProcs, 7)
+		benchEnv().RunAblScheduling(1<<15, benchProcs, 7)
 	}
 }
 
 func BenchmarkAblationHashing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblHashing(1<<16, benchProcs)
+		benchEnv().RunAblHashing(1<<16, benchProcs)
 	}
 }
 
 func BenchmarkAblationSublists(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblSublists(1<<15, benchProcs, []int{1, 8, 64}, 5)
+		benchEnv().RunAblSublists(1<<15, benchProcs, []int{1, 8, 64}, 5)
 	}
 }
 
 func BenchmarkAblationShortcut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblShortcut(1<<11, 8, benchProcs, 9)
+		benchEnv().RunAblShortcut(1<<11, 8, benchProcs, 9)
 	}
 }
 
 func BenchmarkAblationCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblCache(1<<17, 1, []int{1, 4, 16}, 11)
+		benchEnv().RunAblCache(1<<17, 1, []int{1, 4, 16}, 11)
 	}
 }
 
@@ -315,21 +319,17 @@ func BenchmarkSweepScaling(b *testing.B) {
 	if ncpu := runtime.NumCPU(); ncpu != 1 && ncpu != 2 && ncpu != 4 && ncpu != 8 {
 		jobs = append(jobs, ncpu)
 	}
-	oldJobs := harness.Jobs
-	defer func() { harness.Jobs = oldJobs }()
 	for _, j := range jobs {
 		b.Run(fmt.Sprintf("fig1/jobs=%d", j), func(b *testing.B) {
-			harness.Jobs = j
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.RunFig1(fig1); err != nil {
+				if _, err := (&harness.Env{Jobs: j, HostWorkers: 1}).RunFig1(fig1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("coloring/jobs=%d", j), func(b *testing.B) {
-			harness.Jobs = j
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.RunColoring(coloringP); err != nil {
+				if _, err := (&harness.Env{Jobs: j, HostWorkers: 1}).RunColoring(coloringP); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -344,8 +344,10 @@ func BenchmarkSweepScaling(b *testing.B) {
 // cold/warm ratio is the result cache's whole value proposition.
 func BenchmarkWarmSweep(b *testing.B) {
 	fig1 := harness.DefaultFig1(harness.Small)
-	saved := harness.ResultStore
-	defer func() { harness.ResultStore = saved }()
+	runFig1 := func(store *diskcache.Store) error {
+		_, err := (&harness.Env{HostWorkers: 1, ResultStore: store}).RunFig1(fig1)
+		return err
+	}
 	b.Run("fig1/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -353,9 +355,8 @@ func BenchmarkWarmSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			harness.ResultStore = store
 			b.StartTimer()
-			if _, err := harness.RunFig1(fig1); err != nil {
+			if err := runFig1(store); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -365,13 +366,12 @@ func BenchmarkWarmSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		harness.ResultStore = store
-		if _, err := harness.RunFig1(fig1); err != nil {
+		if err := runFig1(store); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := harness.RunFig1(fig1); err != nil {
+			if err := runFig1(store); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -436,7 +436,7 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 func BenchmarkStreamsSweep(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunStreams(1<<15, 1, []int{40, 80}, 3)
+		res := benchEnv().RunStreams(1<<15, 1, []int{40, 80}, 3)
 		util = res.Rows[1].Utilization
 	}
 	b.ReportMetric(util*100, "util80_%")
@@ -445,7 +445,7 @@ func BenchmarkStreamsSweep(b *testing.B) {
 func BenchmarkTreeEval(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTreeEval([]int{1 << 12}, benchProcs, 3)
+		res, err := benchEnv().RunTreeEval([]int{1 << 12}, benchProcs, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,13 +456,13 @@ func BenchmarkTreeEval(b *testing.B) {
 
 func BenchmarkAblationAssociativity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblAssociativity(1<<15, 4, []int{1, 4}, 7)
+		benchEnv().RunAblAssociativity(1<<15, 4, []int{1, 4}, 7)
 	}
 }
 
 func BenchmarkAblationReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblReduction(1<<15, benchProcs)
+		benchEnv().RunAblReduction(1<<15, benchProcs)
 	}
 }
 

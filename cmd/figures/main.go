@@ -28,14 +28,16 @@
 //	figures -spec specs/e1_fig1.toml -emit-manifest fig1.manifest.json
 //	reproduce fig1.manifest.json
 //
-// Sweeps can be sharded across processes and their generated inputs
-// persisted in a content-addressed cache (see cmd/shardmerge and
-// scripts/shard_run.sh):
+// Sweeps can be sharded across processes sharing one content-addressed
+// cache (see scripts/shard_run.sh). A shard stores the results of the
+// cells it owns in the cache and writes nothing else; the same command
+// without -shard on that cache then replays every cell and writes the
+// output, byte-identical to a run that computed it all:
 //
-//	figures -fig 1 -json -shard 0/4 -cache-dir /tmp/pgc > part0.json
-//	figures -fig 1 -json -shard 1/4 -cache-dir /tmp/pgc > part1.json
+//	figures -fig 1 -shard 0/4 -cache-dir /tmp/pgc
+//	figures -fig 1 -shard 1/4 -cache-dir /tmp/pgc
 //	...
-//	shardmerge -json - part*.json   # byte-identical to the unsharded -json
+//	figures -fig 1 -cache-dir /tmp/pgc   # the merge: every cell a cache hit
 package main
 
 import (
@@ -68,12 +70,11 @@ func main() {
 		jobs     = flag.Int("jobs", 0, "experiment cells run concurrently per sweep (0 = NumCPU); results are identical for any value")
 		traceOut = flag.String("trace", "", "record every simulated machine's attribution trace and write Chrome trace JSON to this file")
 		attrOut  = flag.String("attr", "", "with tracing, also write the per-region attribution as CSV to this file")
-		shardS   = flag.String("shard", "", "run only the experiment cells of shard i/N (e.g. 0/4) and emit a partial-result envelope for cmd/shardmerge; requires -json")
+		shardS   = flag.String("shard", "", "run only the experiment cells of shard i/N (e.g. 0/4) and store their results in the cache, writing no output; rerun without -shard on the same -cache-dir to write it")
 		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole sweep-cell results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
 		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
 		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")
 		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the cache directory's size; least-recently-used entries are pruned on overflow (0 = unbounded)")
-		withTr   = flag.Bool("withtrace", false, "with -shard, carry this shard's trace events in the partial so shardmerge can render -trace/-attr")
 		manifest = flag.String("emit-manifest", "", "write a reproducibility manifest (spec hash, input keys, artifact hashes) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a Go CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a Go heap profile at exit to this file")
@@ -128,9 +129,6 @@ func main() {
 	if jsonSet && csvSet {
 		log.Fatal("choose one of -json and -csv")
 	}
-	if *withTr && sp.Run.Shard == "" {
-		log.Fatal("-withtrace only applies to -shard runs")
-	}
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -151,7 +149,6 @@ func main() {
 
 	opts := runner.Options{
 		Interrupt:     ctx,
-		WithTrace:     *withTr,
 		NoResultCache: *noResult,
 		CacheStats:    *cacheSt,
 		CacheMaxBytes: *cacheMax,

@@ -17,12 +17,13 @@
 // emitted at region commit, after the deterministic replay merge.
 //
 // With -machine both, the two machines can run as separate shard
-// processes whose partials cmd/shardmerge reassembles into the exact
-// unsharded output:
+// processes sharing one cache directory. Each stores its machine's
+// result there and prints nothing; the same command without -shard
+// then replays both into the exact unsharded output:
 //
-//	profile -kernel fig1 -shard 0/2 -cache-dir /tmp/pgc > part0.json
-//	profile -kernel fig1 -shard 1/2 -cache-dir /tmp/pgc > part1.json
-//	shardmerge part0.json part1.json
+//	profile -kernel fig1 -shard 0/2 -cache-dir /tmp/pgc
+//	profile -kernel fig1 -shard 1/2 -cache-dir /tmp/pgc
+//	profile -kernel fig1 -cache-dir /tmp/pgc
 package main
 
 import (
@@ -55,7 +56,7 @@ func main() {
 		timeline = flag.Float64("timeline", 0, "print a utilization timeline with this bucket width in cycles (0 = off)")
 		workers  = flag.Int("workers", 1, "host goroutines replaying each simulated region (0 = auto: every core, serial for small regions); output is identical for any value")
 		jobs     = flag.Int("jobs", 0, "experiment cells run concurrently (with -machine both the two machines are separate cells; 0 = NumCPU); output is identical for any value")
-		shardS   = flag.String("shard", "", "run only the cells of shard i/N (e.g. 0/2) and emit a partial-result envelope on stdout for cmd/shardmerge")
+		shardS   = flag.String("shard", "", "run only the cells of shard i/N (e.g. 0/2) and store their results in the cache, writing no output; rerun without -shard on the same -cache-dir to write it")
 		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole sweep-cell results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
 		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
 		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")

@@ -1,5 +1,5 @@
 // Command reproduce checks a reproducibility manifest written by the
-// experiment commands' -emit-manifest (or cmd/shardmerge -manifest).
+// experiment commands' -emit-manifest.
 // It verifies in two phases:
 //
 //  1. The artifacts on disk still hash to what the manifest recorded

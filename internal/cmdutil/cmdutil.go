@@ -9,11 +9,8 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"pargraph/internal/diskcache"
-	"pargraph/internal/sweep"
 )
 
 // ResolveWorkers validates a -workers flag value: negative values are
@@ -43,31 +40,6 @@ func ResolveJobs(j int) (int, error) {
 		return runtime.NumCPU(), nil
 	}
 	return j, nil
-}
-
-// ParseShard parses a -shard flag value of the form "i/N" (run only
-// the experiment cells with index ≡ i mod N). The empty string is the
-// unsharded run. i must satisfy 0 <= i < N.
-func ParseShard(s string) (sweep.Shard, error) {
-	if s == "" {
-		return sweep.Shard{}, nil
-	}
-	idxS, cntS, ok := strings.Cut(s, "/")
-	if !ok {
-		return sweep.Shard{}, fmt.Errorf("-shard must look like i/N (e.g. 0/4), got %q", s)
-	}
-	idx, err1 := strconv.Atoi(idxS)
-	cnt, err2 := strconv.Atoi(cntS)
-	if err1 != nil || err2 != nil {
-		return sweep.Shard{}, fmt.Errorf("-shard must look like i/N with integer i and N, got %q", s)
-	}
-	if cnt < 1 {
-		return sweep.Shard{}, fmt.Errorf("-shard count must be >= 1, got %d", cnt)
-	}
-	if idx < 0 || idx >= cnt {
-		return sweep.Shard{}, fmt.Errorf("-shard index must satisfy 0 <= i < %d, got %d", cnt, idx)
-	}
-	return sweep.Shard{Index: idx, Count: cnt}, nil
 }
 
 // CacheEnv is the environment variable consulted when -cache-dir is

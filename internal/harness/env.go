@@ -11,9 +11,8 @@ import (
 	"pargraph/internal/trace"
 )
 
-// Env is one run's complete execution environment: everything that used
-// to be a harness package global, carried as a value instead. Every
-// Run* sweep entry point is a method on *Env, so two runs with
+// Env is one run's complete execution environment, carried as a value.
+// Every Run* sweep entry point is a method on *Env, so two runs with
 // different settings — jobs, shard, caches, hooks, trace sinks — can
 // execute concurrently in one process without seeing each other's
 // configuration. internal/runner builds one Env per spec execution;
@@ -69,10 +68,6 @@ type Env struct {
 	// granularity.
 	TraceSink         trace.Sink
 	TraceSampleCycles float64
-
-	// PartialTraces, when non-nil, collects per-cell traces for a
-	// shard partial envelope.
-	PartialTraces *PartialTraceLog
 
 	// CellObserver, when non-nil, receives the wall-clock seconds of
 	// every sweep cell this Env executes (owned cells only; skipped
@@ -153,88 +148,4 @@ func (e *Env) returnMachines(mtas []*mta.Machine, smps []*smp.Machine) {
 	for _, m := range smps {
 		e.smpFree[m.Config()] = append(e.smpFree[m.Config()], m)
 	}
-}
-
-// globalEnv snapshots the deprecated package globals into a fresh Env.
-// It backs the package-level Run* shims, so code that still configures
-// the harness through the globals (the historical API) behaves exactly
-// as before: each call reads the globals once, at entry.
-func globalEnv() *Env {
-	return &Env{
-		Jobs:              Jobs,
-		HostWorkers:       HostWorkers,
-		Interrupt:         Interrupt,
-		Shard:             Shard,
-		CacheStore:        CacheStore,
-		ResultStore:       ResultStore,
-		InputHook:         InputHook,
-		ResultHook:        ResultHook,
-		TraceSink:         TraceSink,
-		TraceSampleCycles: TraceSampleCycles,
-		PartialTraces:     PartialTraces,
-	}
-}
-
-// Package-level entry points, kept so existing callers compile
-// unchanged. Each snapshots the package globals into a one-shot Env.
-//
-// Deprecated: build an Env and call its methods; the globals cannot be
-// used from concurrent runs.
-
-func RunFig1(params Fig1Params) (*Fig1Result, error) { return globalEnv().RunFig1(params) }
-
-func RunFig2(params Fig2Params) (*Fig2Result, error) { return globalEnv().RunFig2(params) }
-
-func RunTable1(params Table1Params) *Table1Result { return globalEnv().RunTable1(params) }
-
-func RunColoring(params ColoringParams) (*ColoringResult, error) {
-	return globalEnv().RunColoring(params)
-}
-
-func RunSaturation(procs []int, perProc []int, seed uint64) *SaturationResult {
-	return globalEnv().RunSaturation(procs, perProc, seed)
-}
-
-func RunStreams(n, procs int, streams []int, seed uint64) *StreamsResult {
-	return globalEnv().RunStreams(n, procs, streams, seed)
-}
-
-func RunTreeEval(leaves []int, procs int, seed uint64) (*TreeEvalResult, error) {
-	return globalEnv().RunTreeEval(leaves, procs, seed)
-}
-
-func RunProfile(params ProfileParams) (*ProfileResult, error) {
-	return globalEnv().RunProfile(params)
-}
-
-func RunAblScheduling(n, procs int, seed uint64) *AblationResult {
-	return globalEnv().RunAblScheduling(n, procs, seed)
-}
-
-func RunAblHashing(refs, procs int) *AblationResult {
-	return globalEnv().RunAblHashing(refs, procs)
-}
-
-func RunAblSublists(n, procs int, factors []int, seed uint64) *AblationResult {
-	return globalEnv().RunAblSublists(n, procs, factors, seed)
-}
-
-func RunAblShortcut(n, edgeFactor, procs int, seed uint64) *AblationResult {
-	return globalEnv().RunAblShortcut(n, edgeFactor, procs, seed)
-}
-
-func RunAblCache(n, procs int, l2MB []int, seed uint64) *AblationResult {
-	return globalEnv().RunAblCache(n, procs, l2MB, seed)
-}
-
-func RunAblAssociativity(n, procs int, assocs []int, seed uint64) *AblationResult {
-	return globalEnv().RunAblAssociativity(n, procs, assocs, seed)
-}
-
-func RunAblReduction(n, procs int) *AblationResult {
-	return globalEnv().RunAblReduction(n, procs)
-}
-
-func RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) *AblationResult {
-	return globalEnv().RunAblColoringSched(scale, edgeFactor, procs, seed)
 }

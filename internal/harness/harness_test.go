@@ -8,11 +8,15 @@ import (
 	"pargraph/internal/list"
 )
 
+// testEnv is the Env most harness tests run under: cells in sequence,
+// regions replayed serially, nothing cached, traced or sharded.
+func testEnv() *Env { return &Env{HostWorkers: 1} }
+
 func smallFig1(t *testing.T) *Fig1Result {
 	t.Helper()
 	p := DefaultFig1(Small)
 	p.Sizes = []int{1 << 14, 1 << 17}
-	res, err := RunFig1(p)
+	res, err := testEnv().RunFig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +28,7 @@ func smallFig2(t *testing.T) *Fig2Result {
 	p := DefaultFig2(Small)
 	p.N = 1 << 11
 	p.EdgeFactors = []int{4, 20}
-	res, err := RunFig2(p)
+	res, err := testEnv().RunFig2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestFig1ShapesLargeN(t *testing.T) {
 	p.Sizes = []int{1 << 19}
 	p.Procs = []int{1, 8}
 	p.Layouts = []list.Layout{list.Random}
-	res, err := RunFig1(p)
+	res, err := testEnv().RunFig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestTable1Shapes(t *testing.T) {
 	p.ListN = 1 << 15
 	p.GraphN = 1 << 11
 	p.GraphM = 20 << 11
-	res := RunTable1(p)
+	res := testEnv().RunTable1(p)
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(res.Rows))
 	}
@@ -219,7 +223,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSaturation(t *testing.T) {
-	res := RunSaturation([]int{1, 4}, []int{100, 1000, 10000}, 3)
+	res := testEnv().RunSaturation([]int{1, 4}, []int{100, 1000, 10000}, 3)
 	if len(res.Rows) != 6 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
@@ -236,7 +240,7 @@ func TestSaturation(t *testing.T) {
 }
 
 func TestAblScheduling(t *testing.T) {
-	res := RunAblScheduling(1<<15, 2, 7)
+	res := testEnv().RunAblScheduling(1<<15, 2, 7)
 	if len(res.Rows) != 4 {
 		t.Fatal("want 4 rows")
 	}
@@ -254,7 +258,7 @@ func TestAblScheduling(t *testing.T) {
 }
 
 func TestAblHashing(t *testing.T) {
-	res := RunAblHashing(1<<16, 8)
+	res := testEnv().RunAblHashing(1<<16, 8)
 	on, off := res.Rows[0].Seconds, res.Rows[1].Seconds
 	if off < 1.5*on {
 		t.Errorf("hashing off (%.6f) should be much slower than on (%.6f)", off, on)
@@ -262,7 +266,7 @@ func TestAblHashing(t *testing.T) {
 }
 
 func TestAblSublists(t *testing.T) {
-	res := RunAblSublists(1<<15, 4, []int{1, 8, 64}, 5)
+	res := testEnv().RunAblSublists(1<<15, 4, []int{1, 8, 64}, 5)
 	if len(res.Rows) != 3 {
 		t.Fatal("want 3 rows")
 	}
@@ -273,7 +277,7 @@ func TestAblSublists(t *testing.T) {
 }
 
 func TestAblShortcut(t *testing.T) {
-	res := RunAblShortcut(1<<10, 8, 2, 9)
+	res := testEnv().RunAblShortcut(1<<10, 8, 2, 9)
 	full, star := res.Rows[0].Seconds, res.Rows[1].Seconds
 	if full >= star {
 		t.Errorf("Alg. 3 (%.6f) should beat the star-check form (%.6f)", full, star)
@@ -283,7 +287,7 @@ func TestAblShortcut(t *testing.T) {
 func TestAblCache(t *testing.T) {
 	// 2^17 nodes × 4 bytes × ~4 arrays ≈ 2 MB working set: tiny L2
 	// suffers, a large L2 absorbs the random-list penalty.
-	res := RunAblCache(1<<17, 1, []int{1, 16}, 11)
+	res := testEnv().RunAblCache(1<<17, 1, []int{1, 16}, 11)
 	if len(res.Rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
@@ -300,9 +304,9 @@ func TestWriteTextSmoke(t *testing.T) {
 	p.ListN = 1 << 14
 	p.GraphN = 1 << 10
 	p.GraphM = 20 << 10
-	RunTable1(p).WriteText(&buf)
-	RunSaturation([]int{1}, []int{1000}, 1).WriteText(&buf)
-	RunAblScheduling(1<<12, 1, 1).WriteText(&buf)
+	testEnv().RunTable1(p).WriteText(&buf)
+	testEnv().RunSaturation([]int{1}, []int{1000}, 1).WriteText(&buf)
+	testEnv().RunAblScheduling(1<<12, 1, 1).WriteText(&buf)
 	for _, want := range []string{"Fig. 1", "Fig. 2", "Table 1", "saturation", "A1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text output missing %q", want)
@@ -344,7 +348,7 @@ func TestFig1ListGenerationMatchesLayouts(t *testing.T) {
 	p := DefaultFig1(Small)
 	p.Sizes = []int{1 << 12}
 	p.Layouts = []list.Layout{list.Ordered}
-	res, err := RunFig1(p)
+	res, err := testEnv().RunFig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +360,7 @@ func TestFig1ListGenerationMatchesLayouts(t *testing.T) {
 }
 
 func TestAblAssociativity(t *testing.T) {
-	res := RunAblAssociativity(1<<16, 2, []int{1, 2, 4}, 13)
+	res := testEnv().RunAblAssociativity(1<<16, 2, []int{1, 2, 4}, 13)
 	if len(res.Rows) != 3 {
 		t.Fatal("want 3 rows")
 	}
@@ -367,7 +371,7 @@ func TestAblAssociativity(t *testing.T) {
 }
 
 func TestStreamsSweep(t *testing.T) {
-	res := RunStreams(1<<16, 1, []int{1, 8, 40, 80, 128}, 3)
+	res := testEnv().RunStreams(1<<16, 1, []int{1, 8, 40, 80, 128}, 3)
 	if len(res.Rows) != 5 {
 		t.Fatal("want 5 rows")
 	}
@@ -387,7 +391,7 @@ func TestStreamsSweep(t *testing.T) {
 }
 
 func TestAblReduction(t *testing.T) {
-	res := RunAblReduction(1<<16, 8)
+	res := testEnv().RunAblReduction(1<<16, 8)
 	hot, tree := res.Rows[0].Seconds, res.Rows[1].Seconds
 	if hot < 1.5*tree {
 		t.Errorf("counter hotspot (%.6f) should be well above software combine (%.6f)", hot, tree)
@@ -395,7 +399,7 @@ func TestAblReduction(t *testing.T) {
 }
 
 func TestTreeEval(t *testing.T) {
-	res, err := RunTreeEval([]int{1 << 10, 1 << 12}, 8, 3)
+	res, err := testEnv().RunTreeEval([]int{1 << 10, 1 << 12}, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,13 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	p := DefaultFig1(Small)
 	p.Sizes = []int{1 << 12}
 	p.Procs = []int{1, 2}
-	f1, err := RunFig1(p)
+	f1, err := testEnv().RunFig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := &Report{
 		Fig1:      f1,
-		Ablations: []*AblationResult{RunAblScheduling(1<<12, 1, 1)},
+		Ablations: []*AblationResult{testEnv().RunAblScheduling(1<<12, 1, 1)},
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -45,7 +45,7 @@ func TestCSVOutput(t *testing.T) {
 	p := DefaultFig1(Small)
 	p.Sizes = []int{1 << 12}
 	p.Procs = []int{1}
-	f1, err := RunFig1(p)
+	f1, err := testEnv().RunFig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCSVOutput(t *testing.T) {
 	tp.GraphN = 1 << 10
 	tp.GraphM = 10 << 10
 	buf.Reset()
-	if err := RunTable1(tp).WriteCSV(&buf); err != nil {
+	if err := testEnv().RunTable1(tp).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 10 {

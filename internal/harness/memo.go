@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pargraph/internal/diskcache"
 	"pargraph/internal/sim"
 	"pargraph/internal/sweep"
 	"pargraph/internal/trace"
@@ -50,21 +49,11 @@ import (
 //     InputSchema (inputs) or ResultSchema (encoding) strands all old
 //     entries at once.
 
-// ResultStore, when non-nil, memoizes whole sweep-cell results of
-// package-level runs in a persistent content-addressed store, alongside
-// CacheStore's inputs. Nil disables result memoization (every cell
-// simulates).
-//
-// Deprecated: set Env.ResultStore; the global configures only the
-// package-level shims.
-var ResultStore *diskcache.Store
-
-// ResultHook, when non-nil, observes every memoized cell decision of a
-// package-level run: the cell's result key and whether it was served
-// from the store (hit) or simulated (miss).
-//
-// Deprecated: set Env.ResultHook.
-var ResultHook func(key string, hit bool)
+// InputSchema is the diskcache schema salt for harness inputs. Bump it
+// whenever the meaning of a cache key or the encoding of a cached value
+// changes; old entries then read as misses and regenerate, so stale
+// caches can never leak between incompatible versions.
+const InputSchema = "pargraph-inputs-v1"
 
 // ResultSchema is the diskcache schema salt for memoized results. Bump
 // it whenever the binary encoding of any result type changes (see the

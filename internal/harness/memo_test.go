@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -48,5 +49,50 @@ func TestMemoChecksListedInputs(t *testing.T) {
 				t.Fatalf("err = %v, want one containing %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestWarmCacheSkipsGeneration: with a persistent input store attached,
+// a second (fresh-process-equivalent) run reads every input back
+// instead of regenerating — zero puts, plenty of hits — and emits
+// exactly the same report.
+func TestWarmCacheSkipsGeneration(t *testing.T) {
+	dir := t.TempDir()
+	params := Fig2Params{N: 1 << 10, EdgeFactors: []int{4, 8}, Procs: []int{1, 2}, Seed: 0x22, Verify: true}
+	runFig2 := func(store *diskcache.Store) []byte {
+		res, err := (&Env{HostWorkers: 1, CacheStore: store}).RunFig2(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := (&Report{Fig2: res}).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	cold, err := diskcache.Open(dir, InputSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldJSON := runFig2(cold)
+	if st := cold.Stats(); st.Puts == 0 {
+		t.Fatalf("cold run persisted nothing: %+v", st)
+	}
+
+	warm, err := diskcache.Open(dir, InputSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmJSON := runFig2(warm)
+	st := warm.Stats()
+	if st.Puts != 0 {
+		t.Fatalf("warm run regenerated %d inputs: %+v", st.Puts, st)
+	}
+	if st.Hits == 0 {
+		t.Fatalf("warm run never hit the store: %+v", st)
+	}
+	if !bytes.Equal(coldJSON, warmJSON) {
+		t.Fatal("warm-cache report differs from cold")
 	}
 }

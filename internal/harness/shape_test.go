@@ -27,14 +27,14 @@ func shapeSeconds(t *testing.T, machine string, lay list.Layout) float64 {
 	l := list.New(n, lay, 7)
 	switch machine {
 	case "mta":
-		m := newMTA(mta.DefaultConfig(procs))
+		m := mta.New(mta.DefaultConfig(procs))
 		rank := listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
 		if err := l.VerifyRanks(rank); err != nil {
 			t.Fatal(err)
 		}
 		return m.Seconds()
 	default:
-		m := newSMP(smp.DefaultConfig(procs))
+		m := smp.New(smp.DefaultConfig(procs))
 		rank := listrank.RankSMP(l, m, 8*procs, 7)
 		if err := l.VerifyRanks(rank); err != nil {
 			t.Fatal(err)
@@ -73,12 +73,12 @@ func TestShapeConnectedComponents(t *testing.T) {
 	g := graph.RandomGnm(nv, 8*nv, 7)
 	want := concomp.UnionFind(g)
 
-	mm := newMTA(mta.DefaultConfig(procs))
+	mm := mta.New(mta.DefaultConfig(procs))
 	got := concomp.LabelMTA(g, mm, sim.SchedDynamic)
 	if !graph.SameComponents(want, got) {
 		t.Fatal("LabelMTA: wrong components")
 	}
-	sm := newSMP(smp.DefaultConfig(procs))
+	sm := smp.New(smp.DefaultConfig(procs))
 	got = concomp.LabelSMP(g, sm)
 	if !graph.SameComponents(want, got) {
 		t.Fatal("LabelSMP: wrong components")

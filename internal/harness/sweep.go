@@ -10,31 +10,6 @@ import (
 	"pargraph/internal/trace"
 )
 
-// Jobs is how many experiment cells every package-level Run* sweep
-// executes concurrently (see internal/sweep). The default 1 runs cells
-// sequentially; any value yields bit-identical results, traces
-// included, because each cell owns its machines, inputs are shared
-// read-only through a single-flight cache, and outputs land in index
-// slots assembled in sweep order. It composes with HostWorkers, which
-// stays per-cell (within-region replay).
-//
-// Deprecated: set Env.Jobs; the global configures only the
-// package-level shims and cannot serve concurrent runs.
-var Jobs = 1
-
-// Interrupt, when non-nil, cancels in-flight package-level sweeps: once
-// it is done, sweeps stop dispatching new cells and return its cause (a
-// real cell error still wins the report).
-//
-// Deprecated: set Env.Interrupt.
-var Interrupt context.Context
-
-// InputHook, when non-nil, observes every input a package-level sweep
-// records (see Env.InputHook): once per key, as a digest.
-//
-// Deprecated: set Env.InputHook.
-var InputHook func(sweep.Digest)
-
 // Cell is one scheduled experiment cell's view of its run: it hands out
 // pooled machines (leased from the Env, Reset between borrows, wired to
 // the Env's HostWorkers and, when tracing, to the cell's private
@@ -163,14 +138,15 @@ func (e *Env) ablSweep(n int, cell func(i int, c *Cell) error) error {
 // scheduler's determinism contract).
 //
 // Under an active Shard only owned cells execute; the rest leave their
-// output slots (and recorders) zero, which is what makes shard partials
-// mergeable slot-wise (see shard.go). With CacheStore attached, the
-// sweep's input cache persists to disk, so shard processes — and
-// concurrent Envs sharing the directory — generate each shared input
-// once between them instead of once each.
+// output slots (and recorders) zero. A shard's product is the result
+// store its owned cells fill: the unsharded run on the same store then
+// replays them (see Memo). With CacheStore attached, the sweep's input
+// cache persists to disk, so shard processes — and concurrent Envs
+// sharing the directory — generate each shared input once between them
+// instead of once each.
 func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) ([]*trace.Recorder, error) {
 	inputs := e.NewInputCache(true)
-	record := opts.record || e.TraceSink != nil || e.PartialTraces != nil
+	record := opts.record || e.TraceSink != nil
 	var recs []*trace.Recorder
 	if record {
 		recs = make([]*trace.Recorder, n)
@@ -207,9 +183,6 @@ func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) (
 				e.TraceSink.Emit(e2)
 			}
 		}
-	}
-	if e.PartialTraces != nil {
-		e.PartialTraces.addSweep(recs)
 	}
 	return recs, err
 }

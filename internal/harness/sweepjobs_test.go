@@ -13,84 +13,62 @@ import (
 	"pargraph/internal/trace"
 )
 
-// withJobs runs f under the given harness Jobs setting, restoring the
-// previous value (and any TraceSink the caller installed) afterwards.
-func withJobs(t *testing.T, jobs int, f func()) {
-	t.Helper()
-	oldJobs, oldSink := Jobs, TraceSink
-	Jobs = jobs
-	t.Cleanup(func() { Jobs, TraceSink = oldJobs, oldSink })
-	f()
-}
-
 // jobsSweep is the Jobs values every determinism test compares: the
 // sequential baseline, a partial overlap, and full oversubscription.
 var jobsSweep = []int{1, 2, 8}
 
+// jobsEnv is the Env the determinism tests compare across Jobs values,
+// forwarding every traced cell's events to sink (nil = untraced).
+func jobsEnv(jobs int, sink trace.Sink) *Env {
+	return &Env{Jobs: jobs, HostWorkers: 1, TraceSink: sink}
+}
+
 func fig1Artifacts(t *testing.T, jobs int) (jsonOut, csvOut []byte, events []trace.Event) {
 	t.Helper()
-	var rep Report
-	var cb bytes.Buffer
-	withJobs(t, jobs, func() {
-		rec := &trace.Recorder{}
-		TraceSink = rec
-		res, err := RunFig1(DefaultFig1(Small))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Fig1 = res
-		if err := res.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		events = rec.Events
-	})
-	var jb bytes.Buffer
-	if err := rep.WriteJSON(&jb); err != nil {
+	rec := &trace.Recorder{}
+	res, err := jobsEnv(jobs, rec).RunFig1(DefaultFig1(Small))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return jb.Bytes(), cb.Bytes(), events
+	var jb, cb bytes.Buffer
+	if err := (&Report{Fig1: res}).WriteJSON(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteCSV(&cb); err != nil {
+		t.Fatal(err)
+	}
+	return jb.Bytes(), cb.Bytes(), rec.Events
 }
 
 func fig2Artifacts(t *testing.T, jobs int) (jsonOut, csvOut []byte, events []trace.Event) {
 	t.Helper()
-	var rep Report
-	var cb bytes.Buffer
-	withJobs(t, jobs, func() {
-		rec := &trace.Recorder{}
-		TraceSink = rec
-		res, err := RunFig2(DefaultFig2(Small))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Fig2 = res
-		if err := res.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		events = rec.Events
-	})
-	var jb bytes.Buffer
-	if err := rep.WriteJSON(&jb); err != nil {
+	rec := &trace.Recorder{}
+	res, err := jobsEnv(jobs, rec).RunFig2(DefaultFig2(Small))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return jb.Bytes(), cb.Bytes(), events
+	var jb, cb bytes.Buffer
+	if err := (&Report{Fig2: res}).WriteJSON(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteCSV(&cb); err != nil {
+		t.Fatal(err)
+	}
+	return jb.Bytes(), cb.Bytes(), rec.Events
 }
 
 func coloringArtifacts(t *testing.T, jobs int) (csvOut []byte, events []trace.Event) {
 	t.Helper()
+	rec := &trace.Recorder{}
+	res, err := jobsEnv(jobs, rec).RunColoring(DefaultColoring(Small))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cb bytes.Buffer
-	withJobs(t, jobs, func() {
-		rec := &trace.Recorder{}
-		TraceSink = rec
-		res, err := RunColoring(DefaultColoring(Small))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		events = rec.Events
-	})
-	return cb.Bytes(), events
+	if err := res.WriteCSV(&cb); err != nil {
+		t.Fatal(err)
+	}
+	return cb.Bytes(), rec.Events
 }
 
 // sameEvents compares two forwarded trace streams byte-for-byte via
@@ -175,19 +153,17 @@ func TestJobsDeterminismProfile(t *testing.T) {
 	forceHostParallelism(t, 8)
 	params := ProfileParams{Kernel: "fig1", Machine: "both", N: 30000, Procs: 8, Seed: 0x51, SampleCycles: 500}
 	run := func(jobs int) (chrome, csv []byte) {
+		res, err := jobsEnv(jobs, nil).RunProfile(params)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var cb, ab bytes.Buffer
-		withJobs(t, jobs, func() {
-			res, err := RunProfile(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := res.Recorder.WriteChromeTrace(&cb); err != nil {
-				t.Fatal(err)
-			}
-			if err := res.Recorder.WriteAttributionCSV(&ab); err != nil {
-				t.Fatal(err)
-			}
-		})
+		if err := res.Recorder.WriteChromeTrace(&cb); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Recorder.WriteAttributionCSV(&ab); err != nil {
+			t.Fatal(err)
+		}
 		return cb.Bytes(), ab.Bytes()
 	}
 	chrome1, csv1 := run(1)
@@ -210,17 +186,15 @@ func TestJobsDeterminismProfile(t *testing.T) {
 // RunTreeEval (whose cells verify) surfaces it as an ordinary error.
 func TestJobsPanicConfinedToCell(t *testing.T) {
 	forceHostParallelism(t, 8)
-	withJobs(t, 4, func() {
-		// leaves[1] = 0 makes treecon.RandomExpr panic inside that cell
-		// (an expression needs at least one leaf); the other cells must
-		// still run to completion and the sweep must report the panic as
-		// that cell's error rather than crashing the process.
-		_, err := RunTreeEval([]int{64, 0, 128}, 4, 7)
-		if err == nil {
-			t.Fatal("sweep with a panicking cell reported no error")
-		}
-		if !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("error does not identify the panicking cell: %v", err)
-		}
-	})
+	// leaves[1] = 0 makes treecon.RandomExpr panic inside that cell (an
+	// expression needs at least one leaf); the other cells must still
+	// run to completion and the sweep must report the panic as that
+	// cell's error rather than crashing the process.
+	_, err := jobsEnv(4, nil).RunTreeEval([]int{64, 0, 128}, 4, 7)
+	if err == nil {
+		t.Fatal("sweep with a panicking cell reported no error")
+	}
+	if !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("error does not identify the panicking cell: %v", err)
+	}
 }

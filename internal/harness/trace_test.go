@@ -21,11 +21,7 @@ import (
 // returns the rendered Chrome JSON and attribution CSV.
 func profileArtifacts(t *testing.T, params ProfileParams, workers int) (chrome, csv []byte) {
 	t.Helper()
-	old := HostWorkers
-	HostWorkers = workers
-	defer func() { HostWorkers = old }()
-
-	res, err := RunProfile(params)
+	res, err := (&Env{HostWorkers: workers}).RunProfile(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +68,7 @@ func TestTraceWorkerDeterminism(t *testing.T) {
 func TestTraceAttributionAccounting(t *testing.T) {
 	for _, kernel := range []string{"fig1", "fig2", "prefix", "treecon", "coloring"} {
 		t.Run(kernel, func(t *testing.T) {
-			res, err := RunProfile(ProfileParams{
+			res, err := testEnv().RunProfile(ProfileParams{
 				Kernel: kernel, Machine: "both", N: 4096, Procs: 8,
 				Layout: list.Random, Seed: 0x77,
 			})
@@ -118,7 +114,7 @@ func TestTraceAttributionAccounting(t *testing.T) {
 // TestTraceSamplesSumToIssued checks the within-region timeline is
 // exact: bucket contents integrate to the region's issue slots.
 func TestTraceSamplesSumToIssued(t *testing.T) {
-	res, err := RunProfile(ProfileParams{
+	res, err := testEnv().RunProfile(ProfileParams{
 		Kernel: "fig1", Machine: "mta", N: 20000, Procs: 8,
 		Layout: list.Random, Seed: 0x88, SampleCycles: 250,
 	})

@@ -4,23 +4,25 @@
 // it, the content hash of every input its cells consumed — hashed by
 // the sweep cache when a cell resolved the input, or replayed from the
 // digests stored with a memoized result — and the content hash of
-// every artifact written. cmd/reproduce replays a manifest;
-// cmd/shardmerge merges the manifests of a sharded run, failing loudly
-// if the shards disagree on the spec or on any input's content.
+// every artifact written. cmd/reproduce replays a manifest.
 //
 // A manifest is deliberately execution-blind: workers, jobs, and
 // sharding never appear (the spec's canonical form excludes them), so
 // the same spec produces byte-identical manifests however the run was
-// scheduled. That identity is load-bearing — it is what lets a merged
-// shard run vouch for the artifacts of an unsharded one. The one
+// scheduled. That identity is load-bearing — it is what lets the
+// unsharded run over a sharded run's result cache vouch for the same
+// artifacts as a run that computed every cell itself. The one
 // exception is the results section: when a run consults the result
 // cache (internal/harness's result memoization), each sweep cell's
 // provenance — computed, or replayed from the cache — is recorded
 // there, and a warm run's manifest differs from a cold run's in
-// exactly that section. Everything the manifest promises about WHAT
-// was produced (spec hash, input hashes, artifact hashes) remains
-// identical; only the record of HOW each cell's result was obtained
-// varies.
+// exactly that section (after a sharded run, every key reads cache).
+// Everything the manifest promises about WHAT was produced (spec hash,
+// input hashes, artifact hashes) remains identical; only the record of
+// HOW each cell's result was obtained varies. Inputs replayed from
+// results that different processes stored go through the same Log
+// conflict check as freshly hashed ones, so two shards that disagree
+// on an input's content still fail the run.
 package manifest
 
 import (
@@ -167,73 +169,6 @@ func ReadFile(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
-}
-
-// Merge combines the manifests of a sharded run into the manifest the
-// unsharded run would have produced (minus artifacts, which the merger
-// renders and records itself). Shards must agree on the spec hash, the
-// input schema, and the content of every input key they share; any
-// disagreement is an error, never a preference — two shards that
-// generated different bytes for one input key have diverged and their
-// results cannot be combined.
-func Merge(parts []*Manifest) (*Manifest, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("manifest: nothing to merge")
-	}
-	first := parts[0]
-	out := &Manifest{
-		Schema:      Schema,
-		SpecSHA256:  first.SpecSHA256,
-		Spec:        first.Spec,
-		GoVersion:   first.GoVersion,
-		GOMAXPROCS:  first.GOMAXPROCS,
-		Commit:      first.Commit,
-		InputSchema: first.InputSchema,
-	}
-	inputs := make(map[string]Input)
-	for i, p := range parts {
-		if p.SpecSHA256 != first.SpecSHA256 {
-			return nil, fmt.Errorf("manifest: shard %d ran spec %s, shard 0 ran %s", i, p.SpecSHA256, first.SpecSHA256)
-		}
-		if p.Spec != first.Spec {
-			return nil, fmt.Errorf("manifest: shard %d embeds different spec text than shard 0 under the same hash", i)
-		}
-		if p.InputSchema != first.InputSchema {
-			return nil, fmt.Errorf("manifest: shard %d used input schema %q, shard 0 used %q", i, p.InputSchema, first.InputSchema)
-		}
-		for _, in := range p.Inputs {
-			if prev, ok := inputs[in.Key]; ok {
-				if prev.SHA256 != in.SHA256 || prev.Bytes != in.Bytes {
-					return nil, fmt.Errorf("manifest: shards disagree on input %q: %s (%d bytes) vs %s (%d bytes)",
-						in.Key, prev.SHA256, prev.Bytes, in.SHA256, in.Bytes)
-				}
-				continue
-			}
-			inputs[in.Key] = in
-		}
-	}
-	for _, in := range inputs {
-		out.Inputs = append(out.Inputs, in)
-	}
-	sort.Slice(out.Inputs, func(a, b int) bool { return out.Inputs[a].Key < out.Inputs[b].Key })
-
-	// Result provenance unions across shards. Shards own disjoint
-	// cells, so a key normally appears once; should two shards ever
-	// report one key, "computed" wins — it is the stronger statement.
-	results := make(map[string]Result)
-	for _, p := range parts {
-		for _, r := range p.Results {
-			if prev, ok := results[r.Key]; ok && prev.Source == "computed" {
-				continue
-			}
-			results[r.Key] = r
-		}
-	}
-	for _, r := range results {
-		out.Results = append(out.Results, r)
-	}
-	sort.Slice(out.Results, func(a, b int) bool { return out.Results[a].Key < out.Results[b].Key })
-	return out, nil
 }
 
 // Log collects the inputs a run resolves, as digests: hashed once by

@@ -66,47 +66,6 @@ func TestLogConflict(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := sample()
-	b := sample()
-	b.Inputs = append(b.Inputs[:1:1], Input{Key: "rmat/11/100/2", SHA256: "ffff", Bytes: 4})
-	b.Artifacts = nil
-	merged, err := Merge([]*Manifest{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Inputs) != 3 {
-		t.Errorf("merged inputs = %+v", merged.Inputs)
-	}
-	if len(merged.Artifacts) != 0 {
-		t.Errorf("merge must not carry artifacts, got %+v", merged.Artifacts)
-	}
-
-	// Spec-hash disagreement fails loudly.
-	c := sample()
-	c.SpecSHA256 = "other"
-	_, err = Merge([]*Manifest{a, c})
-	if err == nil || !strings.Contains(err.Error(), "shard 1 ran spec other, shard 0 ran abc123") {
-		t.Fatalf("err = %v", err)
-	}
-
-	// Input-content disagreement fails loudly.
-	d := sample()
-	d.Inputs[0].SHA256 = "0000"
-	_, err = Merge([]*Manifest{a, d})
-	if err == nil || !strings.Contains(err.Error(), `shards disagree on input "gnm/64/128/1"`) {
-		t.Fatalf("err = %v", err)
-	}
-
-	// Input-schema disagreement fails loudly.
-	e := sample()
-	e.InputSchema = "pargraph-inputs-v0"
-	_, err = Merge([]*Manifest{a, e})
-	if err == nil || !strings.Contains(err.Error(), `input schema "pargraph-inputs-v0"`) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func FuzzManifestDecode(f *testing.F) {
 	if data, err := sample().Encode(); err == nil {
 		f.Add(data)

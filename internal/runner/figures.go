@@ -10,8 +10,9 @@ import (
 
 // runFigures is cmd/figures' execution body: regenerate the selected
 // figures, tables, and experiments at the spec's scale, rendering the
-// report in the spec's format. Sharded runs emit a partial envelope on
-// stdout instead of a report.
+// report in the spec's format. A sharded run computes its cells into
+// the result cache and renders nothing: its other cells' slots are
+// zero.
 func (rc *runCtx) runFigures() error {
 	sp, o := rc.sp, rc.o
 	f := &sp.Figures
@@ -19,16 +20,19 @@ func (rc *runCtx) runFigures() error {
 	if err != nil {
 		return err
 	}
-	shard := rc.env.Shard
+	render := !rc.env.Shard.Active()
 
+	// Tracing stays on for shards: trace mode is part of each cell's
+	// result key, so shards must store the entries the traced merge
+	// run looks up.
 	var rec *trace.Recorder
 	if sp.Output.Trace != "" || sp.Output.Attr != "" {
 		rec = &trace.Recorder{}
 		rc.env.TraceSink = rec
 	}
 
-	text := f.Format == "text"
-	csvMode := f.Format == "csv"
+	text := render && f.Format == "text"
+	csvMode := render && f.Format == "csv"
 
 	// Scale defaults, with the spec's sweep-axis overrides applied.
 	fig1P := harness.DefaultFig1(scale)
@@ -113,25 +117,17 @@ func (rc *runCtx) runFigures() error {
 		}
 	}
 	if f.All || f.Summary {
-		if shard.Active() {
-			// The headline ratios derive from every fig1/fig2 cell, so a
-			// shard only runs its slice of those sweeps; shardmerge
-			// computes the summary from the merged figures.
-			if _, err := runFig1(); err != nil {
-				return err
-			}
-			if _, err := runFig2(); err != nil {
-				return err
-			}
-		} else {
-			f1, err := runFig1()
-			if err != nil {
-				return err
-			}
-			f2, err := runFig2()
-			if err != nil {
-				return err
-			}
+		f1, err := runFig1()
+		if err != nil {
+			return err
+		}
+		f2, err := runFig2()
+		if err != nil {
+			return err
+		}
+		// The headline ratios derive from every fig1/fig2 cell, so a
+		// shard, holding only its slice of them, skips the derivation.
+		if render {
 			sum, err := harness.Summarize(f1, f2)
 			if err != nil {
 				return err
@@ -232,20 +228,8 @@ func (rc *runCtx) runFigures() error {
 		writeExp(res)
 	}
 
-	if shard.Active() {
-		p := &harness.Partial{
-			Schema:  harness.PartialSchema,
-			Shard:   shard,
-			Summary: f.All || f.Summary,
-			Report:  rep,
-		}
-		if rc.env.PartialTraces != nil {
-			p.Trace = rc.env.PartialTraces.Take()
-		}
-		if p.Manifest, err = rc.shardManifestJSON(); err != nil {
-			return err
-		}
-		return p.WriteJSON(o.Stdout)
+	if !render {
+		return nil
 	}
 
 	if f.Format == "json" {

@@ -67,12 +67,12 @@ func runWithStats(t *testing.T, sp *spec.Spec) cachedRun {
 	return cachedRun{stdout: out.Bytes(), manifest: m, stderr: errb.String()}
 }
 
-// inputPuts extracts the input store's puts from -cache-stats output.
-func inputPuts(t *testing.T, stderr string) int {
+// cachePuts extracts one store's puts from -cache-stats output.
+func cachePuts(t *testing.T, stderr, name string) int {
 	t.Helper()
-	m := regexp.MustCompile(`input cache \([^)]*\): .* puts=(\d+)`).FindStringSubmatch(stderr)
+	m := regexp.MustCompile(name + ` cache \([^)]*\): .* puts=(\d+)`).FindStringSubmatch(stderr)
 	if m == nil {
-		t.Fatalf("no input cache stats on stderr:\n%s", stderr)
+		t.Fatalf("no %s cache stats on stderr:\n%s", name, stderr)
 	}
 	n, _ := strconv.Atoi(m[1])
 	return n
@@ -148,7 +148,7 @@ func TestWarmRunWithEvictedInputs(t *testing.T) {
 	}
 	warm := runWithStats(t, parseSpec(t, testSpec, filepath.Join(dir, "warm.json"), cache))
 	assertWarmReplay(t, cold, warm)
-	if puts := inputPuts(t, warm.stderr); puts != 0 {
+	if puts := cachePuts(t, warm.stderr, "input"); puts != 0 {
 		t.Errorf("warm run over evicted inputs wrote %d input entries, want 0", puts)
 	}
 }

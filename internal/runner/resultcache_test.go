@@ -328,31 +328,34 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 
 	// N=1 is the unsharded baseline above; a 1-shard string is inert
 	// (sweep shards activate at N >= 2), so the sharded legs start at 2.
+	// On a warm cache the shards find every cell they own stored and
+	// put nothing; the unsharded run after them is the warm baseline.
 	for _, count := range []int{2, 4} {
-		parts := make([]*harness.Partial, 0, count)
 		for i := 0; i < count; i++ {
 			sp := loadTestSpec(t, dir, fmt.Sprintf("rshard%d-%d.json", i, count))
 			sp.Run.CacheDir = cache
 			sp.Run.Shard = fmt.Sprintf("%d/%d", i, count)
-			var out bytes.Buffer
-			if err := Run(sp, Options{Stdout: &out, Stderr: io.Discard}); err != nil {
+			var out, errb bytes.Buffer
+			if err := Run(sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
 				t.Fatalf("shard %d/%d: %v", i, count, err)
 			}
-			p, err := harness.ReadPartial(&out)
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", i, count, err)
+			if out.Len() != 0 {
+				t.Errorf("shard %d/%d wrote to stdout:\n%s", i, count, out.Bytes())
 			}
-			parts = append(parts, p)
+			if puts := cachePuts(t, errb.String(), "result"); puts != 0 {
+				t.Errorf("shard %d/%d on a warm cache put %d results", i, count, puts)
+			}
 		}
-		merged := filepath.Join(dir, fmt.Sprintf("rmerged-%d.json", count))
+		sp := loadTestSpec(t, dir, fmt.Sprintf("rmerged-%d.json", count))
+		sp.Run.CacheDir = cache
 		var mergedOut bytes.Buffer
-		if err := MergeWithManifest(parts, merged, Options{Stdout: &mergedOut, Stderr: io.Discard}); err != nil {
-			t.Fatalf("merging %d shards: %v", count, err)
+		if err := Run(sp, Options{Stdout: &mergedOut, Stderr: io.Discard}); err != nil {
+			t.Fatalf("unsharded run over %d shards: %v", count, err)
 		}
 		if !bytes.Equal(mergedOut.Bytes(), want.Bytes()) {
 			t.Errorf("%d-shard warm merged output differs from baseline", count)
 		}
-		got, err := os.ReadFile(merged)
+		got, err := os.ReadFile(sp.Output.Manifest)
 		if err != nil {
 			t.Fatal(err)
 		}

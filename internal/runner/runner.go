@@ -9,9 +9,13 @@
 // When the spec names a manifest ([output] manifest, the cmds'
 // -emit-manifest), the runner records every input the run resolves
 // (through the sweep cache's hook) and every artifact it writes, and
-// emits a reproducibility manifest (internal/manifest). Sharded runs
-// embed their manifest in the partial envelope for cmd/shardmerge to
-// merge instead of writing a file.
+// emits a reproducibility manifest (internal/manifest).
+//
+// A sharded run ([run] shard = "i/N") computes only the cells it owns
+// and stores them in the result cache; it renders nothing. The same
+// spec run without shard on the same cache directory replays those
+// cells (computing any no shard stored) and writes the artifacts and
+// manifest an unsharded run writes.
 package runner
 
 import (
@@ -33,11 +37,6 @@ import (
 type Options struct {
 	Stdout io.Writer // defaults to os.Stdout
 	Stderr io.Writer // defaults to os.Stderr
-
-	// WithTrace makes a sharded figures run carry its cells' traces in
-	// the partial envelope (cmd/figures -withtrace), so cmd/shardmerge
-	// can render -trace/-attr for the whole run.
-	WithTrace bool
 
 	// RegionTrace prints the per-region execution trace on stdout for
 	// listrank's simulated machines (cmd/listrank -trace). It changes
@@ -171,12 +170,12 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		env.Interrupt = ctx
 	}
 
-	shard, err := cmdutil.ParseShard(sp.Run.Shard)
+	shard, err := sweep.ParseShard(sp.Run.Shard)
 	if err != nil {
 		return nil, err
 	}
 	if collect && shard.Active() {
-		return nil, fmt.Errorf("sharded runs emit partial envelopes, not artifacts; collected runs cannot shard")
+		return nil, fmt.Errorf("sharded runs write no artifacts; collected runs cannot shard")
 	}
 	env.Shard = shard
 	env.HostWorkers = sp.Run.Workers
@@ -203,6 +202,9 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		}
 	}
 	env.ResultStore = resultStore
+	if shard.Active() && resultStore == nil {
+		return nil, fmt.Errorf("-shard stores its cells in the result cache: it needs -cache-dir (or $%s) and no -no-result-cache", cmdutil.CacheEnv)
+	}
 	if o.CacheMaxBytes > 0 {
 		if inputStore != nil {
 			inputStore.SetMaxBytes(o.CacheMaxBytes)
@@ -213,13 +215,10 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 	}
 
 	rc := &runCtx{sp: sp, o: &o, collect: collect, env: env}
-	if sp.Output.Manifest != "" || collect {
+	if (sp.Output.Manifest != "" || collect) && !shard.Active() {
 		rc.mlog = &manifest.Log{}
 		env.InputHook = func(d sweep.Digest) { rc.mlog.Add(manifest.Input(d)) }
 		env.ResultHook = rc.mlog.AddResult
-	}
-	if shard.Active() && (sp.Run.Command == spec.CmdProfile || o.WithTrace) {
-		env.PartialTraces = &harness.PartialTraceLog{}
 	}
 
 	switch sp.Run.Command {
@@ -238,11 +237,15 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		return nil, err
 	}
 
+	if shard.Active() {
+		fmt.Fprintf(o.Stderr, "shard %s: stored its cells in the result cache at %s; rerun without -shard on that cache directory to write the artifacts\n", shard, resultStore.Dir())
+	}
+
 	var result *Result
 	if collect {
 		result = &Result{}
 	}
-	if rc.mlog != nil && !shard.Active() {
+	if rc.mlog != nil {
 		m, err := rc.buildManifest()
 		if err != nil {
 			return nil, err
@@ -347,19 +350,6 @@ func (rc *runCtx) buildManifest() (*manifest.Manifest, error) {
 	m.Artifacts = rc.arts
 	m.Results = rc.mlog.Results()
 	return m, nil
-}
-
-// shardManifestJSON renders the shard's manifest for embedding in the
-// partial envelope; nil when no manifest was requested.
-func (rc *runCtx) shardManifestJSON() ([]byte, error) {
-	if rc.mlog == nil {
-		return nil, nil
-	}
-	m, err := rc.buildManifest()
-	if err != nil {
-		return nil, err
-	}
-	return m.Encode()
 }
 
 // writeFile writes rendered artifact bytes to path.

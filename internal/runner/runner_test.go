@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"pargraph/internal/cmdutil"
-	"pargraph/internal/harness"
 	"pargraph/internal/listrank"
+	"pargraph/internal/manifest"
 	"pargraph/internal/spec"
 )
 
@@ -68,9 +68,10 @@ func TestManifestInvariantToExecutionKnobs(t *testing.T) {
 	}
 }
 
-// TestMergedShardManifestMatchesUnsharded: running the spec as N shard
-// processes and merging their embedded manifests must reproduce the
-// unsharded manifest byte for byte, for several N.
+// TestMergedShardManifestMatchesUnsharded: the unsharded run over N
+// shards' result cache writes the manifest a cold unsharded run writes
+// in every section but results, for several N; its results name the
+// same cells, every one replayed from the cache.
 func TestMergedShardManifestMatchesUnsharded(t *testing.T) {
 	t.Setenv(cmdutil.CacheEnv, "")
 	dir := t.TempDir()
@@ -79,38 +80,53 @@ func TestMergedShardManifestMatchesUnsharded(t *testing.T) {
 	if err := Run(un, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(un.Output.Manifest)
+	want, wantResults := manifestWithoutResults(t, un.Output.Manifest)
+
+	for _, count := range []int{2, 4} {
+		cache := filepath.Join(dir, fmt.Sprintf("cache%d", count))
+		for i := 0; i < count; i++ {
+			sp := loadTestSpec(t, dir, fmt.Sprintf("shard%d-%d.json", i, count))
+			sp.Run.CacheDir = cache
+			sp.Run.Shard = fmt.Sprintf("%d/%d", i, count)
+			if err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+				t.Fatalf("shard %d/%d: %v", i, count, err)
+			}
+		}
+		merged := loadTestSpec(t, dir, fmt.Sprintf("merged-%d.json", count))
+		merged.Run.CacheDir = cache
+		if err := Run(merged, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+			t.Fatalf("unsharded run over %d shards: %v", count, err)
+		}
+		got, gotResults := manifestWithoutResults(t, merged.Output.Manifest)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d-shard merged manifest differs from unsharded outside results:\n%s\nvs\n%s", count, got, want)
+		}
+		if len(gotResults) != len(wantResults) || len(wantResults) == 0 {
+			t.Fatalf("%d-shard merged manifest records %d results, unsharded %d", count, len(gotResults), len(wantResults))
+		}
+		for i, r := range gotResults {
+			if r.Key != wantResults[i].Key || r.Source != "cache" {
+				t.Errorf("%d-shard merged result %d = %+v, want key %q from the cache", count, i, r, wantResults[i].Key)
+			}
+		}
+	}
+}
+
+// manifestWithoutResults reads the manifest at path and returns its
+// encoding with the results section cut, and that section.
+func manifestWithoutResults(t *testing.T, path string) ([]byte, []manifest.Result) {
+	t.Helper()
+	m, err := manifest.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, count := range []int{2, 4} {
-		parts := make([]*harness.Partial, 0, count)
-		for i := 0; i < count; i++ {
-			sp := loadTestSpec(t, dir, fmt.Sprintf("shard%d-%d.json", i, count))
-			sp.Run.Shard = fmt.Sprintf("%d/%d", i, count)
-			var out bytes.Buffer
-			if err := Run(sp, Options{Stdout: &out, Stderr: io.Discard}); err != nil {
-				t.Fatalf("shard %d/%d: %v", i, count, err)
-			}
-			p, err := harness.ReadPartial(&out)
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", i, count, err)
-			}
-			parts = append(parts, p)
-		}
-		merged := filepath.Join(dir, fmt.Sprintf("merged-%d.json", count))
-		if err := MergeWithManifest(parts, merged, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
-			t.Fatalf("merging %d shards: %v", count, err)
-		}
-		got, err := os.ReadFile(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%d-shard merged manifest differs from unsharded:\n%s\nvs\n%s", count, got, want)
-		}
+	results := m.Results
+	m.Results = nil
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data, results
 }
 
 // TestSpecDefaultNodesPerWalk pins the spec layer's copy of the

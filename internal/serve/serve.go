@@ -260,7 +260,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if sp.Run.Shard != "" {
 		httpError(w, http.StatusBadRequest,
-			"sharded specs emit partial envelopes, not artifacts; submit the unsharded spec")
+			"sharded specs only fill a result cache and write no artifacts; submit the unsharded spec")
 		return
 	}
 	// The server owns the cache: every job shares its directory, and a

@@ -66,7 +66,9 @@ func (s *Spec) Canonical() []byte {
 }
 
 // Hash is the hex SHA-256 of Canonical: the spec identity recorded in
-// manifests and compared by cmd/shardmerge and cmd/reproduce.
+// manifests and compared by cmd/reproduce. Since it excludes the shard,
+// every shard of a run and the unsharded run over their result cache
+// share one identity.
 func (s *Spec) Hash() string {
 	sum := sha256.Sum256(s.Canonical())
 	return hex.EncodeToString(sum[:])

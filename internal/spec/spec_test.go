@@ -81,7 +81,6 @@ func TestBoundaries(t *testing.T) {
 		{"selects-nothing", "[run]\ncommand = \"figures\"\n", `spec: [figures] selects nothing to run (set all, fig, table, summary, or exp)`},
 		{"zero-axis-value", "[figures]\nfig = 1\nprocs = [1, 0]\n", `spec: [figures] procs values must be positive, got 0`},
 		{"negative-axis-value", "[figures]\nfig = 2\nedge_factors = [-4]\n", `spec: [figures] edge_factors values must be positive, got -4`},
-		{"shard-needs-json", "[run]\nshard = \"0/2\"\n[figures]\nfig = 1\n", `spec: [run] shard emits a partial-result envelope; set [figures] format = "json"`},
 
 		// ---- [profile] ----
 		{"bad-kernel", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"fig3\"\n", `spec: [profile] kernel must be one of fig1, fig2, prefix, treecon, coloring; got "fig3"`},
@@ -111,7 +110,6 @@ func TestBoundaries(t *testing.T) {
 		// ---- [output] ----
 		{"report-on-profile", "[run]\ncommand = \"profile\"\n[output]\nreport = \"r.json\"\n", `spec: [output] report applies only to command "figures"`},
 		{"attr-on-listrank", "[run]\ncommand = \"listrank\"\n[output]\nattr = \"a.csv\"\n", `spec: [output] attr does not apply to command "listrank"`},
-		{"trace-on-shard", "[run]\nshard = \"0/2\"\n[figures]\nfig = 1\nformat = \"json\"\n[output]\ntrace = \"t.json\"\n", `spec: [output] trace/attr are rendered by shardmerge from the merged partials; remove them from sharded runs`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -24,20 +24,44 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Shard names the slice of a sweep's cells one process owns: those
 // whose index i satisfies i % Count == Index. Cells are dispatched in
-// ascending index order and their outputs are index-slotted, so the
-// modulo assignment is stable across processes by construction — every
-// shard agrees on which cells are whose without coordination, and a
-// merge of all Count shards' slots reassembles exactly the unsharded
-// result. The zero Shard (Count 0) owns every cell, as does 0/1.
+// ascending index order, so the modulo assignment is stable across
+// processes by construction — every shard agrees on which cells are
+// whose without coordination, and the Count shards together own every
+// cell exactly once. The zero Shard (Count 0) owns every cell, as does
+// 0/1.
 type Shard struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
+	Index int
+	Count int
+}
+
+// ParseShard parses a shard of the form "i/N" (run only the cells with
+// index ≡ i mod N). The empty string is the unsharded run. i must
+// satisfy 0 <= i < N.
+func ParseShard(s string) (Shard, error) {
+	if s == "" {
+		return Shard{}, nil
+	}
+	idxS, cntS, ok := strings.Cut(s, "/")
+	idx, err1 := strconv.Atoi(idxS)
+	cnt, err2 := strconv.Atoi(cntS)
+	if !ok || err1 != nil || err2 != nil {
+		return Shard{}, fmt.Errorf("shard must look like i/N (e.g. 0/4), got %q", s)
+	}
+	if cnt < 1 {
+		return Shard{}, fmt.Errorf("shard count must be >= 1, got %d", cnt)
+	}
+	if idx < 0 || idx >= cnt {
+		return Shard{}, fmt.Errorf("shard index must satisfy 0 <= i < %d, got %d", cnt, idx)
+	}
+	return Shard{Index: idx, Count: cnt}, nil
 }
 
 // Active reports whether the shard actually partitions the sweep

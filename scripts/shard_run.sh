@@ -1,32 +1,36 @@
 #!/bin/sh
 # Coordinator for sharded figure runs: splits one cmd/figures invocation
-# into N shard processes sharing a persistent content-addressed input
-# cache, runs them concurrently, and merges their partial envelopes with
-# cmd/shardmerge into the exact JSON the unsharded run would have
-# written. The shards deduplicate generation through the shared cache:
-# the first process to need an input builds and persists it, the rest
-# read it back.
+# into N shard processes sharing a persistent content-addressed cache,
+# runs them concurrently, then runs the same invocation without -shard
+# on that cache. Each shard stores the results of the cells it owns and
+# writes nothing else; the last run replays every cell from the cache
+# and writes exactly what the unsharded command writes, to stdout and
+# to the files its arguments name. The shards also share generated
+# inputs through the cache: the first process to need one builds and
+# persists it, the rest read it back.
 #
-# Usage: scripts/shard_run.sh N OUT.json [figures args...]
+# Usage: scripts/shard_run.sh N [figures args...]
 #
-#	scripts/shard_run.sh 4 report.json -fig 1 -scale medium
-#	scripts/shard_run.sh 2 all.json -all
+#	scripts/shard_run.sh 4 -fig 1 -scale medium -json > report.json
+#	scripts/shard_run.sh 2 -all -trace all.trace.json > all.txt
 #
 # The cache directory defaults to a per-invocation temporary; export
-# PARGRAPH_CACHE to keep inputs warm across invocations.
+# PARGRAPH_CACHE to keep it, and every cell stored there, across
+# invocations.
 set -eu
 
-if [ $# -lt 2 ]; then
-    echo "usage: scripts/shard_run.sh N OUT.json [figures args...]" >&2
+if [ $# -lt 1 ]; then
+    echo "usage: scripts/shard_run.sh N [figures args...]" >&2
     exit 2
 fi
 n=$1
-out=$2
-shift 2
-if [ "$n" -lt 1 ] 2>/dev/null; then
+shift
+case $n in
+'' | *[!0-9]* | 0*)
     echo "shard_run: shard count must be a positive integer, got '$n'" >&2
     exit 2
-fi
+    ;;
+esac
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -34,15 +38,18 @@ trap 'rm -rf "$workdir"' EXIT
 # Build once; N concurrent `go run`s would race on the build cache lock
 # and hide compile errors behind whichever shard fails first.
 go build -o "$workdir/figures" ./cmd/figures
-go build -o "$workdir/shardmerge" ./cmd/shardmerge
 
 cache=${PARGRAPH_CACHE:-$workdir/cache}
 
+# A single shard (-shard 0/1) is the unsharded run itself; the final run
+# below does that work alone.
 i=0
+if [ "$n" -eq 1 ]; then
+    i=1
+fi
 pids=""
 while [ "$i" -lt "$n" ]; do
-    "$workdir/figures" "$@" -json -shard "$i/$n" -cache-dir "$cache" \
-        >"$workdir/part$i.json" &
+    "$workdir/figures" "$@" -shard "$i/$n" -cache-dir "$cache" &
     pids="$pids $!"
     i=$((i + 1))
 done
@@ -56,5 +63,5 @@ if [ "$status" -ne 0 ]; then
     exit "$status"
 fi
 
-"$workdir/shardmerge" -json "$out" "$workdir"/part*.json
-echo "shard_run: merged $n shards into $out"
+"$workdir/figures" "$@" -cache-dir "$cache"
+echo "shard_run: ran $n shards, then replayed them unsharded" >&2
