@@ -60,9 +60,10 @@ check-reproducibility:
 	sh scripts/check_reproducibility.sh
 
 # Fail if a warm re-run against the result cache is not byte-identical
-# to the cold run for fig1/fig2/table1/coloring and the listrank/concomp
-# single runs, records different manifest inputs, re-simulates any cell,
-# reads any input, or fails to make the fig1 sweep at least 5x faster.
+# to the cold run for fig1/fig2/table1/coloring and the listrank,
+# concomp (generated and DIMACS input) and coloring single runs, records
+# different manifest inputs, re-simulates any cell, reads any input, or
+# fails to make the fig1 sweep at least 5x faster.
 check-result-cache:
 	sh scripts/check_result_cache.sh
 

@@ -71,9 +71,10 @@ type Env struct {
 
 	// CellObserver, when non-nil, receives the wall-clock seconds of
 	// every sweep cell this Env executes (owned cells only; skipped
-	// shard cells don't report). It is called concurrently from cell
-	// goroutines and must be safe for that. cmd/serve hangs its
-	// per-cell latency percentiles off this.
+	// shard cells don't report), the one cell of a RunCell single run
+	// included. It is called concurrently from cell goroutines and must
+	// be safe for that. cmd/serve hangs its per-cell latency
+	// percentiles off this.
 	CellObserver func(seconds float64)
 
 	// The machine pool: simulators are expensive to construct, so
@@ -88,17 +89,16 @@ type Env struct {
 }
 
 // NewInputCache returns a fresh single-flight input cache wired to the
-// Env: backed by the persistent store when one is attached and persist
-// is true, observed by the Env's input hook, keeping input digests when
-// results are memoized (Memo stores them beside each result), and
-// joined to the process-wide build flight for that store's
-// directory+schema so concurrent Envs sharing one cache directory
-// generate each input once between them instead of once each.
-// persist=false keeps the cache memory-only (path-keyed DIMACS inputs
-// must not outlive the file they were read from).
-func (e *Env) NewInputCache(persist bool) *sweep.Cache {
+// Env: backed by the persistent store when one is attached, observed by
+// the Env's input hook, keeping input digests when results are memoized
+// (Memo stores them beside each result), and joined to the process-wide
+// build flight for that store's directory+schema so concurrent Envs
+// sharing one cache directory generate each input once between them
+// instead of once each. Every input key names its content, so every
+// input may persist.
+func (e *Env) NewInputCache() *sweep.Cache {
 	c := &sweep.Cache{Hook: e.InputHook, Digests: e.ResultStore != nil}
-	if persist && e.CacheStore != nil {
+	if e.CacheStore != nil {
 		c.Disk = e.CacheStore
 		c.Flight = sweep.FlightFor(e.CacheStore.Dir() + "\x00" + e.CacheStore.Schema())
 	}

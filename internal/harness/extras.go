@@ -246,17 +246,21 @@ type TreeEvalRow struct {
 	SMPSeconds float64
 }
 
+// exprRef is a random expression tree with its sequential value: the
+// one Go type cached under sweep.ExprKey, by E7 and by cmd/profile
+// alike. gob writes the type's name into the cached bytes, so two types
+// under one key would give one input two digests. Exported fields so
+// the value persists through gob (see sweep.GetAs).
+type exprRef struct {
+	E    *treecon.Expr
+	Want int64
+}
+
 // RunTreeEval evaluates random expressions of each size on both machine
 // models, verifying every result against the sequential evaluator. One
 // cell per size; the expression and its sequential value are built once
 // per size and shared by both machine runs.
 func (e *Env) RunTreeEval(leaves []int, procs int, seed uint64) (*TreeEvalResult, error) {
-	// Exported fields so the value persists through gob when a disk
-	// cache is attached (see sweep.GetAs).
-	type exprRef struct {
-		E    *treecon.Expr
-		Want int64
-	}
 	rows := make([]TreeEvalRow, len(leaves))
 	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
 		nl := leaves[idx]

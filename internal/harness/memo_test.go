@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pargraph/internal/diskcache"
+	"pargraph/internal/sweep"
 )
 
 // TestMemoChecksListedInputs: a computed cell must resolve exactly the
@@ -94,5 +95,53 @@ func TestWarmCacheSkipsGeneration(t *testing.T) {
 	}
 	if !bytes.Equal(coldJSON, warmJSON) {
 		t.Fatal("warm-cache report differs from cold")
+	}
+}
+
+// TestExprKeyHasOneEncoding: E7 and the treecon profile cache one Go
+// type under sweep.ExprKey. A profile that reads the expression E7
+// stored therefore records the digest a profile on a fresh store
+// computes; two types would differ in the type name gob writes, and a
+// manifest from the shared cache would not reproduce.
+func TestExprKeyHasOneEncoding(t *testing.T) {
+	const leaves, seed = 256, 7
+	key := sweep.ExprKey(leaves, seed+leaves)
+	params := ProfileParams{Kernel: "treecon", Machine: "mta", N: leaves, Procs: 2, Seed: seed + leaves}
+	open := func() *diskcache.Store {
+		store, err := diskcache.Open(t.TempDir(), InputSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	// profileDigest runs the profile over store and returns the digest
+	// it recorded for the expression.
+	profileDigest := func(store *diskcache.Store) sweep.Digest {
+		var got []sweep.Digest
+		e := &Env{HostWorkers: 1, CacheStore: store, InputHook: func(d sweep.Digest) {
+			if d.Key == key {
+				got = append(got, d)
+			}
+		}}
+		if _, err := e.RunProfile(params); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("profile recorded %d digests under %s, want 1", len(got), key)
+		}
+		return got[0]
+	}
+
+	shared := open()
+	if _, err := (&Env{HostWorkers: 1, CacheStore: shared}).RunTreeEval([]int{leaves}, 2, seed); err != nil {
+		t.Fatal(err)
+	}
+	hits := shared.Stats().Hits
+	afterE7 := profileDigest(shared)
+	if shared.Stats().Hits == hits {
+		t.Fatal("the profile did not read the expression E7 stored")
+	}
+	if fresh := profileDigest(open()); afterE7 != fresh {
+		t.Errorf("%s after E7 = %+v, on a fresh store = %+v", key, afterE7, fresh)
 	}
 }

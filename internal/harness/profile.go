@@ -178,15 +178,11 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 		}
 
 	case "treecon":
-		type exprIn struct {
-			E    *treecon.Expr
-			Want int64
-		}
 		eKey := sweep.ExprKey(n, params.Seed)
-		getIn := func(c *Cell) exprIn {
-			return cached(c, eKey, func() exprIn {
+		getIn := func(c *Cell) exprRef {
+			return cached(c, eKey, func() exprRef {
 				e := treecon.RandomExpr(n, params.Seed)
-				return exprIn{E: e, Want: treecon.EvalSequential(e)}
+				return exprRef{E: e, Want: treecon.EvalSequential(e)}
 			})
 		}
 		inputs = []string{eKey}

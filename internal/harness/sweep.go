@@ -27,14 +27,6 @@ type Cell struct {
 	smps []*smp.Machine
 }
 
-// NewCell returns a Cell for one memoized computation outside a sweep —
-// the single-run workloads of internal/runner — with an input cache of
-// its own (see NewInputCache for persist) and, when rec is non-nil, its
-// events recorded there.
-func (e *Env) NewCell(persist bool, rec *trace.Recorder) *Cell {
-	return &Cell{env: e, inputs: e.NewInputCache(persist), rec: rec}
-}
-
 // Resolve builds (or waits for) the value under key in the cell's input
 // cache: every parameter the build depends on must appear in the key.
 // The build runs once across all cells sharing the cache; its result is
@@ -120,6 +112,16 @@ type sweepOpts struct {
 // into the Env's TraceSink (if any) at the Env's sampling rate.
 func (e *Env) stdOpts() sweepOpts { return sweepOpts{sample: e.TraceSampleCycles} }
 
+// RunCell runs fn as a one-cell sweep: the single-run workloads of
+// internal/runner lease machines, resolve and persist inputs, forward
+// their trace to TraceSink, report to CellObserver, honour Interrupt
+// and have a panic captured as the cell's error, exactly as a figures
+// cell does.
+func (e *Env) RunCell(fn func(*Cell) error) error {
+	_, err := e.runSweep(1, e.stdOpts(), func(_ int, c *Cell) error { return fn(c) })
+	return err
+}
+
 // ablSweep is runSweep for the ablation tables, which keep their
 // historical no-error signatures: the caller panics on failure.
 func (e *Env) ablSweep(n int, cell func(i int, c *Cell) error) error {
@@ -145,7 +147,7 @@ func (e *Env) ablSweep(n int, cell func(i int, c *Cell) error) error {
 // sharing the directory — generate each shared input once between them
 // instead of once each.
 func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) ([]*trace.Recorder, error) {
-	inputs := e.NewInputCache(true)
+	inputs := e.NewInputCache()
 	record := opts.record || e.TraceSink != nil
 	var recs []*trace.Recorder
 	if record {

@@ -252,25 +252,8 @@ func (rc *runCtx) runFigures() error {
 		rc.record("report", "", buf.Bytes())
 	}
 
-	if rec != nil {
-		if sp.Output.Trace != "" {
-			var tb bytes.Buffer
-			if err := rec.WriteChromeTrace(&tb); err != nil {
-				return err
-			}
-			if err := rc.emit("trace", sp.Output.Trace, tb.Bytes(), "wrote Chrome trace to %s\n"); err != nil {
-				return err
-			}
-		}
-		if sp.Output.Attr != "" {
-			var ab bytes.Buffer
-			if err := rec.WriteAttributionCSV(&ab); err != nil {
-				return err
-			}
-			if err := rc.emit("attr", sp.Output.Attr, ab.Bytes(), "wrote attribution CSV to %s\n"); err != nil {
-				return err
-			}
-		}
+	if err := rc.traceArtifacts(rec); err != nil {
+		return err
 	}
 
 	if text {

@@ -239,9 +239,14 @@ func TestForgedInputDigestFailsRun(t *testing.T) {
 
 // TestWarmSingleRunsReadNoInputs: the single-run workloads replay
 // their input digests too — listrank, concomp with its union-find
-// reference, and coloring with its speculative reference.
+// reference, coloring with its speculative reference, the host
+// coloring, and a concomp on a DIMACS file, keyed by its content.
 func TestWarmSingleRunsReadNoInputs(t *testing.T) {
 	t.Setenv(cmdutil.CacheEnv, "")
+	dimacs := filepath.Join(t.TempDir(), "g.dimacs")
+	if err := os.WriteFile(dimacs, []byte("p edge 5 4\ne 1 2\ne 2 3\ne 1 3\ne 4 5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		text   string
@@ -250,6 +255,8 @@ func TestWarmSingleRunsReadNoInputs(t *testing.T) {
 		{"listrank-mta", "[run]\ncommand = \"listrank\"\n[workload]\nn = 4096\nmachine = \"mta\"\nprocs = 2\n", 1},
 		{"concomp-mta-verify", "[run]\ncommand = \"concomp\"\n[workload]\nn = 1024\nm = 4096\nmachine = \"mta\"\nprocs = 2\nverify = true\n", 2},
 		{"coloring-smp-verify", "[run]\ncommand = \"coloring\"\n[workload]\nn = 1024\nm = 8192\nmachine = \"smp\"\nprocs = 2\nverify = true\n", 2},
+		{"coloring-spec", "[run]\ncommand = \"coloring\"\n[workload]\nn = 1024\nm = 8192\nmachine = \"spec\"\n", 1},
+		{"concomp-dimacs", fmt.Sprintf("[run]\ncommand = \"concomp\"\n[workload]\ninput = %q\nmachine = \"smp\"\nprocs = 2\n", dimacs), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

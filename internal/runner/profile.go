@@ -63,16 +63,5 @@ func (rc *runCtx) runProfile() error {
 		return err
 	}
 	rc.record("stdout", "", buf.Bytes())
-
-	if sp.Output.Trace != "" {
-		var tb bytes.Buffer
-		if err := res.Recorder.WriteChromeTrace(&tb); err != nil {
-			return err
-		}
-		// Status goes to stderr so stdout stays byte-comparable across runs.
-		if err := rc.emit("trace", sp.Output.Trace, tb.Bytes(), "wrote Chrome trace to %s (open in about://tracing or ui.perfetto.dev)\n"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rc.traceArtifacts(res.Recorder)
 }

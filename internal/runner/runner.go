@@ -4,7 +4,9 @@
 // translate flags into a spec and call Run, so a spec-driven run and a
 // flag-driven run of the same experiment go through byte-identical
 // rendering code — artifact equality between the two is structural,
-// not tested-for.
+// not tested-for. Every command executes as harness sweeps; the
+// single-run commands (coloring, listrank, concomp) are one-cell
+// sweeps (harness.Env.RunCell).
 //
 // When the spec names a manifest ([output] manifest, the cmds'
 // -emit-manifest), the runner records every input the run resolves
@@ -19,6 +21,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -30,6 +33,7 @@ import (
 	"pargraph/internal/manifest"
 	"pargraph/internal/spec"
 	"pargraph/internal/sweep"
+	"pargraph/internal/trace"
 )
 
 // Options carries the execution extras that live outside the spec:
@@ -67,7 +71,8 @@ type Options struct {
 	Interrupt context.Context
 
 	// CellObserver, when non-nil, receives the wall-clock seconds of
-	// every sweep cell the run executes (see harness.Env.CellObserver).
+	// every sweep cell the run executes, the one cell of a single-run
+	// command included (see harness.Env.CellObserver).
 	// Called concurrently from cell goroutines; must be safe for that.
 	CellObserver func(seconds float64)
 }
@@ -138,9 +143,10 @@ func Run(sp *spec.Spec, o Options) error {
 // embedding the runner in a long-running process (cmd/serve), where a
 // job's artifacts are served back over HTTP rather than landing in the
 // server's working directory — a client-supplied spec never touches the
-// server's filesystem outside the cache directory. The provenance
-// manifest is always built, whether or not the spec names one; ctx
-// cancellation stops sweeps at the next cell boundary.
+// server's filesystem outside the cache directory: a spec naming a
+// [workload] input file is rejected before anything is opened. The
+// provenance manifest is always built, whether or not the spec names
+// one; ctx cancellation stops sweeps at the next cell boundary.
 func RunContext(ctx context.Context, sp *spec.Spec, o Options) (*Result, error) {
 	return run(ctx, sp, o, true)
 }
@@ -157,6 +163,9 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 	}
 	if collect && o.DumpGraph != "" {
 		return nil, fmt.Errorf("collected runs write no files; -out is not available")
+	}
+	if collect && sp.Workload.Input != "" {
+		return nil, fmt.Errorf("collected runs read no files; [workload] input is not available")
 	}
 
 	// Each run executes in its own harness.Env — no process-global
@@ -335,6 +344,34 @@ func (rc *runCtx) emit(name, path string, data []byte, note string) error {
 		}
 	}
 	rc.record(name, path, data)
+	return nil
+}
+
+// traceArtifacts renders and writes the trace and attribution artifacts
+// the spec asks for from the run's recorder (nil: not traced), in that
+// order, recording them in the manifest.
+func (rc *runCtx) traceArtifacts(rec *trace.Recorder) error {
+	if rec == nil {
+		return nil
+	}
+	if path := rc.sp.Output.Trace; path != "" {
+		var b bytes.Buffer
+		if err := rec.WriteChromeTrace(&b); err != nil {
+			return err
+		}
+		if err := rc.emit("trace", path, b.Bytes(), "wrote Chrome trace to %s\n"); err != nil {
+			return err
+		}
+	}
+	if path := rc.sp.Output.Attr; path != "" {
+		var b bytes.Buffer
+		if err := rec.WriteAttributionCSV(&b); err != nil {
+			return err
+		}
+		if err := rc.emit("attr", path, b.Bytes(), "wrote attribution CSV to %s\n"); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -2,10 +2,13 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pargraph/internal/cmdutil"
@@ -135,6 +138,59 @@ func manifestWithoutResults(t *testing.T, path string) ([]byte, []manifest.Resul
 func TestSpecDefaultNodesPerWalk(t *testing.T) {
 	if got := spec.Default(spec.CmdListrank).Workload.NodesPerWalk; got != listrank.DefaultNodesPerWalk {
 		t.Errorf("spec default nodes_per_walk = %d, listrank.DefaultNodesPerWalk = %d", got, listrank.DefaultNodesPerWalk)
+	}
+}
+
+// TestSingleRunsReportOneCell: every single-run command is a one-cell
+// sweep, so Options.CellObserver fires exactly once per run, wall-clock
+// machines included.
+func TestSingleRunsReportOneCell(t *testing.T) {
+	t.Setenv(cmdutil.CacheEnv, "")
+	for _, text := range []string{
+		"[run]\ncommand = \"listrank\"\n[workload]\nn = 1024\nprocs = 2\n",
+		"[run]\ncommand = \"listrank\"\n[workload]\nn = 1024\nmachine = \"native\"\nprocs = 2\n",
+		"[run]\ncommand = \"concomp\"\n[workload]\nn = 512\nm = 2048\nprocs = 2\n",
+		"[run]\ncommand = \"coloring\"\n[workload]\nn = 512\nm = 2048\nmachine = \"smp\"\nprocs = 2\n",
+	} {
+		sp, err := spec.Parse([]byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var cells atomic.Int32
+		o := Options{Stdout: io.Discard, Stderr: io.Discard, CellObserver: func(float64) { cells.Add(1) }}
+		if err := Run(sp, o); err != nil {
+			t.Fatal(err)
+		}
+		if got := cells.Load(); got != 1 {
+			t.Errorf("%s %s run reported %d cells, want 1", sp.Run.Command, sp.Workload.Machine, got)
+		}
+	}
+}
+
+// TestCollectedRunsReadNoInputFile: a collected run (cmd/serve's path)
+// refuses a spec naming a [workload] input file with one line, where a
+// CLI run of the same spec reads it.
+func TestCollectedRunsReadNoInputFile(t *testing.T) {
+	t.Setenv(cmdutil.CacheEnv, "")
+	path := filepath.Join(t.TempDir(), "g.dimacs")
+	if err := os.WriteFile(path, []byte("p edge 3 2\ne 1 2\ne 2 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp := spec.Default(spec.CmdConcomp)
+	sp.Workload.Input = path
+	sp.Workload.Procs = 2
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := RunContext(context.Background(), sp, Options{Stdout: io.Discard, Stderr: io.Discard})
+	if err == nil || !strings.Contains(err.Error(), "[workload] input is not available") {
+		t.Fatalf("collected run with an input file: err = %v, want the one-line refusal", err)
+	}
+	if err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+		t.Fatalf("CLI run of the same spec: %v", err)
 	}
 }
 

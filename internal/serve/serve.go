@@ -4,7 +4,8 @@
 // artifacts back over HTTP. The server owns the cache directory — a
 // submitted spec's cache-dir setting is overridden with the server's,
 // so every job shares one warm input/result store and a repeated job is
-// a pure cache replay — and collected runs never write files, so a
+// a pure cache replay — and collected runs neither write files nor
+// read a [workload] input file (POST /jobs answers 400 to one), so a
 // client-supplied spec cannot name paths on the server's filesystem.
 //
 // Endpoints:
@@ -261,6 +262,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if sp.Run.Shard != "" {
 		httpError(w, http.StatusBadRequest,
 			"sharded specs only fill a result cache and write no artifacts; submit the unsharded spec")
+		return
+	}
+	if sp.Workload.Input != "" {
+		httpError(w, http.StatusBadRequest,
+			"jobs read no server files; [workload] input is not available, submit a generated graph")
 		return
 	}
 	// The server owns the cache: every job shares its directory, and a

@@ -193,8 +193,9 @@ func TestSubmitJSONBody(t *testing.T) {
 	}
 }
 
-// TestSubmitRejects: malformed specs, sharded specs, bad JSON, and
-// oversize bodies all answer 4xx without reaching the queue.
+// TestSubmitRejects: malformed specs, sharded specs, specs naming a
+// server file as input, bad JSON, and oversize bodies all answer 4xx
+// without reaching the queue.
 func TestSubmitRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxRequestBytes: 4096})
 	cases := []struct {
@@ -205,6 +206,7 @@ func TestSubmitRejects(t *testing.T) {
 		{"unknown key", "text/plain", "[run]\nbogus = 1\n", http.StatusBadRequest},
 		{"invalid value", "text/plain", "[run]\ncommand = \"figures\"\n[figures]\nfig = 9\n", http.StatusBadRequest},
 		{"sharded", "text/plain", "[run]\ncommand = \"figures\"\nshard = \"0/2\"\n[figures]\nfig = 1\n", http.StatusBadRequest},
+		{"server file", "text/plain", "[run]\ncommand = \"concomp\"\n[workload]\ninput = \"/etc/passwd\"\n", http.StatusBadRequest},
 		{"bad JSON", "application/json", "{not json", http.StatusBadRequest},
 		{"empty JSON spec", "application/json", `{"spec": ""}`, http.StatusBadRequest},
 		{"oversize", "text/plain", strings.Repeat("# pad\n", 1000), http.StatusRequestEntityTooLarge},
@@ -228,9 +230,9 @@ func TestStatusAndArtifactErrors(t *testing.T) {
 		t.Errorf("unknown job artifact: %d, want 404", code)
 	}
 
-	// A spec that validates but fails at run time: workload input file
-	// that does not exist.
-	bad := "[run]\ncommand = \"concomp\"\n[workload]\ninput = \"/nonexistent/graph.gr\"\n"
+	// A spec that validates but fails at run time: a profile of one
+	// node, which the kernel rejects.
+	bad := "[run]\ncommand = \"profile\"\n[profile]\nn = 1\n"
 	v, resp := submit(t, ts, "text/plain", []byte(bad))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", resp.StatusCode, v)
@@ -295,6 +297,24 @@ func TestMetricsAndHealth(t *testing.T) {
 	// Submissions after drain are refused.
 	if _, resp := submit(t, ts, "text/plain", []byte(fastSpec)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit after drain: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestSingleRunReportsItsCell: a served listrank job is a one-cell
+// sweep, so it moves the cell latency count from 0 to 1.
+func TestSingleRunReportsItsCell(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, before := get(t, ts, "/metrics")
+	if !strings.Contains(string(before), "cell_seconds_count 0\n") {
+		t.Fatalf("fresh server's metrics lack cell_seconds_count 0:\n%s", before)
+	}
+	v, _ := submit(t, ts, "text/plain", []byte("[run]\ncommand = \"listrank\"\n[workload]\nn = 1024\nprocs = 2\n"))
+	if job := await(t, ts, v["id"].(string)); job.State != "done" {
+		t.Fatalf("job failed: %s", job.Error)
+	}
+	_, after := get(t, ts, "/metrics")
+	if !strings.Contains(string(after), "cell_seconds_count 1\n") {
+		t.Errorf("metrics after one listrank job lack cell_seconds_count 1:\n%s", after)
 	}
 }
 

@@ -1,6 +1,10 @@
 package sweep
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+)
 
 // Content-key constructors for the inputs experiment sweeps share
 // through a Cache. Every parameter a generator depends on — including
@@ -59,10 +63,15 @@ func PrefixKey(n int, layout string, seed uint64) string {
 	return fmt.Sprintf("prefix/%d/%s/%d", n, layout, seed)
 }
 
-// DIMACSKey addresses a graph loaded from a DIMACS file rather than
-// generated. The key names the path; the content hash recorded beside
-// it in a manifest is what pins the actual bytes.
-func DIMACSKey(path string) string { return "dimacs/" + path }
+// DIMACSKey addresses a graph parsed from a DIMACS file rather than
+// generated: the key is the SHA-256 of the file's bytes, so it names
+// the content, not the path, and the parsed graph may persist and
+// memoize like a generated one. The caller parses the same bytes it
+// hashed.
+func DIMACSKey(file []byte) string {
+	sum := sha256.Sum256(file)
+	return "dimacs/" + hex.EncodeToString(sum[:])
+}
 
 // UnionFindKey addresses the union-find component reference derived
 // from the graph stored under graphKey.

@@ -27,7 +27,7 @@ func TestKeyProducers(t *testing.T) {
 		{"torus2d", Torus2DKey(48, 48), "torus2d/48/48"},
 		{"expr", ExprKey(4096, 11), "expr/4096/11"},
 		{"prefix", PrefixKey(65536, "Ordered", 51), "prefix/65536/Ordered/51"},
-		{"dimacs", DIMACSKey("data/g.dimacs"), "dimacs/data/g.dimacs"},
+		{"dimacs", DIMACSKey([]byte("p edge 2 1\ne 1 2\n")), "dimacs/cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d"},
 		{"unionfind", UnionFindKey(GnmKey(10, 20, 1)), "gnm/10/20/1/unionfind"},
 		{"specref", SpecRefKey(RMATKey(11, 100, 2)), "rmat/11/100/2/specref"},
 		{"result-no-inputs", ResultKey(1, "in-v1", "fig1/p=2"), "result/c1/5:in-v1/8:fig1/p=2"},

@@ -2,7 +2,9 @@
 # CI gate for the result cache: against a shared cache directory, a warm
 # re-run of each sweep (fig1, fig2, table1, coloring) and of the
 # single-run commands (listrank on the MTA, concomp on the MTA with
-# verification) must emit byte-identical stdout to the cold run, the
+# verification, coloring on the SMP with verification, and concomp on a
+# DIMACS file that concomp -out wrote, keyed by the file's content) must
+# emit byte-identical stdout to the cold run, the
 # cold and warm manifests must agree on the spec hash and byte for byte
 # on their inputs sections, the warm run's result store must report
 # zero misses — no cell re-simulated — and its input store zero hits
@@ -22,7 +24,7 @@ trap 'rm -rf "$work"' EXIT
 commit=$(sh "$root/scripts/version.sh")
 bin="$work/bin"
 mkdir -p "$bin"
-(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/listrank ./cmd/concomp)
+(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/listrank ./cmd/concomp ./cmd/coloring)
 
 cache="$work/cache"
 fail=0
@@ -117,5 +119,9 @@ check table1   figures -table 1 -json
 check coloring figures -exp coloring -json
 check listrank listrank -machine mta -n 65536 -p 4
 check concomp  concomp -machine mta -n 16384 -m 65536 -p 4 -verify
+check coloring-smp coloring -machine smp -n 4096 -m 32768 -p 4 -verify
+
+"$bin/concomp" -machine seq -n 8192 -m 32768 -out "$work/g.dimacs" >/dev/null
+check concomp-dimacs concomp -machine mta -in "$work/g.dimacs" -p 4 -verify
 
 exit $fail

@@ -6,6 +6,9 @@
 # entirely from the shared result store (zero computed cells), and a
 # SIGTERM must drain the server to a clean exit 0.
 #
+# A spec naming a server file as its workload input must be refused
+# with 400 before it is queued: a job never reads a server file.
+#
 # A second phase restarts the server with -concurrency 4 on a fresh
 # cache directory and submits four distinct specs at once: every
 # artifact must still match the CLI bytes, and /metrics must show the
@@ -110,6 +113,18 @@ if [ "$fail" = 0 ]; then
     curl -sS "$base/jobs/$id2/artifacts/report" >"$work/http_report2.json"
     cmp -s "$work/http_report2.json" "$work/cli/e1_fig1.json" || {
         echo "FAIL: repeated job's report differs from CLI bytes"; fail=1; }
+fi
+
+# A job must not read a server file: a spec naming one as its workload
+# input is refused at submission.
+printf '[run]\ncommand = "concomp"\n[workload]\ninput = "/etc/passwd"\n' >"$work/server_file.toml"
+code=$(curl -sS -o "$work/server_file.out" -w '%{http_code}' --data-binary @"$work/server_file.toml" "$base/jobs")
+if [ "$code" = 400 ]; then
+    echo "ok: a spec naming a server file as input is refused (400)"
+else
+    echo "FAIL: a spec naming a server file as input got $code, want 400:"
+    cat "$work/server_file.out"
+    fail=1
 fi
 
 # Metrics should reflect the two jobs.
