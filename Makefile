@@ -6,7 +6,7 @@ GO ?= go
 COMMIT := $(shell sh scripts/version.sh)
 LDFLAGS = -X pargraph/internal/cmdutil.Commit=$(COMMIT)
 
-.PHONY: build test race vet bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve cache-clean verify
+.PHONY: build test race vet bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins cache-clean verify
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -31,7 +31,8 @@ bench-simulators:
 
 # Fail if workers=4 replay is >25% slower than workers=1 (the inverted
 # scaling shape the worker cap and pooled dispatch fixed; the band allows
-# for shared-machine benchmark noise).
+# for shared-machine benchmark noise); on 2-3 cores, fail unless
+# workers=2 beats workers=1 by the floors in the script header.
 check-host-scaling:
 	sh scripts/check_host_scaling.sh
 
@@ -40,9 +41,9 @@ check-host-scaling:
 bench-sweeps:
 	sh scripts/bench_sweeps.sh
 
-# Fail if the E1 sweep at jobs=4 is not >= 1.8x faster than jobs=1
-# (skips on hosts with fewer than 4 cores, where the scheduler caps
-# jobs at GOMAXPROCS and the curve is structurally flat).
+# Fail if the E1 sweep at jobs=4 is not >= 1.8x faster than jobs=1, or
+# on 2-3 cores jobs=2 not >= 1.3x (skips on a single core, where the
+# scheduler caps jobs at GOMAXPROCS and the curve is structurally flat).
 check-sweep-scaling:
 	sh scripts/check_sweep_scaling.sh
 
@@ -72,6 +73,18 @@ check-result-cache:
 # SIGTERM does not drain the server to a clean exit.
 check-serve:
 	sh scripts/check_serve.sh
+
+# Fail unless one cold-suite pass reproduces every pinned artifact (E1-E8
+# and the single runs at the pin seed) byte for byte: perfbench's last
+# line must read "correct":true with "failed":0. Simulator changes that
+# must keep every bit run this.
+check-pins:
+	@last=$$(bash perfbench/run.sh --workload cold-suite --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	echo "$$last"; \
+	case "$$last" in \
+	*'"correct":true'*'"failed":0,'*) ;; \
+	*) echo "check-pins: FAIL — an artifact differs from perfbench/pins.json, or a job failed"; exit 1 ;; \
+	esac
 
 # Empty the persistent input/result cache the experiment commands use
 # when -cache-dir or $PARGRAPH_CACHE points at one. Entries are

@@ -109,7 +109,7 @@ func RandomGnm(n, m int, seed uint64) *Graph {
 		panic(fmt.Sprintf("graph: RandomGnm(%d,%d): at most %d edges possible", n, m, maxM))
 	}
 	r := rng.New(seed)
-	seen := make(map[uint64]struct{}, m)
+	seen := newEdgeSet(m)
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
 		u := int32(r.Intn(n))
@@ -120,14 +120,45 @@ func RandomGnm(n, m int, seed uint64) *Graph {
 		if u > v {
 			u, v = v, u
 		}
-		key := uint64(u)<<32 | uint64(v)
-		if _, dup := seen[key]; dup {
+		if !seen.add(uint64(u)<<32 | uint64(v)) {
 			continue
 		}
-		seen[key] = struct{}{}
 		edges = append(edges, Edge{U: u, V: v})
 	}
 	return &Graph{N: n, Edges: edges}
+}
+
+// edgeSet is an open-addressing (linear probing) set of edge keys
+// u<<32|v with u < v. Such a key is never 0, because v >= 1, so 0 marks
+// an empty slot. It holds what a map[uint64]struct{} would in a flat
+// array of under three slots per edge, with no per-entry overhead.
+type edgeSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots)): a probe starts at the hash's top bits
+}
+
+// newEdgeSet returns a set sized to stay at most two thirds full with m
+// keys.
+func newEdgeSet(m int) edgeSet {
+	size, bits := 2, uint(1)
+	for size < m+m/2 {
+		size, bits = 2*size, bits+1
+	}
+	return edgeSet{slots: make([]uint64, size), shift: 64 - bits}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *edgeSet) add(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // Mesh2D generates the rows×cols grid graph with 4-neighbor connectivity,

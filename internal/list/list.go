@@ -142,9 +142,16 @@ func (l *List) Tail() int {
 
 // VerifyRanks checks that rank assigns each node its 0-based distance
 // from the head. It returns a descriptive error on the first mismatch.
+//
+// A valid answer is accepted by ranksConsistent, which makes independent
+// loads; only a rejected one is walked from the head, in a dependent
+// pointer chase, to name the first mismatch.
 func (l *List) VerifyRanks(rank []int64) error {
 	if len(rank) != l.Len() {
 		return fmt.Errorf("list: rank slice has %d entries for %d nodes", len(rank), l.Len())
+	}
+	if l.ranksConsistent(rank) {
+		return nil
 	}
 	i, r := l.Head, int64(0)
 	for count := 0; count < l.Len(); count++ {
@@ -161,6 +168,37 @@ func (l *List) VerifyRanks(rank []int64) error {
 		i, r = int(next), r+1
 	}
 	return fmt.Errorf("list: traversal did not reach the tail (cycle?)")
+}
+
+// ranksConsistent reports whether rank[Head] == 0, exactly one node is a
+// tail and has rank n-1, and every other node i has an in-range
+// successor with rank[Succ[i]] == rank[i]+1. That is exactly what the
+// walk in VerifyRanks accepts: walking from the head, the ranks then
+// read 0, 1, 2, ..., so the nodes visited are distinct and the walk must
+// reach a tail within n steps; the only tail has rank n-1, so it is
+// reached at step n-1, after visiting every node once. Conversely an
+// accepted walk visits all n nodes of one list, which satisfies every
+// condition here.
+func (l *List) ranksConsistent(rank []int64) bool {
+	n := len(l.Succ)
+	rank = rank[:n]
+	if n == 0 || l.Head < 0 || l.Head >= n || rank[l.Head] != 0 {
+		return false
+	}
+	tails := 0
+	for i, s := range l.Succ {
+		if s == NilNext {
+			if rank[i] != int64(n-1) {
+				return false
+			}
+			tails++
+			continue
+		}
+		if uint64(s) >= uint64(n) || rank[s] != rank[i]+1 {
+			return false
+		}
+	}
+	return tails == 1
 }
 
 // Validate checks structural soundness: exactly one tail, every

@@ -20,12 +20,12 @@ func walkTrace(nodes, instr int) TraceItem {
 // fluidItem is the fast-model equivalent of the same walk.
 func fluidItem(nodes, instr int, cfg Config) sim.Item {
 	m := New(cfg)
-	t := Thread{m: m, tl: m.region}
+	t := m.newThread(m.region)
 	for i := 0; i < nodes; i++ {
 		t.Instr(instr)
 		t.LoadDep(uint64(i))
 	}
-	return t.item(cfg)
+	return t.item(&cfg)
 }
 
 // agree asserts the two engines are within tol relative error.
@@ -142,13 +142,12 @@ func TestCycleSimOverlappableRefs(t *testing.T) {
 	cfg := DefaultConfig(1)
 	tr := TraceItem{{Kind: OpMemOverlap, N: 16}}
 	exact := CycleSim([]TraceItem{tr}, 100, int64(cfg.MemLatency), cfg.Lookahead, 0.25)
-	var th Thread
-	th.m = New(cfg)
-	th.tl = th.m.region
+	m := New(cfg)
+	th := m.newThread(m.region)
 	for i := 0; i < 16; i++ {
 		th.Load(uint64(i))
 	}
-	fluid := sim.RunRegion(1, 100, []sim.Item{th.item(cfg)}, sim.SchedDynamic)
+	fluid := sim.RunRegion(1, 100, []sim.Item{th.item(&cfg)}, sim.SchedDynamic)
 	agree(t, "overlap", exact.Cycles, fluid.Cycles, 0.20)
 }
 

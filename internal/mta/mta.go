@@ -122,9 +122,8 @@ type Machine struct {
 	cfg   Config
 	stats Stats
 
-	// bankMask is Banks-1 when Banks is a power of two, letting bankOf
-	// replace the modulo with a mask; 0 selects the modulo fallback.
-	bankMask uint64
+	// banks maps addresses to memory banks; every Thread carries a copy.
+	banks bankMap
 
 	hostWorkers int
 	// autoWorkers marks SetHostWorkers(0): replay uses every host core,
@@ -205,8 +204,9 @@ func New(cfg Config) *Machine {
 		region:      newTally(cfg.Banks),
 		maxExact:    1 << 17,
 	}
+	m.banks = bankMap{hashed: cfg.HashMemory, n: uint64(cfg.Banks)}
 	if b := uint64(cfg.Banks); b&(b-1) == 0 {
-		m.bankMask = b - 1
+		m.banks.mask = b - 1
 	}
 	return m
 }
@@ -300,17 +300,24 @@ func hash(addr uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (m *Machine) bankOf(addr uint64) int {
-	if m.cfg.HashMemory {
+// bankMap maps a logical word address to its memory bank.
+type bankMap struct {
+	hashed bool   // Config.HashMemory
+	mask   uint64 // n-1 when n is a power of two, else 0
+	n      uint64 // Config.Banks
+}
+
+func (b *bankMap) of(addr uint64) int {
+	if b.hashed {
 		addr = hash(addr)
 	}
 	// The default Banks = 128·procs is a power of two whenever procs is,
 	// so the charge path's hottest instruction is usually a mask, not a
 	// 64-bit modulo. The two are value-identical for power-of-two Banks.
-	if m.bankMask != 0 {
-		return int(addr & m.bankMask)
+	if b.mask != 0 {
+		return int(addr & b.mask)
 	}
-	return int(addr % uint64(m.cfg.Banks))
+	return int(addr % b.n)
 }
 
 // Thread tallies the demand of one simulated thread (one loop iteration
@@ -318,8 +325,8 @@ func (m *Machine) bankOf(addr uint64) int {
 // charges go to the thread's worker-private tally, so threads replayed on
 // different host workers never contend.
 type Thread struct {
-	m           *Machine // configuration access only; never mutated via t
 	tl          *tally
+	banks       bankMap // the machine's, copied so a reference reads no config
 	instr       float64
 	serialRefs  float64
 	overlapRefs float64
@@ -327,9 +334,14 @@ type Thread struct {
 	rec         *TraceItem // non-nil while the machine records this region
 }
 
+// newThread returns a thread charging into tl.
+func (m *Machine) newThread(tl *tally) Thread {
+	return Thread{tl: tl, banks: m.banks}
+}
+
 func (t *Thread) chargeRef(addr uint64) {
 	t.tl.refs++
-	t.tl.addBank(t.m.bankOf(addr))
+	t.tl.addBank(t.banks.of(addr))
 }
 
 // Instr charges n ordinary (non-memory) instructions.
@@ -372,8 +384,8 @@ func (t *Thread) Store(addr uint64) {
 func (t *Thread) Load2(a1, a2 uint64) {
 	t.overlapRefs += 2
 	t.tl.refs += 2
-	t.tl.addBank(t.m.bankOf(a1))
-	t.tl.addBank(t.m.bankOf(a2))
+	t.tl.addBank(t.banks.of(a1))
+	t.tl.addBank(t.banks.of(a2))
 	t.recordOp(OpMemOverlap, 2)
 }
 
@@ -382,8 +394,8 @@ func (t *Thread) Load2(a1, a2 uint64) {
 func (t *Thread) LoadDep2(a1, a2 uint64) {
 	t.serialRefs += 2
 	t.tl.refs += 2
-	t.tl.addBank(t.m.bankOf(a1))
-	t.tl.addBank(t.m.bankOf(a2))
+	t.tl.addBank(t.banks.of(a1))
+	t.tl.addBank(t.banks.of(a2))
 	t.recordOp(OpMemDep, 2)
 }
 
@@ -393,7 +405,7 @@ func (t *Thread) LoadN(addr uint64, n int) {
 	t.overlapRefs += float64(n)
 	t.tl.refs += int64(n)
 	for i := 0; i < n; i++ {
-		t.tl.addBank(t.m.bankOf(addr + uint64(i)))
+		t.tl.addBank(t.banks.of(addr + uint64(i)))
 	}
 	t.recordOp(OpMemOverlap, n)
 }
@@ -404,7 +416,7 @@ func (t *Thread) StoreN(addr uint64, n int) {
 	t.overlapRefs += float64(n)
 	t.tl.refs += int64(n)
 	for i := 0; i < n; i++ {
-		t.tl.addBank(t.m.bankOf(addr + uint64(i)))
+		t.tl.addBank(t.banks.of(addr + uint64(i)))
 	}
 	t.recordOp(OpMemOverlap, n)
 }
@@ -442,7 +454,7 @@ func (t *Thread) SyncStore(addr uint64) {
 // item converts the tally to a schedulable item. Every memory reference
 // also consumes an issue slot; dependent references serialize for the
 // full latency while independent ones overlap up to the lookahead depth.
-func (t *Thread) item(cfg Config) sim.Item {
+func (t *Thread) item(cfg *Config) sim.Item {
 	issue := t.instr + t.serialRefs + t.overlapRefs
 	crit := t.instr +
 		t.serialRefs*cfg.MemLatency +
@@ -505,20 +517,30 @@ func (m *Machine) regionFloors() floors {
 // non-nil, each iteration records into its own slot. Both are disjoint
 // per iteration, so spans may replay concurrently.
 func (m *Machine) replaySpan(t *Thread, lo, hi int, sched sim.Sched, body func(i int, t *Thread), traces []TraceItem, exact bool) (issue, crit, maxCrit float64) {
+	cfg := &m.cfg
+	// A stream grabs DynChunk iterations per int_fetch_add, as the MTA
+	// compiler's chunked dynamic schedule does: iteration i grabs when
+	// i%DynChunk == 0, which toGrab counts down to.
+	dynamic := sched == sim.SchedDynamic
+	toGrab := 0
+	if r := lo % cfg.DynChunk; r != 0 {
+		toGrab = cfg.DynChunk - r
+	}
+	t.rec = nil
 	for i := lo; i < hi; i++ {
 		t.reset()
 		if traces != nil {
 			t.rec = &traces[i]
-		} else {
-			t.rec = nil
 		}
-		if sched == sim.SchedDynamic && i%m.cfg.DynChunk == 0 {
-			// A stream grabs DynChunk iterations per int_fetch_add, as
-			// the MTA compiler's chunked dynamic schedule does.
-			t.grabCounter()
+		if dynamic {
+			if toGrab == 0 {
+				t.grabCounter()
+				toGrab = cfg.DynChunk
+			}
+			toGrab--
 		}
 		body(i, t)
-		it := t.item(m.cfg)
+		it := t.item(cfg)
 		issue += it.Issue
 		crit += it.Crit
 		if it.Crit > maxCrit {
@@ -599,7 +621,7 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 
 	var totIssue, totCrit, maxCrit float64
 	if w <= 1 {
-		t := Thread{m: m, tl: m.region}
+		t := m.newThread(m.region)
 		if exact {
 			// The per-chunk sums are unused on the exact path (RunRegion
 			// consumes the items themselves), so replay straight through.
@@ -636,7 +658,7 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 		m.pool.Run(w, func(worker int) {
 			tl := tallies[worker]
 			tl.reset()
-			t := Thread{m: m, tl: tl}
+			t := m.newThread(tl)
 			for {
 				ci := int(next.Add(1)) - 1
 				if ci >= nchunks {
@@ -713,9 +735,9 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 func (m *Machine) Serial(body func(t *Thread)) {
 	m.beginRegion()
 	m.stats.SerialSpans++
-	t := Thread{m: m, tl: m.region}
+	t := m.newThread(m.region)
 	body(&t)
-	it := t.item(m.cfg)
+	it := t.item(&m.cfg)
 	fl := m.regionFloors()
 	fluid := it.Crit
 	cycles := fluid

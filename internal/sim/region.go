@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Item is one unit of schedulable work in a parallel region — on the MTA,
 // one iteration of a parallel loop (for list ranking, one walk).
 //
@@ -41,11 +43,31 @@ func (r RegionResult) Utilization(procs int) float64 {
 	return r.Issued / (r.Cycles * float64(procs))
 }
 
-// itemHeap is a hand-rolled min-heap of in-flight item groups ordered by
-// nominal (virtual-time) finish. container/heap would box a flight into
-// an interface on every push/pop — millions of allocations per region —
-// so the sift operations are written out.
-type itemHeap []flight
+// itemHeap is a hand-rolled binary min-heap of in-flight item groups
+// ordered by nominal (virtual-time) finish. container/heap would box a
+// flight into an interface on every push/pop — millions of allocations
+// per region — so the sift operations are written out.
+//
+// Equal keys are common (two thirds of pops in a cold experiment pass
+// have a tied partner, often with a different demand), and the pop order
+// among ties fixes the order of the floating-point demand updates. So
+// the heap must make exactly the comparisons of the classic swap-based
+// sift-up and sift-down; it only makes each step cheaper:
+//
+//   - the keys live in their own dense array, as IEEE bits (finishV is
+//     never negative, so bit order is numeric order), and the payloads
+//     beside them;
+//   - sifts move a hole instead of swapping entries;
+//   - pop is Floyd's: the hole walks from the root down the min-child
+//     path (left child on ties) to the bottom, then the displaced last
+//     entry sifts back up past every path key >= its own. Keys never
+//     decrease along the path, so it lands exactly where the classic
+//     sift-down, which descends while the smaller child is strictly
+//     smaller, would stop.
+type itemHeap struct {
+	keys  []uint64 // math.Float64bits(finishV)
+	cargo []cargo
+}
 
 // flight is a group of count identical in-flight items on one processor:
 // same virtual finish time, same issue-rate demand. Under dynamic
@@ -57,48 +79,75 @@ type itemHeap []flight
 // one-entry-per-item form.
 type flight struct {
 	finishV float64 // virtual time at which the group's items complete
-	demand  float64 // issue-rate demand of one item while active
-	count   int32   // identical items carried by this entry
-	stream  int32   // global stream index, for block scheduling refill
+	cargo
 }
 
+// cargo is the part of a flight the heap does not order by.
+type cargo struct {
+	demand float64 // issue-rate demand of one item while active
+	count  int32   // identical items carried by this entry
+	stream int32   // global stream index, for block scheduling refill
+}
+
+func (h *itemHeap) len() int { return len(h.keys) }
+
+// minKey returns the smallest finishV; the heap must not be empty.
+func (h *itemHeap) minKey() float64 { return math.Float64frombits(h.keys[0]) }
+
 func (h *itemHeap) push(f flight) {
-	*h = append(*h, f)
-	s := *h
-	i := len(s) - 1
+	k := math.Float64bits(f.finishV)
+	h.keys = append(h.keys, k)
+	h.cargo = append(h.cargo, f.cargo)
+	keys, cg := h.keys, h.cargo
+	i := len(keys) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s[parent].finishV <= s[i].finishV {
+		if keys[parent] <= k {
 			break
 		}
-		s[parent], s[i] = s[i], s[parent]
+		keys[i], cg[i] = keys[parent], cg[parent]
 		i = parent
 	}
+	keys[i], cg[i] = k, f.cargo
 }
 
 func (h *itemHeap) pop() flight {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	s = *h
+	keys, cg := h.keys, h.cargo
+	top := flight{finishV: math.Float64frombits(keys[0]), cargo: cg[0]}
+	n := len(keys) - 1
+	xk, xc := keys[n], cg[n]
+	keys, cg = keys[:n], cg[:n]
+	h.keys, h.cargo = keys, cg
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && s[l].finishV < s[small].finishV {
-			small = l
-		}
-		if r < len(s) && s[r].finishV < s[small].finishV {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c+1 >= n {
+			if c < n { // a lone left child
+				keys[i], cg[i] = keys[c], cg[c]
+				i = c
+			}
 			break
 		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+		// c+1 if its key is smaller, else c: keys have a clear sign bit,
+		// so the difference wraps past 2^63 exactly when keys[c+1] <
+		// keys[c]. Written without a branch, which would mispredict on
+		// every other level.
+		c += int((keys[c+1] - keys[c]) >> 63)
+		keys[i], cg[i] = keys[c], cg[c]
+		i = c
 	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if keys[parent] < xk {
+			break
+		}
+		keys[i], cg[i] = keys[parent], cg[parent]
+		i = parent
+	}
+	keys[i], cg[i] = xk, xc
 	return top
 }
 
@@ -153,22 +202,19 @@ func (p *procState) advance(t float64, tl *IssueTimeline) {
 // nextFinishWall returns the wall time of this processor's earliest item
 // completion, or +inf if it has none in flight.
 func (p *procState) nextFinishWall() float64 {
-	if len(p.inflight) == 0 {
+	if p.inflight.len() == 0 {
 		return inf
 	}
-	dv := p.inflight[0].finishV - p.v
+	dv := p.inflight.minKey() - p.v
 	if dv < 0 {
 		dv = 0
 	}
 	return p.wall + dv*p.stretch()
 }
 
-// enqueue stages one started item in the pending buffer, run-length
-// collapsing it into the previous entry when it is identical (same
-// finish and demand — possible only under dynamic scheduling, where the
-// stream refill identity does not matter) and charging its demand. The
-// buffer is flushed into the heap at the end of the batch.
-func (p *procState) enqueue(it Item, stream int32, group bool) {
+// start charges one started item's demand to the processor and returns
+// its flight.
+func (p *procState) start(it Item, stream int32) flight {
 	crit := it.Crit
 	if crit < it.Issue {
 		crit = it.Issue
@@ -177,13 +223,22 @@ func (p *procState) enqueue(it Item, stream int32, group bool) {
 		crit = 1e-9
 	}
 	d := it.Issue / crit
-	fv := p.v + crit
-	if np := len(p.pending); group && np > 0 && p.pending[np-1].finishV == fv && p.pending[np-1].demand == d {
+	p.demand += d
+	return flight{finishV: p.v + crit, cargo: cargo{demand: d, count: 1, stream: stream}}
+}
+
+// enqueue stages one started item in the pending buffer, run-length
+// collapsing it into the previous entry when it is identical (same
+// finish and demand — possible only under dynamic scheduling, where the
+// stream refill identity does not matter). The buffer is flushed into
+// the heap at the end of the batch.
+func (p *procState) enqueue(it Item, stream int32, group bool) {
+	f := p.start(it, stream)
+	if np := len(p.pending); group && np > 0 && p.pending[np-1].finishV == f.finishV && p.pending[np-1].demand == f.demand {
 		p.pending[np-1].count++
 	} else {
-		p.pending = append(p.pending, flight{finishV: fv, demand: d, count: 1, stream: stream})
+		p.pending = append(p.pending, f)
 	}
-	p.demand += d
 }
 
 // flush moves the pending starts into the in-flight heap.
@@ -192,6 +247,30 @@ func (p *procState) flush() {
 		p.inflight.push(f)
 	}
 	p.pending = p.pending[:0]
+}
+
+// feed hands out a region's items in schedule order.
+type feed struct {
+	items []Item
+	next  int   // dynamic: the shared loop counter
+	block []int // block: stream s's next item and end, at 2s and 2s+1
+}
+
+// pull returns the next item for global stream s, or ok=false.
+func (f *feed) pull(s int32) (it Item, ok bool) {
+	if f.block == nil {
+		if f.next >= len(f.items) {
+			return Item{}, false
+		}
+		f.next++
+		return f.items[f.next-1], true
+	}
+	c := &f.block[2*s]
+	if *c >= f.block[2*s+1] {
+		return Item{}, false
+	}
+	*c++
+	return f.items[*c-1], true
 }
 
 const inf = 1e300
@@ -244,43 +323,20 @@ func runRegion(procs, streamsPerProc int, items []Item, sched Sched, tl *IssueTi
 	totalStreams := procs * streamsPerProc
 	group := sched == SchedDynamic
 
-	// Block scheduling: stream s owns items [s*n/S, (s+1)*n/S).
-	blockNext := make([]int, 0)
-	blockEnd := make([]int, 0)
-	if sched == SchedBlock {
-		blockNext = make([]int, totalStreams)
-		blockEnd = make([]int, totalStreams)
+	f := feed{items: items}
+	if !group {
+		// Block scheduling: stream s owns items [s*n/S, (s+1)*n/S).
+		f.block = make([]int, 2*totalStreams)
 		for s := 0; s < totalStreams; s++ {
-			blockNext[s] = s * n / totalStreams
-			blockEnd[s] = (s + 1) * n / totalStreams
-		}
-	}
-	nextDynamic := 0
-
-	// pull hands the next item for global stream s, or ok=false.
-	pull := func(s int32) (Item, bool) {
-		switch sched {
-		case SchedDynamic:
-			if nextDynamic >= n {
-				return Item{}, false
-			}
-			it := items[nextDynamic]
-			nextDynamic++
-			return it, true
-		default:
-			if blockNext[s] >= blockEnd[s] {
-				return Item{}, false
-			}
-			it := items[blockNext[s]]
-			blockNext[s]++
-			return it, true
+			f.block[2*s] = s * n / totalStreams
+			f.block[2*s+1] = (s + 1) * n / totalStreams
 		}
 	}
 
 	// Prime every stream.
 	for s := 0; s < totalStreams; s++ {
 		p := &ps[s/streamsPerProc]
-		if it, ok := pull(int32(s)); ok {
+		if it, ok := f.pull(int32(s)); ok {
 			p.enqueue(it, int32(s), group)
 		}
 	}
@@ -317,8 +373,14 @@ func runRegion(procs, streamsPerProc int, items []Item, sched Sched, tl *IssueTi
 				p.demand = 0
 			}
 			done++
-			if it, ok := pull(g.stream); ok {
-				p.enqueue(it, g.stream, group)
+			if it, ok := f.pull(g.stream); ok {
+				if g.count == 1 {
+					// The batch starts this one item: push it directly,
+					// the same single push flush would make.
+					p.inflight.push(p.start(it, g.stream))
+				} else {
+					p.enqueue(it, g.stream, group)
+				}
 			}
 		}
 		p.flush()

@@ -23,8 +23,8 @@ func (m *Machine) Sink() trace.Sink { return m.sink }
 
 // hierarchyAttr fills attr with the cycles spent at each memory level
 // over the stats delta from before, and returns their sum — the busy
-// processor cycles of the span (Proc.cycles only ever grows by Compute
-// and by reference service latency).
+// processor cycles of the span, folded from the same counters as
+// Proc.busy.
 func (m *Machine) hierarchyAttr(attr map[string]float64, before Stats) float64 {
 	after := m.stats
 	compute := float64(after.Computes - before.Computes)

@@ -24,6 +24,7 @@ package smp
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"pargraph/internal/par"
@@ -93,8 +94,18 @@ func (c Config) validate() error {
 		return fmt.Errorf("smp: BusBPC must be positive")
 	case c.MemCy < c.L2HitCy || c.L2HitCy < c.L1HitCy:
 		return fmt.Errorf("smp: latencies must increase down the hierarchy")
+	case !whole(c.L1HitCy) || !whole(c.L2HitCy) || !whole(c.MemCy):
+		return fmt.Errorf("smp: latencies must be whole numbers of cycles")
 	}
 	return nil
+}
+
+// whole reports whether x is a finite whole number. Whole-number
+// latencies let a processor's busy cycles be folded from its integer
+// counters at phase end: sums of whole numbers below 2^53 are exact in
+// float64, so the fold equals the per-reference running sum bit for bit.
+func whole(x float64) bool {
+	return x == math.Trunc(x) && !math.IsInf(x, 0)
 }
 
 // Stats accumulates machine activity over a run.
@@ -121,17 +132,21 @@ type cache struct {
 	mask  uint64   // sets-1 when sets is a power of two, else 0
 	assoc int
 	shift uint // log2(line size)
+	// direct marks a direct-mapped cache with a power-of-two set count
+	// (every E4500 geometry): Proc.ref looks those up inline.
+	direct bool
 }
 
-func newCache(bytes, line, assoc int) *cache {
+func newCache(bytes, line, assoc int) cache {
 	sets := bytes / line / assoc
 	sh := uint(0)
 	for 1<<sh < line {
 		sh++
 	}
-	c := &cache{tags: make([]uint64, sets*assoc), sets: uint64(sets), assoc: assoc, shift: sh}
+	c := cache{tags: make([]uint64, sets*assoc), sets: uint64(sets), assoc: assoc, shift: sh}
 	if s := uint64(sets); s&(s-1) == 0 {
 		c.mask = s - 1
+		c.direct = assoc == 1
 	}
 	return c
 }
@@ -148,9 +163,8 @@ func (c *cache) setOf(lineAddr uint64) int {
 
 // access looks up addr and installs it on miss; it reports a hit. The
 // hit way is promoted to MRU; a miss evicts the LRU way. A direct-mapped
-// cache (the E4500 configuration) has one way per set, so hit, miss, and
-// replacement collapse to a single tag compare and store with no MRU
-// reshuffling.
+// cache has one way per set, so hit, miss, and replacement collapse to a
+// single tag compare and store with no MRU reshuffling.
 func (c *cache) access(addr uint64) bool {
 	lineAddr := addr >> c.shift
 	tag := lineAddr + 1 // +1 so an empty slot (0) never matches
@@ -185,14 +199,17 @@ func (c *cache) invalidateAll() {
 
 // Proc is one simulated processor's execution context within a phase.
 // Kernels call its methods as they execute their partition of the work.
+//
+// A reference only counts which level served it. The phase's busy cycles
+// and bus bytes are folded from the counters when the phase ends (busy,
+// bus): with whole-number latencies (Config.validate) that fold is
+// exactly the running float sum a per-reference accumulation would keep.
 type Proc struct {
 	id  int
 	cfg *Config
-	l1  *cache
-	l2  *cache
+	l1  cache
+	l2  cache
 
-	cycles   float64
-	busBytes float64
 	l1Hits   int64
 	l2Hits   int64
 	misses   int64
@@ -204,21 +221,63 @@ type Proc struct {
 // ID returns the processor's index within the machine, 0..Procs-1.
 func (p *Proc) ID() int { return p.id }
 
+// ref serves one reference through the hierarchy. The direct-mapped,
+// power-of-two lookup is written out inline; other geometries go through
+// cache.access.
 func (p *Proc) ref(addr uint64) {
-	if p.l1.access(addr) {
+	if c := &p.l1; c.direct {
+		line := addr >> c.shift
+		if set := line & c.mask; c.tags[set] != line+1 {
+			c.tags[set] = line + 1
+		} else {
+			p.l1Hits++
+			return
+		}
+	} else if c.access(addr) {
 		p.l1Hits++
-		p.cycles += p.cfg.L1HitCy
 		return
 	}
-	if p.l2.access(addr) {
+	if c := &p.l2; c.direct {
+		line := addr >> c.shift
+		if set := line & c.mask; c.tags[set] != line+1 {
+			c.tags[set] = line + 1
+		} else {
+			p.l2Hits++
+			return
+		}
+	} else if c.access(addr) {
 		p.l2Hits++
-		p.cycles += p.cfg.L2HitCy
-		p.busBytes += float64(p.cfg.L1Line) // refill L1 from L2 over the board bus
 		return
 	}
 	p.misses++
-	p.cycles += p.cfg.MemCy
-	p.busBytes += float64(p.cfg.L2Line)
+}
+
+// busy returns the processor's cycles since its counters were cleared:
+// compute plus each reference's service latency.
+func (p *Proc) busy() float64 {
+	return float64(p.computes) + float64(p.l1Hits)*p.cfg.L1HitCy +
+		float64(p.l2Hits)*p.cfg.L2HitCy + float64(p.misses)*p.cfg.MemCy
+}
+
+// bus returns the bytes the processor moved over the bus since its
+// counters were cleared: an L1 line per L2 hit, an L2 line per miss.
+func (p *Proc) bus() float64 {
+	return float64(p.l2Hits)*float64(p.cfg.L1Line) + float64(p.misses)*float64(p.cfg.L2Line)
+}
+
+// drain folds the processor's counters into stats and clears them.
+func (p *Proc) drain(stats *Stats) {
+	stats.L1Hits += p.l1Hits
+	stats.L2Hits += p.l2Hits
+	stats.Misses += p.misses
+	stats.Loads += p.loads
+	stats.Stores += p.stores
+	stats.Computes += p.computes
+	p.clear()
+}
+
+func (p *Proc) clear() {
+	p.l1Hits, p.l2Hits, p.misses, p.loads, p.stores, p.computes = 0, 0, 0, 0, 0, 0
 }
 
 // Load charges a read of the word at addr through the cache hierarchy.
@@ -236,7 +295,6 @@ func (p *Proc) Store(addr uint64) {
 // Compute charges n ALU cycles.
 func (p *Proc) Compute(n int) {
 	p.computes += int64(n)
-	p.cycles += float64(n)
 }
 
 // Machine is a simulated SMP. Like the MTA model it is deterministic and
@@ -365,6 +423,7 @@ func (m *Machine) Reset() {
 	m.next = 1 << 20
 	m.allocs = 0
 	for _, p := range m.procs {
+		p.clear()
 		p.l1.invalidateAll()
 		p.l2.invalidateAll()
 	}
@@ -417,7 +476,7 @@ func (m *Machine) phase(body func(p *Proc), ordered bool) {
 	before := m.stats
 	m.stats.Phases++
 	for _, p := range m.procs {
-		p.cycles, p.busBytes = 0, 0
+		p.clear()
 	}
 	w := effectiveWorkers(m.hostWorkers)
 	if ordered || w > m.cfg.Procs {
@@ -454,20 +513,15 @@ func (m *Machine) phase(body func(p *Proc), ordered bool) {
 		procBusy = m.busyChunk(len(m.procs))
 	}
 	for i, p := range m.procs {
+		cycles := p.busy()
 		if procBusy != nil {
-			procBusy[i] = p.cycles
+			procBusy[i] = cycles
 		}
-		if p.cycles > maxCycles {
-			maxCycles = p.cycles
+		if cycles > maxCycles {
+			maxCycles = cycles
 		}
-		bytes += p.busBytes
-		m.stats.L1Hits += p.l1Hits
-		m.stats.L2Hits += p.l2Hits
-		m.stats.Misses += p.misses
-		m.stats.Loads += p.loads
-		m.stats.Stores += p.stores
-		m.stats.Computes += p.computes
-		p.l1Hits, p.l2Hits, p.misses, p.loads, p.stores, p.computes = 0, 0, 0, 0, 0, 0
+		bytes += p.bus()
+		p.drain(&m.stats)
 	}
 	phase := maxCycles + m.cfg.PhaseCy
 	busStall := 0.0
@@ -502,21 +556,15 @@ func (m *Machine) busyChunk(n int) []float64 {
 func (m *Machine) Sequential(body func(p *Proc)) {
 	before := m.stats
 	p := m.procs[0]
-	p.cycles, p.busBytes = 0, 0
+	p.clear()
 	body(p)
-	cycles := p.cycles
-	if busTime := p.busBytes / m.cfg.BusBPC; busTime > cycles {
+	cycles, bytes := p.busy(), p.bus()
+	if busTime := bytes / m.cfg.BusBPC; busTime > cycles {
 		m.stats.BusStall += busTime - cycles
 		cycles = busTime
 	}
-	m.stats.BusBytes += p.busBytes
-	m.stats.L1Hits += p.l1Hits
-	m.stats.L2Hits += p.l2Hits
-	m.stats.Misses += p.misses
-	m.stats.Loads += p.loads
-	m.stats.Stores += p.stores
-	m.stats.Computes += p.computes
-	p.l1Hits, p.l2Hits, p.misses, p.loads, p.stores, p.computes = 0, 0, 0, 0, 0, 0
+	m.stats.BusBytes += bytes
+	p.drain(&m.stats)
 	start := m.stats.Cycles
 	m.stats.Cycles += cycles
 	m.record("sequential", before)

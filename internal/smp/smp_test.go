@@ -22,6 +22,8 @@ func TestInvalidConfigPanics(t *testing.T) {
 		func() Config { c := DefaultConfig(1); c.L1Bytes = 1000; return c }(), // not multiple of line
 		func() Config { c := DefaultConfig(1); c.MemCy = 1; return c }(),      // inverted hierarchy
 		func() Config { c := DefaultConfig(1); c.BusBPC = 0; return c }(),
+		func() Config { c := DefaultConfig(1); c.L2HitCy = 24.5; return c }(),      // fractional latency
+		func() Config { c := DefaultConfig(1); c.MemCy = math.Inf(1); return c }(), // infinite latency
 	}
 	for i, cfg := range bad {
 		func() {

@@ -3,9 +3,7 @@ package spec
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Canonical renders the result-determining fields of a validated spec
@@ -20,49 +18,80 @@ import (
 // fuzzer enforces), so a manifest can embed it and cmd/reproduce can
 // re-run it directly.
 func (s *Spec) Canonical() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "[run]\ncommand = %q\n", s.Run.Command)
+	c := canon(make([]byte, 0, 512))
+	c = append(c, "[run]\n"...)
+	c.str("command", s.Run.Command)
 	switch s.Run.Command {
 	case CmdFigures:
-		fmt.Fprintf(&b, "scale = %q\n", s.Run.Scale)
+		c.str("scale", s.Run.Scale)
 	default:
-		fmt.Fprintf(&b, "seed = %d\n", s.Run.Seed)
+		c.key("seed")
+		c = strconv.AppendUint(c, s.Run.Seed, 10)
+		c = append(c, '\n')
 	}
 
 	switch s.Run.Command {
 	case CmdFigures:
 		f := &s.Figures
-		fmt.Fprintf(&b, "\n[figures]\nall = %v\nfig = %d\ntable = %d\nsummary = %v\nexp = %q\nformat = %q\n",
-			f.All, f.Fig, f.Table, f.Summary, f.Exp, f.Format)
-		fmt.Fprintf(&b, "procs = %s\nsizes = %s\nedge_factors = %s\n",
-			renderArray(f.Procs), renderArray(f.Sizes), renderArray(f.EdgeFactors))
+		c.section("figures")
+		c.bool("all", f.All)
+		c.int("fig", f.Fig)
+		c.int("table", f.Table)
+		c.bool("summary", f.Summary)
+		c.str("exp", f.Exp)
+		c.str("format", f.Format)
+		c.array("procs", f.Procs)
+		c.array("sizes", f.Sizes)
+		c.array("edge_factors", f.EdgeFactors)
 	case CmdProfile:
 		p := &s.Profile
-		fmt.Fprintf(&b, "\n[profile]\nkernel = %q\nmachine = %q\nn = %d\nprocs = %d\nlayout = %q\nsample = %s\nattr = %q\ntimeline = %s\n",
-			p.Kernel, p.Machine, p.N, p.Procs, p.Layout, renderFloat(p.Sample), p.Attr, renderFloat(p.Timeline))
+		c.section("profile")
+		c.str("kernel", p.Kernel)
+		c.str("machine", p.Machine)
+		c.int("n", p.N)
+		c.int("procs", p.Procs)
+		c.str("layout", p.Layout)
+		c.float("sample", p.Sample)
+		c.str("attr", p.Attr)
+		c.float("timeline", p.Timeline)
 	case CmdListrank:
 		w := &s.Workload
-		fmt.Fprintf(&b, "\n[workload]\nn = %d\nlayout = %q\nmachine = %q\nprocs = %d\nsched = %q\nsublists = %d\nnodes_per_walk = %d\nverify = %v\n",
-			w.N, w.Layout, w.Machine, w.Procs, w.Sched, w.Sublists, w.NodesPerWalk, w.Verify)
+		c.section("workload")
+		c.int("n", w.N)
+		c.str("layout", w.Layout)
+		c.str("machine", w.Machine)
+		c.int("procs", w.Procs)
+		c.str("sched", w.Sched)
+		c.int("sublists", w.Sublists)
+		c.int("nodes_per_walk", w.NodesPerWalk)
+		c.bool("verify", w.Verify)
 	default: // coloring, concomp
 		w := &s.Workload
-		fmt.Fprintf(&b, "\n[workload]\ngen = %q\nn = %d\nm = %d\nrows = %d\ncols = %d\ndepth = %d\nmachine = %q\nprocs = %d\n",
-			w.Gen, w.N, w.M, w.Rows, w.Cols, w.Depth, w.Machine, w.Procs)
+		c.section("workload")
+		c.str("gen", w.Gen)
+		c.int("n", w.N)
+		c.int("m", w.M)
+		c.int("rows", w.Rows)
+		c.int("cols", w.Cols)
+		c.int("depth", w.Depth)
+		c.str("machine", w.Machine)
+		c.int("procs", w.Procs)
 		if s.Run.Command == CmdColoring {
-			fmt.Fprintf(&b, "sched = %q\n", w.Sched)
+			c.str("sched", w.Sched)
 		}
-		fmt.Fprintf(&b, "input = %q\nverify = %v\n", w.Input, w.Verify)
+		c.str("input", w.Input)
+		c.bool("verify", w.Verify)
 	}
 
-	fmt.Fprintf(&b, "\n[output]\n")
+	c.section("output")
 	if s.Run.Command == CmdFigures {
-		fmt.Fprintf(&b, "report = %q\n", s.Output.Report)
+		c.str("report", s.Output.Report)
 	}
-	fmt.Fprintf(&b, "trace = %q\n", s.Output.Trace)
+	c.str("trace", s.Output.Trace)
 	if s.Run.Command == CmdFigures || s.Run.Command == CmdColoring {
-		fmt.Fprintf(&b, "attr = %q\n", s.Output.Attr)
+		c.str("attr", s.Output.Attr)
 	}
-	return []byte(b.String())
+	return c
 }
 
 // Hash is the hex SHA-256 of Canonical: the spec identity recorded in
@@ -74,19 +103,51 @@ func (s *Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-func renderArray(vals []int) string {
-	if len(vals) == 0 {
-		return "[]"
-	}
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.Itoa(v)
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
+// canon accumulates canonical spec text, one `key = value` line at a
+// time, in the forms the parser reads back: strings quoted as %q does,
+// integers and booleans as %d and %v do, and floats in their shortest
+// round-trip form (so zero renders as "0").
+type canon []byte
+
+func (c *canon) section(name string) {
+	*c = append(*c, "\n["...)
+	*c = append(*c, name...)
+	*c = append(*c, "]\n"...)
 }
 
-// renderFloat formats a float so it re-parses to the same value; the
-// shortest round-trip form keeps "0" for zero.
-func renderFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
+func (c *canon) key(k string) {
+	*c = append(*c, k...)
+	*c = append(*c, " = "...)
+}
+
+func (c *canon) str(k, v string) {
+	c.key(k)
+	*c = append(strconv.AppendQuote(*c, v), '\n')
+}
+
+func (c *canon) int(k string, v int) {
+	c.key(k)
+	*c = append(strconv.AppendInt(*c, int64(v), 10), '\n')
+}
+
+func (c *canon) bool(k string, v bool) {
+	c.key(k)
+	*c = append(strconv.AppendBool(*c, v), '\n')
+}
+
+func (c *canon) float(k string, v float64) {
+	c.key(k)
+	*c = append(strconv.AppendFloat(*c, v, 'g', -1, 64), '\n')
+}
+
+func (c *canon) array(k string, vals []int) {
+	c.key(k)
+	*c = append(*c, '[')
+	for i, v := range vals {
+		if i > 0 {
+			*c = append(*c, ", "...)
+		}
+		*c = strconv.AppendInt(*c, int64(v), 10)
+	}
+	*c = append(*c, "]\n"...)
 }

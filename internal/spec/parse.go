@@ -108,7 +108,7 @@ func Parse(data []byte) (*Spec, error) {
 	if len(data) > maxSpecBytes {
 		return nil, fmt.Errorf("spec: file larger than %d bytes", maxSpecBytes)
 	}
-	entries, err := scan(data)
+	entries, set, err := scan(data)
 	if err != nil {
 		return nil, err
 	}
@@ -123,67 +123,69 @@ func Parse(data []byte) (*Spec, error) {
 		}
 	}
 	s := Default(command)
-	s.set = make(map[string]bool, len(entries))
+	s.set = set
 	for _, e := range entries {
 		if err := s.assign(e); err != nil {
 			return nil, err
 		}
-		s.set[e.section+"."+e.key] = true
 	}
 	return s, nil
 }
 
 // scan tokenizes the text into assignments, enforcing the section and
-// key vocabulary and rejecting duplicates.
-func scan(data []byte) ([]entry, error) {
+// key vocabulary and rejecting duplicates. It also returns the set of
+// "section.key" names assigned.
+func scan(data []byte) ([]entry, map[string]bool, error) {
 	var (
 		entries []entry
 		section string
 		seen    = make(map[string]bool)
 	)
-	for i, line := range strings.Split(string(data), "\n") {
-		ln := i + 1
+	rest := string(data)
+	for ln := 1; rest != ""; ln++ {
+		line, tail, _ := strings.Cut(rest, "\n")
+		rest = tail
 		text := strings.TrimSpace(stripComment(line))
 		if text == "" {
 			continue
 		}
 		if strings.HasPrefix(text, "[") {
 			if !strings.HasSuffix(text, "]") {
-				return nil, fmt.Errorf("spec: line %d: unterminated section header %q", ln, text)
+				return nil, nil, fmt.Errorf("spec: line %d: unterminated section header %q", ln, text)
 			}
 			name := strings.TrimSpace(text[1 : len(text)-1])
 			if _, ok := sections[name]; !ok {
-				return nil, fmt.Errorf("spec: line %d: unknown section [%s]", ln, name)
+				return nil, nil, fmt.Errorf("spec: line %d: unknown section [%s]", ln, name)
 			}
 			section = name
 			continue
 		}
 		key, raw, ok := strings.Cut(text, "=")
 		if !ok {
-			return nil, fmt.Errorf("spec: line %d: expected key = value, got %q", ln, text)
+			return nil, nil, fmt.Errorf("spec: line %d: expected key = value, got %q", ln, text)
 		}
 		key = strings.TrimSpace(key)
 		raw = strings.TrimSpace(raw)
 		if !validKeyName(key) {
-			return nil, fmt.Errorf("spec: line %d: invalid key name %q", ln, key)
+			return nil, nil, fmt.Errorf("spec: line %d: invalid key name %q", ln, key)
 		}
 		if section == "" {
-			return nil, fmt.Errorf("spec: line %d: key %q outside any section", ln, key)
+			return nil, nil, fmt.Errorf("spec: line %d: key %q outside any section", ln, key)
 		}
 		if _, ok := sections[section][key]; !ok {
-			return nil, fmt.Errorf("spec: line %d: [%s] has no key %q", ln, section, key)
+			return nil, nil, fmt.Errorf("spec: line %d: [%s] has no key %q", ln, section, key)
 		}
 		if full := section + "." + key; seen[full] {
-			return nil, fmt.Errorf("spec: line %d: duplicate key %q in [%s]", ln, key, section)
+			return nil, nil, fmt.Errorf("spec: line %d: duplicate key %q in [%s]", ln, key, section)
 		} else {
 			seen[full] = true
 		}
 		if raw == "" {
-			return nil, fmt.Errorf("spec: line %d: key %q has no value", ln, key)
+			return nil, nil, fmt.Errorf("spec: line %d: key %q has no value", ln, key)
 		}
 		entries = append(entries, entry{line: ln, section: section, key: key, raw: raw})
 	}
-	return entries, nil
+	return entries, seen, nil
 }
 
 // stripComment removes a # comment, honoring quoted strings (which
