@@ -6,7 +6,7 @@ GO ?= go
 COMMIT := $(shell sh scripts/version.sh)
 LDFLAGS = -X pargraph/internal/cmdutil.Commit=$(COMMIT)
 
-.PHONY: build test race vet bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins cache-clean verify
+.PHONY: build test race vet fmt-check bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins cache-clean verify
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -23,6 +23,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fail if gofmt would reformat any Go file.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Regenerate BENCH_simulators.json (host ns/op for the simulator engines
 # and the SetHostWorkers scaling sweep).
@@ -55,8 +59,10 @@ check-shard-equivalence:
 	sh scripts/check_shard_equivalence.sh
 
 # Fail if the checked-in specs do not regenerate their artifacts
-# byte-identically to flag-driven runs, or if cmd/reproduce fails to
-# pass a clean manifest / catch a corrupted artifact.
+# byte-identically to flag-driven runs, if cmd/reproduce fails to pass a
+# clean manifest / catch a corrupted artifact, or if a profile,
+# listrank, concomp or coloring spec and the same run by flags differ
+# in stdout, trace/attr files or spec hash.
 check-reproducibility:
 	sh scripts/check_reproducibility.sh
 
@@ -98,4 +104,4 @@ cache-clean:
 		echo "PARGRAPH_CACHE not set; pass the directory you gave -cache-dir, e.g. rm -rf /tmp/pgc"; \
 	fi
 
-verify: vet build test
+verify: fmt-check vet build test

@@ -9,14 +9,18 @@
 //	coloring -gen mesh2d -rows 64 -cols 64 -machine smp -p 4
 //	coloring -gen gnm -n 100000 -m 800000 -machine seq
 //	coloring -machine mta -trace t.json -attr a.csv -workers 4
-//	coloring -spec specs/e8_coloring.toml -emit-manifest c.manifest.json
+//	coloring -spec c.toml -emit-manifest c.manifest.json
+//
+// Each flag but -spec, -no-result-cache, -cache-stats and
+// -cache-max-bytes sets the spec key of the same meaning
+// (internal/spec); explicit flags override a -spec file.
 package main
 
 import (
 	"flag"
 	"log"
+	"os"
 
-	"pargraph/internal/cmdutil"
 	"pargraph/internal/runner"
 	"pargraph/internal/spec"
 )
@@ -24,80 +28,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("coloring: ")
-	var (
-		specPath = flag.String("spec", "", "load the experiment from this spec file (TOML); explicit flags override its fields")
-		gen      = flag.String("gen", "rmat", "graph generator: gnm, rmat, mesh2d, mesh3d, torus")
-		n        = flag.Int("n", 1<<14, "vertices (gnm/rmat)")
-		m        = flag.Int("m", 8<<14, "edges (gnm/rmat)")
-		rows     = flag.Int("rows", 128, "rows (mesh/torus)")
-		cols     = flag.Int("cols", 128, "cols (mesh/torus)")
-		depth    = flag.Int("depth", 8, "depth (mesh3d)")
-		machine  = flag.String("machine", "mta", "machine: mta, smp, spec (host reference), or seq (first-fit)")
-		procs    = flag.Int("p", 8, "simulated processors")
-		schedS   = flag.String("sched", "dynamic", "MTA loop schedule: dynamic or block")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		verify   = flag.Bool("verify", true, "check the coloring is proper (and, for machines, matches the host reference)")
-		inFile   = flag.String("in", "", "read the graph from a DIMACS `p edge` file instead of generating")
-		traceOut = flag.String("trace", "", "write a Chrome trace with per-region cycle attribution to this file (simulated machines)")
-		attrOut  = flag.String("attr", "", "write the per-region attribution as CSV to this file (simulated machines)")
-		workers  = flag.Int("workers", 1, "host goroutines replaying each simulated region (0 = auto: every core, serial for small regions); results are identical for any value")
-		jobs     = flag.Int("jobs", 1, "accepted for sweep-tool parity (cmd/figures runs cells concurrently); this command runs a single cell")
-		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole run results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
-		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
-		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the cache directory's size; least-recently-used entries are pruned on overflow (0 = unbounded)")
-		manifest = flag.String("emit-manifest", "", "write a reproducibility manifest (spec hash, input keys, artifact hashes) to this file")
-	)
-	flag.Parse()
-
-	sp, err := runner.LoadSpec(*specPath, spec.CmdColoring)
+	sp, opts, err := runner.NewCommandLine(flag.CommandLine, spec.CmdColoring).Parse(os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "gen":
-			sp.Workload.Gen = *gen
-		case "n":
-			sp.Workload.N = *n
-		case "m":
-			sp.Workload.M = *m
-		case "rows":
-			sp.Workload.Rows = *rows
-		case "cols":
-			sp.Workload.Cols = *cols
-		case "depth":
-			sp.Workload.Depth = *depth
-		case "machine":
-			sp.Workload.Machine = *machine
-		case "p":
-			sp.Workload.Procs = *procs
-		case "sched":
-			sp.Workload.Sched = *schedS
-		case "seed":
-			sp.Run.Seed = *seed
-		case "verify":
-			sp.Workload.Verify = *verify
-		case "in":
-			sp.Workload.Input = *inFile
-		case "trace":
-			sp.Output.Trace = *traceOut
-		case "attr":
-			sp.Output.Attr = *attrOut
-		case "workers":
-			sp.Run.Workers = *workers
-		case "jobs":
-			sp.Run.Jobs = *jobs
-		case "cache-dir":
-			sp.Run.CacheDir = *cacheDir
-		case "emit-manifest":
-			sp.Output.Manifest = *manifest
-		}
-	})
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := runner.Run(sp, runner.Options{NoResultCache: *noResult, CacheStats: *cacheSt, CacheMaxBytes: *cacheMax}); err != nil {
+	if err := runner.Run(sp, opts); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -8,14 +8,19 @@
 //	concomp -gen mesh2d -rows 1024 -cols 1024 -machine smp -p 4
 //	concomp -n 1048576 -m 8388608 -machine native -p 8
 //	concomp -n 1048576 -m 8388608 -machine seq
-//	concomp -spec specs/concomp.toml -emit-manifest cc.manifest.json
+//	concomp -gen rmat -n 65536 -m 524288 -machine mta -trace cc.json
+//	concomp -spec cc.toml -emit-manifest cc.manifest.json
+//
+// Each flag but -spec, -out, -no-result-cache, -cache-stats and
+// -cache-max-bytes sets the spec key of the same meaning
+// (internal/spec); explicit flags override a -spec file.
 package main
 
 import (
 	"flag"
 	"log"
+	"os"
 
-	"pargraph/internal/cmdutil"
 	"pargraph/internal/runner"
 	"pargraph/internal/spec"
 )
@@ -23,75 +28,17 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("concomp: ")
-	var (
-		specPath = flag.String("spec", "", "load the experiment from this spec file (TOML); explicit flags override its fields")
-		gen      = flag.String("gen", "gnm", "graph generator: gnm, rmat, mesh2d, mesh3d, torus")
-		n        = flag.Int("n", 1<<18, "vertices (gnm)")
-		m        = flag.Int("m", 4<<18, "edges (gnm)")
-		rows     = flag.Int("rows", 512, "rows (mesh/torus)")
-		cols     = flag.Int("cols", 512, "cols (mesh/torus)")
-		depth    = flag.Int("depth", 8, "depth (mesh3d)")
-		machine  = flag.String("machine", "mta", "machine: mta, mta-star, smp, native, as, randmate, hybrid, seq, bfs")
-		procs    = flag.Int("p", 8, "processors (goroutines for native)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		verify   = flag.Bool("verify", true, "cross-check against union-find")
-		inFile   = flag.String("in", "", "read the graph from a DIMACS `p edge` file instead of generating")
-		outFile  = flag.String("out", "", "also write the graph to a DIMACS `p edge` file")
-		traceOut = flag.String("trace-json", "", "write a Chrome trace with per-region cycle attribution to this file (simulated machines)")
-		workers  = flag.Int("workers", 1, "host goroutines replaying each simulated region (0 = auto: every core, serial for small regions); results are identical for any value")
-		jobs     = flag.Int("jobs", 1, "accepted for sweep-tool parity (cmd/figures runs cells concurrently); this command runs a single cell")
-		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole run results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
-		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
-		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the cache directory's size; least-recently-used entries are pruned on overflow (0 = unbounded)")
-		manifest = flag.String("emit-manifest", "", "write a reproducibility manifest (spec hash, input keys, artifact hashes) to this file")
-	)
-	flag.Parse()
-
-	sp, err := runner.LoadSpec(*specPath, spec.CmdConcomp)
+	cl := runner.NewCommandLine(flag.CommandLine, spec.CmdConcomp)
+	out := flag.String("out", "", "also write the graph to a DIMACS `p edge` file")
+	sp, opts, err := cl.Parse(os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "gen":
-			sp.Workload.Gen = *gen
-		case "n":
-			sp.Workload.N = *n
-		case "m":
-			sp.Workload.M = *m
-		case "rows":
-			sp.Workload.Rows = *rows
-		case "cols":
-			sp.Workload.Cols = *cols
-		case "depth":
-			sp.Workload.Depth = *depth
-		case "machine":
-			sp.Workload.Machine = *machine
-		case "p":
-			sp.Workload.Procs = *procs
-		case "seed":
-			sp.Run.Seed = *seed
-		case "verify":
-			sp.Workload.Verify = *verify
-		case "in":
-			sp.Workload.Input = *inFile
-		case "trace-json":
-			sp.Output.Trace = *traceOut
-		case "workers":
-			sp.Run.Workers = *workers
-		case "jobs":
-			sp.Run.Jobs = *jobs
-		case "cache-dir":
-			sp.Run.CacheDir = *cacheDir
-		case "emit-manifest":
-			sp.Output.Manifest = *manifest
-		}
-	})
+	opts.DumpGraph = *out
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := runner.Run(sp, runner.Options{DumpGraph: *outFile, NoResultCache: *noResult, CacheStats: *cacheSt, CacheMaxBytes: *cacheMax}); err != nil {
+	if err := runner.Run(sp, opts); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -7,15 +7,20 @@
 //	listrank -n 1048576 -layout ordered -machine smp -p 4
 //	listrank -n 1048576 -machine native -p 8     # real goroutines, wall clock
 //	listrank -n 1048576 -machine seq             # sequential baseline
-//	listrank -spec specs/listrank.toml -emit-manifest lr.manifest.json
+//	listrank -n 1048576 -machine mta -trace lr.json   # Chrome trace of the regions
+//	listrank -spec lr.toml -emit-manifest lr.manifest.json
+//
+// Each flag but -spec, -no-result-cache, -cache-stats and
+// -cache-max-bytes sets the spec key of the same meaning
+// (internal/spec); explicit flags override a -spec file.
 package main
 
 import (
 	"flag"
 	"log"
+	"os"
 
 	"pargraph/internal/cmdutil"
-	"pargraph/internal/listrank"
 	"pargraph/internal/runner"
 	"pargraph/internal/spec"
 )
@@ -23,78 +28,23 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("listrank: ")
-	var (
-		specPath = flag.String("spec", "", "load the experiment from this spec file (TOML); explicit flags override its fields")
-		n        = flag.Int("n", 1<<20, "list length")
-		layout   = flag.String("layout", "random", "list layout: ordered, clustered, or random")
-		machine  = flag.String("machine", "mta", "machine: mta, smp, native, or seq")
-		procs    = flag.Int("p", 8, "processors (goroutines for native)")
-		walks    = flag.Int("nodes-per-walk", listrank.DefaultNodesPerWalk, "MTA list nodes per walk")
-		subl     = flag.Int("sublists-per-proc", 8, "SMP sublists per processor")
-		sched    = flag.String("sched", "dynamic", "MTA loop schedule: dynamic or block")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		verify   = flag.Bool("verify", true, "cross-check ranks against the sequential walk")
-		traceFl  = flag.Bool("trace", false, "print a per-region execution trace (simulated machines)")
-		traceOut = flag.String("trace-json", "", "write a Chrome trace with per-region cycle attribution to this file (simulated machines)")
-		workers  = flag.Int("workers", 1, "host goroutines replaying each simulated region (0 = auto: every core, serial for small regions); results are identical for any value")
-		jobs     = flag.Int("jobs", 1, "accepted for sweep-tool parity (cmd/figures runs cells concurrently); this command runs a single cell")
-		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole run results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
-		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
-		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the cache directory's size; least-recently-used entries are pruned on overflow (0 = unbounded)")
-		manifest = flag.String("emit-manifest", "", "write a reproducibility manifest (spec hash, input keys, artifact hashes) to this file")
-	)
-	flag.Parse()
-
-	sp, err := runner.LoadSpec(*specPath, spec.CmdListrank)
+	sp, opts, err := runner.NewCommandLine(flag.CommandLine, spec.CmdListrank).Parse(os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "n":
-			sp.Workload.N = *n
-		case "layout":
-			sp.Workload.Layout = *layout
-		case "machine":
-			sp.Workload.Machine = *machine
-		case "p":
-			sp.Workload.Procs = *procs
-		case "nodes-per-walk":
-			// The spec clamps these to their defaults; an explicit flag
-			// value stays strict so a typo'd 0 fails instead of silently
-			// running the default.
-			if err := cmdutil.CheckPositive("-nodes-per-walk", *walks); err != nil {
-				log.Fatal(err)
-			}
-			sp.Workload.NodesPerWalk = *walks
-		case "sublists-per-proc":
-			if err := cmdutil.CheckPositive("-sublists-per-proc", *subl); err != nil {
-				log.Fatal(err)
-			}
-			sp.Workload.Sublists = *subl
-		case "sched":
-			sp.Workload.Sched = *sched
-		case "seed":
-			sp.Run.Seed = *seed
-		case "verify":
-			sp.Workload.Verify = *verify
-		case "trace-json":
-			sp.Output.Trace = *traceOut
-		case "workers":
-			sp.Run.Workers = *workers
-		case "jobs":
-			sp.Run.Jobs = *jobs
-		case "cache-dir":
-			sp.Run.CacheDir = *cacheDir
-		case "emit-manifest":
-			sp.Output.Manifest = *manifest
+	// The spec clamps these to their defaults; an explicit flag value
+	// stays strict so a typo'd 0 fails instead of silently running the
+	// default. Both defaults are positive, so a non-positive value came
+	// from the command line.
+	for _, name := range []string{"nodes-per-walk", "sublists-per-proc"} {
+		if err := cmdutil.CheckPositive("-"+name, flag.Lookup(name).Value.(flag.Getter).Get().(int)); err != nil {
+			log.Fatal(err)
 		}
-	})
+	}
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := runner.Run(sp, runner.Options{RegionTrace: *traceFl, NoResultCache: *noResult, CacheStats: *cacheSt, CacheMaxBytes: *cacheMax}); err != nil {
+	if err := runner.Run(sp, opts); err != nil {
 		log.Fatal(err)
 	}
 }

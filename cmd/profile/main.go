@@ -11,7 +11,11 @@
 //	profile -kernel prefix -layout ordered -timeline 20000
 //	profile -kernel treecon -n 4096 -sample 500
 //	profile -kernel coloring -machine both -attr table
-//	profile -spec specs/e2_profile.toml -emit-manifest prof.manifest.json
+//	profile -spec prof.toml -emit-manifest prof.manifest.json
+//
+// Each flag but -spec, -cpuprofile, -memprofile, -no-result-cache,
+// -cache-stats and -cache-max-bytes sets the spec key of the same
+// meaning (internal/spec); explicit flags override a -spec file.
 //
 // All output is bit-identical for any -workers value: events are
 // emitted at region commit, after the deterministic replay merge.
@@ -42,69 +46,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("profile: ")
-	var (
-		specPath = flag.String("spec", "", "load the experiment from this spec file (TOML); explicit flags override its fields")
-		kernel   = flag.String("kernel", "fig1", "kernel to profile: fig1 (list ranking), fig2 (connected components), prefix, treecon, coloring")
-		machine  = flag.String("machine", "both", "machine(s) to run: mta, smp, or both")
-		n        = flag.Int("n", 1<<16, "problem size (list nodes / graph vertices / tree leaves)")
-		procs    = flag.Int("procs", 8, "simulated processors")
-		layoutS  = flag.String("layout", "random", "list layout for fig1/prefix: ordered or random")
-		seed     = flag.Uint64("seed", 0x33, "workload seed")
-		sample   = flag.Float64("sample", 0, "MTA within-region sampling interval in simulated cycles (0 = off)")
-		traceOut = flag.String("trace", "", "write Chrome trace_event JSON to this file")
-		attr     = flag.String("attr", "table", "attribution format on stdout: table, csv, json, or none")
-		timeline = flag.Float64("timeline", 0, "print a utilization timeline with this bucket width in cycles (0 = off)")
-		workers  = flag.Int("workers", 1, "host goroutines replaying each simulated region (0 = auto: every core, serial for small regions); output is identical for any value")
-		jobs     = flag.Int("jobs", 0, "experiment cells run concurrently (with -machine both the two machines are separate cells; 0 = NumCPU); output is identical for any value")
-		shardS   = flag.String("shard", "", "run only the cells of shard i/N (e.g. 0/2) and store their results in the cache, writing no output; rerun without -shard on the same -cache-dir to write it")
-		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole sweep-cell results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
-		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
-		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the cache directory's size; least-recently-used entries are pruned on overflow (0 = unbounded)")
-		manifest = flag.String("emit-manifest", "", "write a reproducibility manifest (spec hash, input keys, artifact hashes) to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a Go CPU profile of the whole run to this file")
-		memProf  = flag.String("memprofile", "", "write a Go heap profile at exit to this file")
-	)
-	flag.Parse()
-
-	sp, err := runner.LoadSpec(*specPath, spec.CmdProfile)
+	cl := runner.NewCommandLine(flag.CommandLine, spec.CmdProfile)
+	cpuProf := flag.String("cpuprofile", "", "write a Go CPU profile of the whole run to this file")
+	memProf := flag.String("memprofile", "", "write a Go heap profile at exit to this file")
+	sp, opts, err := cl.Parse(os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "kernel":
-			sp.Profile.Kernel = *kernel
-		case "machine":
-			sp.Profile.Machine = *machine
-		case "n":
-			sp.Profile.N = *n
-		case "procs":
-			sp.Profile.Procs = *procs
-		case "layout":
-			sp.Profile.Layout = *layoutS
-		case "seed":
-			sp.Run.Seed = *seed
-		case "sample":
-			sp.Profile.Sample = *sample
-		case "trace":
-			sp.Output.Trace = *traceOut
-		case "attr":
-			sp.Profile.Attr = *attr
-		case "timeline":
-			sp.Profile.Timeline = *timeline
-		case "workers":
-			sp.Run.Workers = *workers
-		case "jobs":
-			sp.Run.Jobs = *jobs
-		case "shard":
-			sp.Run.Shard = *shardS
-		case "cache-dir":
-			sp.Run.CacheDir = *cacheDir
-		case "emit-manifest":
-			sp.Output.Manifest = *manifest
-		}
-	})
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -123,12 +71,7 @@ func main() {
 		}
 	}()
 
-	opts := runner.Options{
-		Interrupt:     ctx,
-		NoResultCache: *noResult,
-		CacheStats:    *cacheSt,
-		CacheMaxBytes: *cacheMax,
-	}
+	opts.Interrupt = ctx
 	if err := runner.Run(sp, opts); err != nil {
 		log.Fatal(err)
 	}

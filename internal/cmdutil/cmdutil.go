@@ -1,7 +1,7 @@
-// Package cmdutil holds the flag-validation helpers shared by the
-// command-line tools, so every cmd rejects bad sizes and worker counts
-// with a one-line error instead of a panic stack trace, and none of
-// them drifts out of step on the -workers convention.
+// Package cmdutil holds the helpers shared by the command-line tools:
+// size and generator checks that reject bad values with a one-line
+// error instead of a panic stack trace, the -jobs resolution, the cache
+// directory, and the pprof and version helpers.
 package cmdutil
 
 import (
@@ -13,25 +13,10 @@ import (
 	"pargraph/internal/diskcache"
 )
 
-// ResolveWorkers validates a -workers flag value: negative values are
-// rejected, 0 passes through as the machines' auto mode (use every host
-// core, but keep regions too small to repay sharding on the serial
-// path — see SetHostWorkers in internal/mta and internal/smp), and
-// positive values pass through as explicit counts. The clamping inside
-// the machines' SetHostWorkers is a backstop, not the interface — every
-// cmd resolves the flag here so a typo'd "-workers -1" fails loudly
-// instead of silently running serial.
-func ResolveWorkers(w int) (int, error) {
-	if w < 0 {
-		return 0, fmt.Errorf("-workers must be >= 0 (0 = auto: one per host CPU with a serial fallback for small regions), got %d", w)
-	}
-	return w, nil
-}
-
 // ResolveJobs validates a -jobs flag value: negative values are
 // rejected, 0 means one concurrent experiment cell per host CPU, and
 // positive values pass through. The sweep scheduler's own GOMAXPROCS
-// cap is a backstop, as with ResolveWorkers.
+// cap is a backstop.
 func ResolveJobs(j int) (int, error) {
 	if j < 0 {
 		return 0, fmt.Errorf("-jobs must be >= 0 (0 = one per host CPU), got %d", j)

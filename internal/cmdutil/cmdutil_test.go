@@ -6,23 +6,6 @@ import (
 	"testing"
 )
 
-func TestResolveWorkers(t *testing.T) {
-	if _, err := ResolveWorkers(-1); err == nil {
-		t.Error("negative workers accepted")
-	}
-	if _, err := ResolveWorkers(-100); err == nil {
-		t.Error("very negative workers accepted")
-	}
-	// 0 passes through: it is the machines' auto mode, resolved by
-	// SetHostWorkers, not here.
-	if w, err := ResolveWorkers(0); err != nil || w != 0 {
-		t.Errorf("ResolveWorkers(0) = %d, %v; want 0 (auto)", w, err)
-	}
-	if w, err := ResolveWorkers(3); err != nil || w != 3 {
-		t.Errorf("ResolveWorkers(3) = %d, %v; want 3", w, err)
-	}
-}
-
 func TestResolveJobs(t *testing.T) {
 	if _, err := ResolveJobs(-1); err == nil {
 		t.Error("negative jobs accepted")

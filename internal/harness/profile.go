@@ -31,19 +31,6 @@ type ProfileParams struct {
 	SampleCycles float64
 }
 
-// DefaultProfile returns a profile configuration with the experiment
-// suite's customary defaults.
-func DefaultProfile() ProfileParams {
-	return ProfileParams{
-		Kernel:  "fig1",
-		Machine: "both",
-		N:       1 << 16,
-		Procs:   8,
-		Layout:  list.Random,
-		Seed:    0x33,
-	}
-}
-
 // ProfileRun summarizes one machine's traced execution.
 type ProfileRun struct {
 	Machine string

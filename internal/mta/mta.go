@@ -152,9 +152,6 @@ type Machine struct {
 	// floating-point totals independent of the worker count.
 	chunkParts []chunkPartial
 
-	tracing bool
-	trace   []RegionStat
-
 	// Attribution-event sink (internal/trace); nil means tracing is off
 	// and regions pay only a nil check. evSeq numbers emitted events.
 	sink     trace.Sink
@@ -262,14 +259,13 @@ func (m *Machine) Stats() Stats { return m.stats }
 
 // Reset returns the machine to its post-New state, keeping the
 // configuration and host worker count: it clears accumulated statistics,
-// any trace, and any region recording armed by RecordRegions (both the
-// captured regions and the recording threshold, so a reused machine does
-// not silently keep recording). The host worker pool is kept too — its
+// the trace event numbering, and any region recording armed by
+// RecordRegions (both the captured regions and the recording threshold,
+// so a reused machine does not silently keep recording). The host worker pool is kept too — its
 // parked goroutines are reused by the next region, not stranded or
 // respawned.
 func (m *Machine) Reset() {
 	m.stats = Stats{}
-	m.trace = m.trace[:0]
 	m.evSeq = 0
 	m.recordMax = 0
 	m.recorded = nil
@@ -719,7 +715,6 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 	start := m.stats.Cycles
 	m.stats.Cycles += res.Cycles
 	m.stats.Issued += res.Issued
-	m.record("parallel", n, res.Cycles, res.Issued)
 	if m.sink != nil {
 		m.emitRegion("parallel", n, start, fluid, res, fl, trace.CatMemStall, samples)
 	}
@@ -749,7 +744,6 @@ func (m *Machine) Serial(body func(t *Thread)) {
 	start := m.stats.Cycles
 	m.stats.Cycles += cycles
 	m.stats.Issued += it.Issue
-	m.record("serial", 1, cycles, it.Issue)
 	if m.sink != nil {
 		res := sim.RegionResult{Cycles: cycles, Issued: it.Issue, Items: 1}
 		m.emitRegion("serial", 0, start, fluid, res, fl, trace.CatSerial, nil)
@@ -761,7 +755,6 @@ func (m *Machine) Barrier() {
 	m.stats.Barriers++
 	start := m.stats.Cycles
 	m.stats.Cycles += m.cfg.BarrierCycles
-	m.record("barrier", 0, m.cfg.BarrierCycles, 0)
 	if m.sink != nil {
 		m.emitBarrier(start)
 	}

@@ -1,11 +1,11 @@
 package mta
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"pargraph/internal/sim"
+	"pargraph/internal/trace"
 )
 
 // walkBody emulates one pointer-chasing step: a few instructions and one
@@ -317,56 +317,31 @@ func BenchmarkParallelForWalks(b *testing.B) {
 	}
 }
 
+// TestTraceRecordsRegions: an attached sink receives one event per
+// region, barrier and serial section, and their cycles add up to the
+// machine's.
 func TestTraceRecordsRegions(t *testing.T) {
 	m := New(DefaultConfig(2))
-	m.EnableTrace()
+	rec := &trace.Recorder{}
+	m.SetSink(rec)
 	m.ParallelFor(100, sim.SchedDynamic, walkBody(5))
 	m.Barrier()
 	m.Serial(func(t *Thread) { t.Instr(10) })
-	tr := m.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace has %d entries, want 3", len(tr))
+	ev := rec.Events
+	if len(ev) != 3 {
+		t.Fatalf("trace has %d events, want 3", len(ev))
 	}
-	if tr[0].Kind != "parallel" || tr[0].Items != 100 {
-		t.Fatalf("entry 0 = %+v", tr[0])
+	if ev[0].Kind != "parallel" || ev[0].Items != 100 {
+		t.Fatalf("event 0 = %+v", ev[0])
 	}
-	if tr[1].Kind != "barrier" || tr[2].Kind != "serial" {
-		t.Fatalf("kinds wrong: %+v", tr)
+	if ev[1].Kind != "barrier" || ev[2].Kind != "serial" {
+		t.Fatalf("kinds wrong: %s, %s", ev[1].Kind, ev[2].Kind)
 	}
 	var sum float64
-	for _, r := range tr {
-		sum += r.Cycles
+	for _, e := range ev {
+		sum += e.Cycles
 	}
 	if math.Abs(sum-m.Cycles()) > 1e-6 {
 		t.Fatalf("trace cycles %.0f != machine cycles %.0f", sum, m.Cycles())
-	}
-}
-
-func TestTraceOffByDefault(t *testing.T) {
-	m := New(DefaultConfig(1))
-	m.ParallelFor(10, sim.SchedDynamic, walkBody(2))
-	if len(m.Trace()) != 0 {
-		t.Fatal("trace recorded without EnableTrace")
-	}
-}
-
-func TestTraceClearedByReset(t *testing.T) {
-	m := New(DefaultConfig(1))
-	m.EnableTrace()
-	m.Barrier()
-	m.Reset()
-	if len(m.Trace()) != 0 {
-		t.Fatal("Reset left trace entries")
-	}
-}
-
-func TestWriteTraceSmoke(t *testing.T) {
-	m := New(DefaultConfig(1))
-	m.EnableTrace()
-	m.ParallelFor(50, sim.SchedDynamic, walkBody(3))
-	var buf bytes.Buffer
-	m.WriteTrace(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("parallel")) {
-		t.Fatal("trace output missing region kind")
 	}
 }

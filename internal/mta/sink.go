@@ -19,9 +19,6 @@ import (
 // count) but restarts event numbering.
 func (m *Machine) SetSink(s trace.Sink) { m.sink = s }
 
-// Sink returns the attached trace sink, or nil.
-func (m *Machine) Sink() trace.Sink { return m.sink }
-
 // SetTraceSampling sets the within-region sampling interval in
 // simulated cycles: parallel regions on the exact path additionally
 // carry an issue-slot timeline at that granularity (see

@@ -42,11 +42,6 @@ type Options struct {
 	Stdout io.Writer // defaults to os.Stdout
 	Stderr io.Writer // defaults to os.Stderr
 
-	// RegionTrace prints the per-region execution trace on stdout for
-	// listrank's simulated machines (cmd/listrank -trace). It changes
-	// the stdout bytes, so it cannot be combined with a manifest.
-	RegionTrace bool
-
 	// DumpGraph writes the built graph to a DIMACS file before running
 	// (cmd/concomp -out).
 	DumpGraph string
@@ -75,24 +70,6 @@ type Options struct {
 	// command included (see harness.Env.CellObserver).
 	// Called concurrently from cell goroutines; must be safe for that.
 	CellObserver func(seconds float64)
-}
-
-// LoadSpec is the cmds' -spec entry point: the command's default spec
-// when path is empty, else the parsed spec file, rejecting a spec
-// written for a different command. Flag overrides layer on top and the
-// caller validates the result.
-func LoadSpec(path, command string) (*spec.Spec, error) {
-	if path == "" {
-		return spec.Default(command), nil
-	}
-	sp, err := spec.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Run.Command != command {
-		return nil, fmt.Errorf("%s is a %q spec; run it with cmd/%s", path, sp.Run.Command, sp.Run.Command)
-	}
-	return sp, nil
 }
 
 // Artifact is one produced output with its rendered bytes retained in
@@ -157,9 +134,6 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 	}
 	if o.Stderr == nil {
 		o.Stderr = os.Stderr
-	}
-	if o.RegionTrace && (sp.Output.Manifest != "" || collect) {
-		return nil, fmt.Errorf("-trace changes the stdout bytes per run; it cannot be combined with -emit-manifest")
 	}
 	if collect && o.DumpGraph != "" {
 		return nil, fmt.Errorf("collected runs write no files; -out is not available")

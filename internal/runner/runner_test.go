@@ -193,18 +193,3 @@ func TestCollectedRunsReadNoInputFile(t *testing.T) {
 		t.Fatalf("CLI run of the same spec: %v", err)
 	}
 }
-
-// TestRegionTraceRejectsManifest: listrank -trace changes stdout per
-// run, so combining it with a manifest must fail up front.
-func TestRegionTraceRejectsManifest(t *testing.T) {
-	sp := spec.Default(spec.CmdListrank)
-	sp.Workload.N = 64
-	if err := sp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sp.Output.Manifest = filepath.Join(t.TempDir(), "m.json")
-	err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard, RegionTrace: true})
-	if err == nil {
-		t.Fatal("RegionTrace with a manifest did not error")
-	}
-}

@@ -37,9 +37,8 @@ import (
 // (cell names its result-relevant config) is memoized under cell with
 // the listed inputs (harness.Memo) and recorded in the manifest;
 // wall-clock stdout (cell == "") is neither, only kept for collected
-// runs. -trace region dumps share the manifest restriction and are not
-// memoized either. prepare, when non-nil, runs in the cell before the
-// memo (concomp -out needs the graph even when the result is cached).
+// runs. prepare, when non-nil, runs in the cell before the memo
+// (concomp -out needs the graph even when the result is cached).
 // A simulated machine is traced when the spec asks for a trace or an
 // attribution; the artifacts come out as trace, attr, then stdout.
 func (rc *runCtx) runWorkload(cell string, inputs []string, prepare func(*harness.Cell) error,
@@ -63,7 +62,7 @@ func (rc *runCtx) runWorkload(cell string, inputs []string, prepare func(*harnes
 			return buf.Bytes(), err
 		}
 		var err error
-		if cell == "" || rc.o.RegionTrace {
+		if cell == "" {
 			out, err = compute()
 		} else {
 			out, err = harness.Memo(c, cell, inputs, binenc.AppendBytes, binenc.ConsumeBytes, compute)
@@ -282,30 +281,18 @@ func (rc *runCtx) runListrank() error {
 		switch w.Machine {
 		case "mta":
 			m := c.MTA(mta.DefaultConfig(w.Procs))
-			if rc.o.RegionTrace {
-				m.EnableTrace()
-			}
 			rank = listrank.RankMTA(l, m, w.N/w.NodesPerWalk, schedule(w.Sched))
 			st := m.Stats()
 			fmt.Fprintf(buf, "machine=MTA p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
 			fmt.Fprintf(buf, "simulated: %.6f s (%.0f cycles at %.0f MHz)\n", m.Seconds(), m.Cycles(), m.Config().ClockMHz)
 			fmt.Fprintf(buf, "utilization: %.1f%%  refs=%d instrs=%d regions=%d barriers=%d\n",
 				m.Utilization()*100, st.Refs, st.Instrs, st.Regions, st.Barriers)
-			if rc.o.RegionTrace {
-				m.WriteTrace(buf)
-			}
 		case "smp":
 			m := c.SMP(smp.DefaultConfig(w.Procs))
-			if rc.o.RegionTrace {
-				m.EnableTrace()
-			}
 			rank = listrank.RankSMP(l, m, w.Sublists*w.Procs, sp.Run.Seed^0xfeed)
 			fmt.Fprintf(buf, "machine=SMP p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
 			fmt.Fprintf(buf, "simulated: %.6f s (%.0f cycles at %.0f MHz)\n", m.Seconds(), m.Cycles(), m.Config().ClockMHz)
 			writeSMPRefs(buf, m)
-			if rc.o.RegionTrace {
-				m.WriteTrace(buf)
-			}
 		case "native":
 			rank = listrank.HelmanJaja(l, w.Procs)
 			fmt.Fprintf(buf, "machine=native(goroutines) p=%d n=%d layout=%s\n", w.Procs, w.N, lay)

@@ -18,9 +18,6 @@ import "pargraph/internal/trace"
 // the sink attached but restarts event numbering.
 func (m *Machine) SetSink(s trace.Sink) { m.sink = s }
 
-// Sink returns the attached trace sink, or nil.
-func (m *Machine) Sink() trace.Sink { return m.sink }
-
 // hierarchyAttr fills attr with the cycles spent at each memory level
 // over the stats delta from before, and returns their sum — the busy
 // processor cycles of the span, folded from the same counters as

@@ -322,9 +322,6 @@ type Machine struct {
 	next      uint64 // bump allocator for Alloc
 	allocs    int    // allocation count, drives the anti-conflict stagger
 
-	tracing bool
-	trace   []PhaseStat
-
 	// Attribution-event sink (internal/trace); nil means tracing is off
 	// and phases pay only a nil check. evSeq numbers emitted events.
 	sink  trace.Sink
@@ -413,12 +410,12 @@ func (m *Machine) Cycles() float64 { return m.stats.Cycles }
 func (m *Machine) Seconds() float64 { return m.stats.Cycles / (m.cfg.ClockMHz * 1e6) }
 
 // Reset returns the machine to its post-New state, keeping the
-// configuration: statistics, trace, cache contents, and the simulated
-// allocator (bump pointer and anti-conflict stagger counter) all reset,
-// so a pooled machine replays a kernel bit-identically to a fresh one.
+// configuration: statistics, trace event numbering, cache contents, and
+// the simulated allocator (bump pointer and anti-conflict stagger
+// counter) all reset, so a pooled machine replays a kernel
+// bit-identically to a fresh one.
 func (m *Machine) Reset() {
 	m.stats = Stats{}
-	m.trace = m.trace[:0]
 	m.evSeq = 0
 	m.next = 1 << 20
 	m.allocs = 0
@@ -533,7 +530,6 @@ func (m *Machine) phase(body func(p *Proc), ordered bool) {
 	m.stats.BusBytes += bytes
 	start := m.stats.Cycles
 	m.stats.Cycles += phase
-	m.record("phase", before)
 	if m.sink != nil {
 		m.emitPhase(start, phase, maxCycles, busStall, before, procBusy)
 	}
@@ -567,7 +563,6 @@ func (m *Machine) Sequential(body func(p *Proc)) {
 	p.drain(&m.stats)
 	start := m.stats.Cycles
 	m.stats.Cycles += cycles
-	m.record("sequential", before)
 	if m.sink != nil {
 		m.emitSequential(start, cycles, before)
 	}
@@ -576,12 +571,10 @@ func (m *Machine) Sequential(body func(p *Proc)) {
 // Barrier charges one software barrier: a base cost plus a per-processor
 // component, as a pthreads condition-variable barrier costs.
 func (m *Machine) Barrier() {
-	before := m.stats
 	m.stats.Barriers++
 	cy := m.cfg.BarrierCy + m.cfg.BarrierPP*float64(m.cfg.Procs)
 	start := m.stats.Cycles
 	m.stats.Cycles += cy
-	m.record("barrier", before)
 	if m.sink != nil {
 		m.emitBarrier(start, cy)
 	}

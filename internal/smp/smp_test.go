@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pargraph/internal/rng"
+	"pargraph/internal/trace"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -476,36 +477,33 @@ func TestFullyAssociativeSmallCache(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsPhases: an attached sink receives one event per
+// phase, barrier and sequential section, their cycles add up to the
+// machine's, and the phase's memory attribution is its cold misses.
 func TestTraceRecordsPhases(t *testing.T) {
 	m := New(DefaultConfig(2))
-	m.EnableTrace()
+	rec := &trace.Recorder{}
+	m.SetSink(rec)
 	base := m.Alloc(1 << 12)
 	m.Phase(func(p *Proc) { p.Load(base) })
 	m.Barrier()
 	m.Sequential(func(p *Proc) { p.Compute(10) })
-	tr := m.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace has %d entries, want 3", len(tr))
+	ev := rec.Events
+	if len(ev) != 3 {
+		t.Fatalf("trace has %d events, want 3", len(ev))
 	}
-	if tr[0].Kind != "phase" || tr[1].Kind != "barrier" || tr[2].Kind != "sequential" {
-		t.Fatalf("kinds wrong: %+v", tr)
+	if ev[0].Kind != "phase" || ev[1].Kind != "barrier" || ev[2].Kind != "sequential" {
+		t.Fatalf("kinds wrong: %s, %s, %s", ev[0].Kind, ev[1].Kind, ev[2].Kind)
 	}
 	var sum float64
-	for _, p := range tr {
-		sum += p.Cycles
+	for _, e := range ev {
+		sum += e.Cycles
 	}
 	if math.Abs(sum-m.Cycles()) > 1e-6 {
 		t.Fatalf("trace cycles %.0f != machine %.0f", sum, m.Cycles())
 	}
-	if tr[0].Misses != 2 { // one cold miss per processor
-		t.Fatalf("phase misses = %d, want 2", tr[0].Misses)
-	}
-}
-
-func TestTraceOffByDefaultSMP(t *testing.T) {
-	m := New(DefaultConfig(1))
-	m.Barrier()
-	if len(m.Trace()) != 0 {
-		t.Fatal("trace recorded without EnableTrace")
+	// One cold miss per processor.
+	if got, want := ev[0].Attr[trace.CatMem], 2*m.Config().MemCy; got != want {
+		t.Fatalf("phase mem attribution = %v, want %v (2 cold misses)", got, want)
 	}
 }

@@ -23,69 +23,11 @@ const maxSpecBytes = 1 << 20
 // them.
 const maxArrayLen = 4096
 
-// kind tags the value type a key wants.
-type kind byte
-
-const (
-	kindString kind = 's'
-	kindInt    kind = 'i'
-	kindUint   kind = 'u'
-	kindFloat  kind = 'f'
-	kindBool   kind = 'b'
-	kindArray  kind = 'a'
-)
-
-func (k kind) String() string {
-	switch k {
-	case kindString:
-		return "a quoted string"
-	case kindInt:
-		return "an integer"
-	case kindUint:
-		return "a non-negative integer"
-	case kindFloat:
-		return "a number"
-	case kindBool:
-		return "true or false"
-	default:
-		return "an integer array like [1, 2, 4]"
-	}
-}
-
-// sections is the complete key vocabulary: section → key → value kind.
-// Parsing rejects anything outside it with the line number, which is
-// the unknown-key guarantee the boundary tests pin.
-var sections = map[string]map[string]kind{
-	"run": {
-		"command": kindString, "scale": kindString, "seed": kindUint,
-		"workers": kindInt, "jobs": kindInt, "shard": kindString, "cache_dir": kindString,
-	},
-	"figures": {
-		"all": kindBool, "fig": kindInt, "table": kindInt, "summary": kindBool,
-		"exp": kindString, "format": kindString,
-		"procs": kindArray, "sizes": kindArray, "edge_factors": kindArray,
-	},
-	"profile": {
-		"kernel": kindString, "machine": kindString, "n": kindInt, "procs": kindInt,
-		"layout": kindString, "sample": kindFloat, "attr": kindString, "timeline": kindFloat,
-	},
-	"workload": {
-		"gen": kindString, "n": kindInt, "m": kindInt, "rows": kindInt, "cols": kindInt,
-		"depth": kindInt, "layout": kindString, "machine": kindString, "procs": kindInt,
-		"sched": kindString, "sublists": kindInt, "nodes_per_walk": kindInt,
-		"input": kindString, "verify": kindBool,
-	},
-	"output": {
-		"report": kindString, "trace": kindString, "attr": kindString, "manifest": kindString,
-	},
-}
-
 // entry is one parsed key = value assignment.
 type entry struct {
-	line    int
-	section string
-	key     string
-	raw     string // value text, comment-stripped and trimmed
+	line  int
+	field int    // index in fields
+	raw   string // value text, comment-stripped and trimmed
 }
 
 // Load reads and parses (but does not validate) a spec file.
@@ -114,7 +56,7 @@ func Parse(data []byte) (*Spec, error) {
 	}
 	command := CmdFigures
 	for _, e := range entries {
-		if e.section == "run" && e.key == "command" {
+		if f := &fields[e.field]; f.section == "run" && f.key == "command" {
 			v, err := stringValue(e)
 			if err != nil {
 				return nil, err
@@ -133,13 +75,13 @@ func Parse(data []byte) (*Spec, error) {
 }
 
 // scan tokenizes the text into assignments, enforcing the section and
-// key vocabulary and rejecting duplicates. It also returns the set of
-// "section.key" names assigned.
-func scan(data []byte) ([]entry, map[string]bool, error) {
+// key vocabulary (fields) and rejecting duplicates. It also returns the
+// set of keys assigned, one bit per fields index.
+func scan(data []byte) ([]entry, uint64, error) {
 	var (
 		entries []entry
 		section string
-		seen    = make(map[string]bool)
+		seen    uint64
 	)
 	rest := string(data)
 	for ln := 1; rest != ""; ln++ {
@@ -151,39 +93,39 @@ func scan(data []byte) ([]entry, map[string]bool, error) {
 		}
 		if strings.HasPrefix(text, "[") {
 			if !strings.HasSuffix(text, "]") {
-				return nil, nil, fmt.Errorf("spec: line %d: unterminated section header %q", ln, text)
+				return nil, 0, fmt.Errorf("spec: line %d: unterminated section header %q", ln, text)
 			}
 			name := strings.TrimSpace(text[1 : len(text)-1])
-			if _, ok := sections[name]; !ok {
-				return nil, nil, fmt.Errorf("spec: line %d: unknown section [%s]", ln, name)
+			if !knownSection(name) {
+				return nil, 0, fmt.Errorf("spec: line %d: unknown section [%s]", ln, name)
 			}
 			section = name
 			continue
 		}
 		key, raw, ok := strings.Cut(text, "=")
 		if !ok {
-			return nil, nil, fmt.Errorf("spec: line %d: expected key = value, got %q", ln, text)
+			return nil, 0, fmt.Errorf("spec: line %d: expected key = value, got %q", ln, text)
 		}
 		key = strings.TrimSpace(key)
 		raw = strings.TrimSpace(raw)
 		if !validKeyName(key) {
-			return nil, nil, fmt.Errorf("spec: line %d: invalid key name %q", ln, key)
+			return nil, 0, fmt.Errorf("spec: line %d: invalid key name %q", ln, key)
 		}
 		if section == "" {
-			return nil, nil, fmt.Errorf("spec: line %d: key %q outside any section", ln, key)
+			return nil, 0, fmt.Errorf("spec: line %d: key %q outside any section", ln, key)
 		}
-		if _, ok := sections[section][key]; !ok {
-			return nil, nil, fmt.Errorf("spec: line %d: [%s] has no key %q", ln, section, key)
+		i := lookup(section, key)
+		if i < 0 {
+			return nil, 0, fmt.Errorf("spec: line %d: [%s] has no key %q", ln, section, key)
 		}
-		if full := section + "." + key; seen[full] {
-			return nil, nil, fmt.Errorf("spec: line %d: duplicate key %q in [%s]", ln, key, section)
-		} else {
-			seen[full] = true
+		if seen&(1<<i) != 0 {
+			return nil, 0, fmt.Errorf("spec: line %d: duplicate key %q in [%s]", ln, key, section)
 		}
+		seen |= 1 << i
 		if raw == "" {
-			return nil, nil, fmt.Errorf("spec: line %d: key %q has no value", ln, key)
+			return nil, 0, fmt.Errorf("spec: line %d: key %q has no value", ln, key)
 		}
-		entries = append(entries, entry{line: ln, section: section, key: key, raw: raw})
+		entries = append(entries, entry{line: ln, field: i, raw: raw})
 	}
 	return entries, seen, nil
 }
@@ -220,19 +162,20 @@ func validKeyName(key string) bool {
 }
 
 // mismatch builds the value-type error every wrong-kind case reports.
-func mismatch(e entry, want kind) error {
-	return fmt.Errorf("spec: line %d: [%s] %s wants %s, got %s", e.line, e.section, e.key, want, e.raw)
+func mismatch(e entry, want string) error {
+	f := &fields[e.field]
+	return fmt.Errorf("spec: line %d: [%s] %s wants %s, got %s", e.line, f.section, f.key, want, e.raw)
 }
 
 func stringValue(e entry) (string, error) {
 	raw := e.raw
 	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
-		return "", mismatch(e, kindString)
+		return "", mismatch(e, "a quoted string")
 	}
 	v := raw[1 : len(raw)-1]
 	for i := 0; i < len(v); i++ {
 		if c := v[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return "", fmt.Errorf("spec: line %d: unsupported character %q in string value of %s", e.line, c, e.key)
+			return "", fmt.Errorf("spec: line %d: unsupported character %q in string value of %s", e.line, c, fields[e.field].key)
 		}
 	}
 	return v, nil
@@ -241,7 +184,7 @@ func stringValue(e entry) (string, error) {
 func intValue(e entry) (int, error) {
 	v, err := strconv.ParseInt(e.raw, 10, 64)
 	if err != nil {
-		return 0, mismatch(e, kindInt)
+		return 0, mismatch(e, "an integer")
 	}
 	return int(v), nil
 }
@@ -249,7 +192,7 @@ func intValue(e entry) (int, error) {
 func uintValue(e entry) (uint64, error) {
 	v, err := strconv.ParseUint(e.raw, 10, 64)
 	if err != nil {
-		return 0, mismatch(e, kindUint)
+		return 0, mismatch(e, "a non-negative integer")
 	}
 	return v, nil
 }
@@ -257,7 +200,7 @@ func uintValue(e entry) (uint64, error) {
 func floatValue(e entry) (float64, error) {
 	v, err := strconv.ParseFloat(e.raw, 64)
 	if err != nil || v != v || v > 1e308 || v < -1e308 {
-		return 0, mismatch(e, kindFloat)
+		return 0, mismatch(e, "a number")
 	}
 	return v, nil
 }
@@ -269,13 +212,13 @@ func boolValue(e entry) (bool, error) {
 	case "false":
 		return false, nil
 	}
-	return false, mismatch(e, kindBool)
+	return false, mismatch(e, "true or false")
 }
 
 func arrayValue(e entry) ([]int, error) {
 	raw := e.raw
 	if len(raw) < 2 || raw[0] != '[' || raw[len(raw)-1] != ']' {
-		return nil, mismatch(e, kindArray)
+		return nil, mismatch(e, "an integer array like [1, 2, 4]")
 	}
 	inner := strings.TrimSpace(raw[1 : len(raw)-1])
 	if inner == "" {
@@ -283,132 +226,36 @@ func arrayValue(e entry) ([]int, error) {
 	}
 	parts := strings.Split(inner, ",")
 	if len(parts) > maxArrayLen {
-		return nil, fmt.Errorf("spec: line %d: array for %s has %d elements; the cap is %d", e.line, e.key, len(parts), maxArrayLen)
+		return nil, fmt.Errorf("spec: line %d: array for %s has %d elements; the cap is %d", e.line, fields[e.field].key, len(parts), maxArrayLen)
 	}
 	vals := make([]int, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
-			return nil, mismatch(e, kindArray)
+			return nil, mismatch(e, "an integer array like [1, 2, 4]")
 		}
 		vals = append(vals, int(v))
 	}
 	return vals, nil
 }
 
-// assign decodes one entry into its Spec field.
+// assign decodes one entry into its Spec field; the field's type is
+// the value kind the entry must hold.
 func (s *Spec) assign(e entry) error {
-	var (
-		sv  string
-		iv  int
-		uv  uint64
-		fv  float64
-		bv  bool
-		av  []int
-		err error
-	)
-	switch sections[e.section][e.key] {
-	case kindString:
-		sv, err = stringValue(e)
-	case kindInt:
-		iv, err = intValue(e)
-	case kindUint:
-		uv, err = uintValue(e)
-	case kindFloat:
-		fv, err = floatValue(e)
-	case kindBool:
-		bv, err = boolValue(e)
-	case kindArray:
-		av, err = arrayValue(e)
+	var err error
+	switch p := fields[e.field].ptr(s).(type) {
+	case *string:
+		*p, err = stringValue(e)
+	case *int:
+		*p, err = intValue(e)
+	case *uint64:
+		*p, err = uintValue(e)
+	case *float64:
+		*p, err = floatValue(e)
+	case *bool:
+		*p, err = boolValue(e)
+	case *[]int:
+		*p, err = arrayValue(e)
 	}
-	if err != nil {
-		return err
-	}
-	switch e.section + "." + e.key {
-	case "run.command":
-		s.Run.Command = sv
-	case "run.scale":
-		s.Run.Scale = sv
-	case "run.seed":
-		s.Run.Seed = uv
-	case "run.workers":
-		s.Run.Workers = iv
-	case "run.jobs":
-		s.Run.Jobs = iv
-	case "run.shard":
-		s.Run.Shard = sv
-	case "run.cache_dir":
-		s.Run.CacheDir = sv
-	case "figures.all":
-		s.Figures.All = bv
-	case "figures.fig":
-		s.Figures.Fig = iv
-	case "figures.table":
-		s.Figures.Table = iv
-	case "figures.summary":
-		s.Figures.Summary = bv
-	case "figures.exp":
-		s.Figures.Exp = sv
-	case "figures.format":
-		s.Figures.Format = sv
-	case "figures.procs":
-		s.Figures.Procs = av
-	case "figures.sizes":
-		s.Figures.Sizes = av
-	case "figures.edge_factors":
-		s.Figures.EdgeFactors = av
-	case "profile.kernel":
-		s.Profile.Kernel = sv
-	case "profile.machine":
-		s.Profile.Machine = sv
-	case "profile.n":
-		s.Profile.N = iv
-	case "profile.procs":
-		s.Profile.Procs = iv
-	case "profile.layout":
-		s.Profile.Layout = sv
-	case "profile.sample":
-		s.Profile.Sample = fv
-	case "profile.attr":
-		s.Profile.Attr = sv
-	case "profile.timeline":
-		s.Profile.Timeline = fv
-	case "workload.gen":
-		s.Workload.Gen = sv
-	case "workload.n":
-		s.Workload.N = iv
-	case "workload.m":
-		s.Workload.M = iv
-	case "workload.rows":
-		s.Workload.Rows = iv
-	case "workload.cols":
-		s.Workload.Cols = iv
-	case "workload.depth":
-		s.Workload.Depth = iv
-	case "workload.layout":
-		s.Workload.Layout = sv
-	case "workload.machine":
-		s.Workload.Machine = sv
-	case "workload.procs":
-		s.Workload.Procs = iv
-	case "workload.sched":
-		s.Workload.Sched = sv
-	case "workload.sublists":
-		s.Workload.Sublists = iv
-	case "workload.nodes_per_walk":
-		s.Workload.NodesPerWalk = iv
-	case "workload.input":
-		s.Workload.Input = sv
-	case "workload.verify":
-		s.Workload.Verify = bv
-	case "output.report":
-		s.Output.Report = sv
-	case "output.trace":
-		s.Output.Trace = sv
-	case "output.attr":
-		s.Output.Attr = sv
-	case "output.manifest":
-		s.Output.Manifest = sv
-	}
-	return nil
+	return err
 }

@@ -118,20 +118,16 @@ type Spec struct {
 	Workload Workload
 	Output   Output
 
-	// set records which "section.key" names the spec text assigned, so
+	// set has bit i when the spec text assigned fields[i], so
 	// validation can reject keys that do not apply to the command
 	// without treating every command's defaults as conflicts.
-	set map[string]bool
+	set uint64
 }
 
-// WasSet reports whether the parsed text assigned "section.key".
-// Programmatically built specs (flag overlays) never mark keys.
-func (s *Spec) WasSet(key string) bool { return s.set[key] }
-
 // Default returns the spec every command starts from; parsed keys and
-// flag overrides layer on top. The defaults match the commands'
-// historical flag defaults, so an empty spec behaves like a bare
-// invocation of the command.
+// flag overrides layer on top. It also holds the command's flag
+// defaults (BindFlags), so an empty spec behaves like a bare invocation
+// of the command.
 func Default(command string) *Spec {
 	s := &Spec{
 		Run:     Run{Command: command, Scale: "small", Workers: 1, Jobs: 0, Seed: 1},
@@ -202,7 +198,7 @@ func axis(key string, vals []int) error {
 // nothing, which is what makes the canonical form a fixpoint.
 func (s *Spec) Validate() error {
 	r := &s.Run
-	if err := enum("run", "command", r.Command, CmdFigures, CmdProfile, CmdColoring, CmdListrank, CmdConcomp); err != nil {
+	if err := enum("run", "command", r.Command, commands...); err != nil {
 		return err
 	}
 	if err := enum("run", "scale", r.Scale, "small", "medium", "paper"); err != nil {
@@ -217,47 +213,24 @@ func (s *Spec) Validate() error {
 	if _, err := sweep.ParseShard(r.Shard); err != nil {
 		return fmt.Errorf("spec: [run] %w", err)
 	}
-	sharded := r.Command == CmdFigures || r.Command == CmdProfile
-	if r.Shard != "" && !sharded {
-		return fmt.Errorf("spec: [run] shard does not apply to command %q", r.Command)
-	}
 
-	// A section the command never reads is a conflict, not dead weight:
-	// the author believed it did something.
-	for _, sec := range []string{"figures", "profile", "workload"} {
-		applies := sec == sectionFor(r.Command)
-		if applies {
-			continue
-		}
-		for key := range s.set {
-			if strings.HasPrefix(key, sec+".") {
-				return fmt.Errorf("spec: section [%s] does not apply to command %q", sec, r.Command)
-			}
+	// A key the text assigns that the command never reads is a
+	// conflict, not dead weight: the author believed it did something.
+	on := bitOf(r.Command)
+	for i := range fields {
+		if s.set&(1<<i) != 0 && fields[i].cmds&on == 0 {
+			return fields[i].notRead(r.Command)
 		}
 	}
 
 	switch r.Command {
 	case CmdFigures:
-		if err := s.validateFigures(); err != nil {
-			return err
-		}
+		return s.validateFigures()
 	case CmdProfile:
-		if err := s.validateProfile(); err != nil {
-			return err
-		}
+		return s.validateProfile()
 	default:
-		if err := s.validateWorkload(); err != nil {
-			return err
-		}
+		return s.validateWorkload()
 	}
-
-	if s.Output.Report != "" && r.Command != CmdFigures {
-		return fmt.Errorf("spec: [output] report applies only to command %q", CmdFigures)
-	}
-	if s.Output.Attr != "" && r.Command != CmdFigures && r.Command != CmdColoring {
-		return fmt.Errorf("spec: [output] attr does not apply to command %q", r.Command)
-	}
-	return nil
 }
 
 func (s *Spec) validateFigures() error {
@@ -342,9 +315,6 @@ func (s *Spec) validateWorkload() error {
 		return err
 	}
 	if cmd == CmdListrank {
-		if s.WasSet("workload.gen") || s.WasSet("workload.input") {
-			return fmt.Errorf("spec: [workload] gen/input do not apply to command %q (it ranks a generated list)", cmd)
-		}
 		if err := positive("workload", "n", w.N); err != nil {
 			return err
 		}
@@ -359,31 +329,10 @@ func (s *Spec) validateWorkload() error {
 		}
 		return nil
 	}
-	if s.WasSet("workload.layout") {
-		return fmt.Errorf("spec: [workload] layout applies only to command %q", CmdListrank)
-	}
-	if s.WasSet("workload.sublists") || s.WasSet("workload.nodes_per_walk") {
-		return fmt.Errorf("spec: [workload] sublists/nodes_per_walk apply only to command %q", CmdListrank)
-	}
-	if cmd == CmdConcomp && s.WasSet("workload.sched") {
-		return fmt.Errorf("spec: [workload] sched does not apply to command %q (it always runs the dynamic schedule)", cmd)
-	}
 	if w.Input == "" {
 		if err := cmdutil.CheckGraphGen(w.Gen, w.N, w.M, w.Rows, w.Cols, w.Depth); err != nil {
 			return fmt.Errorf("spec: [workload] %w", err)
 		}
 	}
 	return nil
-}
-
-// sectionFor maps a command to the section it reads.
-func sectionFor(command string) string {
-	switch command {
-	case CmdFigures:
-		return "figures"
-	case CmdProfile:
-		return "profile"
-	default:
-		return "workload"
-	}
 }

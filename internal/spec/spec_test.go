@@ -66,6 +66,8 @@ func TestBoundaries(t *testing.T) {
 		{"shard-zero-count", "[run]\nshard = \"0/0\"\n[figures]\nall = true\nformat = \"json\"\n", `spec: [run] shard count must be >= 1, got 0`},
 		{"shard-index-high", "[run]\nshard = \"4/4\"\n[figures]\nall = true\nformat = \"json\"\n", `spec: [run] shard index must satisfy 0 <= i < 4, got 4`},
 		{"shard-on-coloring", "[run]\ncommand = \"coloring\"\nshard = \"0/2\"\n", `spec: [run] shard does not apply to command "coloring"`},
+		{"seed-on-figures", "[run]\nseed = 5\n[figures]\nall = true\n", `spec: [run] seed does not apply to command "figures"`},
+		{"scale-on-listrank", "[run]\ncommand = \"listrank\"\nscale = \"small\"\n", `spec: [run] scale applies only to command "figures"`},
 
 		// ---- cross-section conflicts ----
 		{"profile-section-for-figures", "[figures]\nall = true\n[profile]\nn = 64\n", `spec: section [profile] does not apply to command "figures"`},
@@ -98,10 +100,11 @@ func TestBoundaries(t *testing.T) {
 		{"bad-sched", "[run]\ncommand = \"coloring\"\n[workload]\nsched = \"static\"\n", `spec: [workload] sched must be one of dynamic, block; got "static"`},
 		{"zero-listrank-n", "[run]\ncommand = \"listrank\"\n[workload]\nn = 0\n", `spec: [workload] n must be positive, got 0`},
 		{"bad-listrank-layout", "[run]\ncommand = \"listrank\"\n[workload]\nlayout = \"sorted\"\n", `spec: [workload] layout must be one of ordered, random, clustered; got "sorted"`},
-		{"gen-on-listrank", "[run]\ncommand = \"listrank\"\n[workload]\ngen = \"gnm\"\n", `spec: [workload] gen/input do not apply to command "listrank" (it ranks a generated list)`},
+		{"gen-on-listrank", "[run]\ncommand = \"listrank\"\n[workload]\ngen = \"gnm\"\n", `spec: [workload] gen does not apply to command "listrank"`},
 		{"layout-on-coloring", "[run]\ncommand = \"coloring\"\n[workload]\nlayout = \"random\"\n", `spec: [workload] layout applies only to command "listrank"`},
-		{"sublists-on-concomp", "[run]\ncommand = \"concomp\"\n[workload]\nsublists = 4\n", `spec: [workload] sublists/nodes_per_walk apply only to command "listrank"`},
-		{"sched-on-concomp", "[run]\ncommand = \"concomp\"\n[workload]\nsched = \"block\"\n", `spec: [workload] sched does not apply to command "concomp" (it always runs the dynamic schedule)`},
+		{"sublists-on-concomp", "[run]\ncommand = \"concomp\"\n[workload]\nsublists = 4\n", `spec: [workload] sublists applies only to command "listrank"`},
+		{"sched-on-concomp", "[run]\ncommand = \"concomp\"\n[workload]\nsched = \"block\"\n", `spec: [workload] sched does not apply to command "concomp"`},
+		{"m-on-listrank", "[run]\ncommand = \"listrank\"\n[workload]\nm = 4096\n", `spec: [workload] m does not apply to command "listrank"`},
 		{"gnm-too-many-edges", "[run]\ncommand = \"concomp\"\n[workload]\ngen = \"gnm\"\nn = 4\nm = 100\n", `spec: [workload] gnm with -n 4 holds at most 6 edges, got -m 100`},
 		{"unknown-gen", "[run]\ncommand = \"concomp\"\n[workload]\ngen = \"hypercube\"\n", `spec: [workload] unknown generator "hypercube" (want gnm, rmat, mesh2d, mesh3d, or torus)`},
 		{"mesh-zero-rows", "[run]\ncommand = \"concomp\"\n[workload]\ngen = \"mesh2d\"\nrows = 0\n", `spec: [workload] mesh2d needs positive -rows and -cols, got 0x512`},
@@ -110,6 +113,7 @@ func TestBoundaries(t *testing.T) {
 		// ---- [output] ----
 		{"report-on-profile", "[run]\ncommand = \"profile\"\n[output]\nreport = \"r.json\"\n", `spec: [output] report applies only to command "figures"`},
 		{"attr-on-listrank", "[run]\ncommand = \"listrank\"\n[output]\nattr = \"a.csv\"\n", `spec: [output] attr does not apply to command "listrank"`},
+		{"empty-report-on-profile", "[run]\ncommand = \"profile\"\n[output]\nreport = \"\"\n", `spec: [output] report applies only to command "figures"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
