@@ -6,7 +6,7 @@ GO ?= go
 COMMIT := $(shell sh scripts/version.sh)
 LDFLAGS = -X pargraph/internal/cmdutil.Commit=$(COMMIT)
 
-.PHONY: build test race vet fmt-check bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins cache-clean verify
+.PHONY: build test race vet fmt-check bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins check-medium cache-clean verify
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -91,6 +91,12 @@ check-pins:
 	*'"correct":true'*'"failed":0,'*) ;; \
 	*) echo "check-pins: FAIL — an artifact differs from perfbench/pins.json, or a job failed"; exit 1 ;; \
 	esac
+
+# Fail unless `figures -all -scale medium -jobs 0` reproduces the
+# checked-in figures_medium.txt byte for byte: every E1-E8 and A1-A8
+# number at the scale EXPERIMENTS.md quotes.
+check-medium:
+	sh scripts/check_medium.sh
 
 # Empty the persistent input/result cache the experiment commands use
 # when -cache-dir or $PARGRAPH_CACHE points at one. Entries are

@@ -133,8 +133,9 @@ type specRef struct {
 // the host reference (bit-identical colors) and the proper-coloring
 // invariant when params.Verify is set. Per input graph there is one
 // dynamics cell plus one timing cell per processor count, in sequential
-// order; the graph, its CSR, and the speculative reference are each
-// built once per input and shared across the cells.
+// order; the graph, its CSR, the speculative reference and the MTA run
+// (see Cell.RunMTA) are each built once per input and shared across the
+// cells.
 func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 	inputs := coloringInputs(params)
 	nP := len(params.Procs)
@@ -188,15 +189,21 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 					g, ref := resolve()
 					row := ColoringRow{Input: name, Procs: procs}
 
-					mm := c.MTA(mta.DefaultConfig(procs))
-					gotM, stM := coloring.ColorMTA(g, mm, sim.SchedDynamic)
-					if params.Verify {
-						if err := sameColors(ref.Color, gotM); err != nil {
-							return row, fmt.Errorf("coloring %s MTA p=%d: %w", name, procs, err)
-						}
-						if stM.Rounds != ref.Stats.Rounds {
-							return row, fmt.Errorf("coloring %s MTA p=%d: %d rounds, reference took %d", name, procs, stM.Rounds, ref.Stats.Rounds)
-						}
+					mm, err := c.RunMTA(fmt.Sprintf("ColorMTA/%s/dynamic", in.key), nP,
+						mta.DefaultConfig(procs), func(m *mta.Machine) error {
+							gotM, stM := coloring.ColorMTA(g, m, sim.SchedDynamic)
+							if params.Verify {
+								if err := sameColors(ref.Color, gotM); err != nil {
+									return fmt.Errorf("coloring %s MTA: %w", name, err)
+								}
+								if stM.Rounds != ref.Stats.Rounds {
+									return fmt.Errorf("coloring %s MTA: %d rounds, reference took %d", name, stM.Rounds, ref.Stats.Rounds)
+								}
+							}
+							return nil
+						})
+					if err != nil {
+						return row, err
 					}
 					row.MTASeconds = mm.Seconds()
 

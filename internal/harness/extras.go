@@ -192,7 +192,7 @@ type StreamsRow struct {
 
 // RunStreams sweeps the number of streams used per processor for
 // list ranking on a Random list, one cell per stream count; the list
-// is built once and shared.
+// and its MTA run (see Cell.RunMTA) are built once and shared.
 func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) *StreamsResult {
 	rows := make([]StreamsRow, len(streams))
 	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
@@ -202,8 +202,15 @@ func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) *StreamsResul
 				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				cfg := mta.DefaultConfig(procs)
 				cfg.UseStreams = streams[idx]
-				m := c.MTA(cfg)
-				listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
+				nwalk := n / listrank.DefaultNodesPerWalk
+				m, err := c.RunMTA(fmt.Sprintf("RankMTA/%s/nwalk=%d/dynamic", lKey, nwalk), len(streams),
+					cfg, func(m *mta.Machine) error {
+						listrank.RankMTA(l, m, nwalk, sim.SchedDynamic)
+						return nil
+					})
+				if err != nil {
+					return StreamsRow{}, err
+				}
 				return StreamsRow{Streams: streams[idx], Seconds: m.Seconds(), Utilization: m.Utilization()}, nil
 			})
 		if err != nil {

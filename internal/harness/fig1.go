@@ -56,7 +56,8 @@ type Fig1Result struct {
 // RunFig1 executes the sweep. Cells — one per (layout, procs, size),
 // laid out in the sequential loop order — run under the harness Jobs
 // setting; each list is generated once per (size, layout) and shared
-// read-only by every processor count that ranks it.
+// read-only by every processor count that ranks it, and so is its MTA
+// run (see Cell.RunMTA): ranked and verified once, timed per count.
 func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 	nP, nS := len(params.Procs), len(params.Sizes)
 	outs := make([]pointPair, len(params.Layouts)*nP*nS)
@@ -71,16 +72,23 @@ func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 				procs, params.NodesPerWalk, params.Sublists, params.Seed, params.Verify),
 			[]string{lKey}, appendPointPair, consumePointPair, func() (pointPair, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, layout, params.Seed+uint64(n)) })
-				mm := c.MTA(mta.DefaultConfig(procs))
-				rank := listrank.RankMTA(l, mm, n/params.NodesPerWalk, sim.SchedDynamic)
-				if params.Verify {
-					if err := l.VerifyRanks(rank); err != nil {
-						return pointPair{}, fmt.Errorf("fig1 MTA n=%d p=%d: %w", n, procs, err)
-					}
+				nwalk := n / params.NodesPerWalk
+				mm, err := c.RunMTA(fmt.Sprintf("RankMTA/%s/nwalk=%d/dynamic", lKey, nwalk), nP,
+					mta.DefaultConfig(procs), func(m *mta.Machine) error {
+						rank := listrank.RankMTA(l, m, nwalk, sim.SchedDynamic)
+						if params.Verify {
+							if err := l.VerifyRanks(rank); err != nil {
+								return fmt.Errorf("fig1 MTA n=%d: %w", n, err)
+							}
+						}
+						return nil
+					})
+				if err != nil {
+					return pointPair{}, err
 				}
 
 				sm := c.SMP(smp.DefaultConfig(procs))
-				rank = listrank.RankSMP(l, sm, params.Sublists*procs, params.Seed^uint64(n))
+				rank := listrank.RankSMP(l, sm, params.Sublists*procs, params.Seed^uint64(n))
 				if params.Verify {
 					if err := l.VerifyRanks(rank); err != nil {
 						return pointPair{}, fmt.Errorf("fig1 SMP n=%d p=%d: %w", n, procs, err)

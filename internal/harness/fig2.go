@@ -52,8 +52,9 @@ type Fig2Result struct {
 
 // RunFig2 executes the sweep. Cells — one per (procs, edge factor), in
 // sequential loop order — run under the harness Jobs setting; each
-// random graph, its CSR, and its union-find verification reference are
-// built once per edge factor and shared by every processor count.
+// random graph, its CSR, its union-find verification reference and its
+// MTA run (see Cell.RunMTA) are built once per edge factor and shared by
+// every processor count.
 func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 	nF := len(params.EdgeFactors)
 	outs := make([]pointPair, len(params.Procs)*nF)
@@ -78,14 +79,20 @@ func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 				if params.Verify {
 					want = cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
 				}
-				mm := c.MTA(mta.DefaultConfig(procs))
-				got := concomp.LabelMTA(g, mm, sim.SchedDynamic)
-				if params.Verify && !graph.SameComponents(want, got) {
-					return pointPair{}, fmt.Errorf("fig2 MTA m=%d p=%d: wrong components", m, procs)
+				mm, err := c.RunMTA(fmt.Sprintf("LabelMTA/%s/dynamic", gKey), len(params.Procs),
+					mta.DefaultConfig(procs), func(mt *mta.Machine) error {
+						got := concomp.LabelMTA(g, mt, sim.SchedDynamic)
+						if params.Verify && !graph.SameComponents(want, got) {
+							return fmt.Errorf("fig2 MTA m=%d: wrong components", m)
+						}
+						return nil
+					})
+				if err != nil {
+					return pointPair{}, err
 				}
 
 				sm := c.SMP(smp.DefaultConfig(procs))
-				got = concomp.LabelSMP(g, sm)
+				got := concomp.LabelSMP(g, sm)
 				if params.Verify && !graph.SameComponents(want, got) {
 					return pointPair{}, fmt.Errorf("fig2 SMP m=%d p=%d: wrong components", m, procs)
 				}

@@ -35,6 +35,10 @@ import (
 //     digests always name the same inputs a cold run hashes. Resolve
 //     outside the closure only where the run needs the value outside
 //     the memoized body, and list that key too.
+//   - A cell resolves its listed inputs before a shared MTA run
+//     (Cell.RunMTA), never only inside the kernel it passes: a cell
+//     that plays another cell's tape runs no kernel code, so an input
+//     resolved there would be missing from its resolved set.
 //   - A replayed digest goes through the same InputHook as a freshly
 //     hashed one, so the manifest log's conflict check catches a
 //     stored digest that disagrees with the input it names.

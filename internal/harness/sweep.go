@@ -22,6 +22,7 @@ type Cell struct {
 	rec      *trace.Recorder // per-cell event stream; nil when not tracing
 	sample   float64         // MTA within-region sampling for traced cells
 	resolved []string        // input keys this cell resolved, in call order
+	tapes    *tapeShelf      // the sweep's shared MTA runs (see RunMTA)
 
 	mtas []*mta.Machine
 	smps []*smp.Machine
@@ -148,6 +149,7 @@ func (e *Env) ablSweep(n int, cell func(i int, c *Cell) error) error {
 // instead of once each.
 func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) ([]*trace.Recorder, error) {
 	inputs := e.NewInputCache()
+	tapes := &tapeShelf{}
 	record := opts.record || e.TraceSink != nil
 	var recs []*trace.Recorder
 	if record {
@@ -165,7 +167,7 @@ func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) (
 			start := time.Now()
 			defer func() { e.CellObserver(time.Since(start).Seconds()) }()
 		}
-		c := &Cell{env: e, inputs: inputs, sample: opts.sample}
+		c := &Cell{env: e, inputs: inputs, sample: opts.sample, tapes: tapes}
 		if record {
 			c.rec = &trace.Recorder{}
 			recs[i] = c.rec

@@ -14,8 +14,9 @@ import (
 )
 
 // jobsSweep is the Jobs values every determinism test compares: the
-// sequential baseline, a partial overlap, and full oversubscription.
-var jobsSweep = []int{1, 2, 8}
+// sequential baseline, partial overlaps (where a cell may wait for
+// another to record their shared MTA run), and full oversubscription.
+var jobsSweep = []int{1, 2, 4, 8}
 
 // jobsEnv is the Env the determinism tests compare across Jobs values,
 // forwarding every traced cell's events to sink (nil = untraced).

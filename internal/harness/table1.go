@@ -66,7 +66,8 @@ type Table1Row struct {
 // RunTable1 executes the utilization measurements. Cells — Random-list
 // ranking, Ordered-list ranking, then connected components, each over
 // every processor count — run under the harness Jobs setting; each list
-// and the graph are built once and shared by every processor count.
+// and the graph are built once and shared by every processor count, and
+// so is each row's MTA run (see Cell.RunMTA).
 func (e *Env) RunTable1(params Table1Params) *Table1Result {
 	nP := len(params.Procs)
 	layouts := []list.Layout{list.Random, list.Ordered}
@@ -74,28 +75,39 @@ func (e *Env) RunTable1(params Table1Params) *Table1Result {
 	_, err := e.runSweep(len(utils), e.stdOpts(), func(idx int, c *Cell) error {
 		procs := params.Procs[idx%nP]
 		row := idx / nP
-		var inKey string
-		var kernel func(m *mta.Machine)
+		// resolve resolves the row's input and returns its MTA kernel. It
+		// runs before the shared run, so a cell that plays the tape still
+		// resolves the input it lists.
+		var inKey, run string
+		var resolve func() func(m *mta.Machine) error
 		if row < 2 {
 			layout := layouts[row]
 			inKey = sweep.ListKey(params.ListN, layout.String(), params.Seed)
-			kernel = func(m *mta.Machine) {
+			nwalk := params.ListN / params.NodesPerWalk
+			run = fmt.Sprintf("RankMTA/%s/nwalk=%d/dynamic", inKey, nwalk)
+			resolve = func() func(m *mta.Machine) error {
 				l := cached(c, inKey, func() *list.List { return list.New(params.ListN, layout, params.Seed) })
-				listrank.RankMTA(l, m, params.ListN/params.NodesPerWalk, sim.SchedDynamic)
+				return func(m *mta.Machine) error {
+					listrank.RankMTA(l, m, nwalk, sim.SchedDynamic)
+					return nil
+				}
 			}
 		} else {
 			inKey = sweep.GnmKey(params.GraphN, params.GraphM, params.Seed+1)
-			kernel = func(m *mta.Machine) {
+			run = fmt.Sprintf("LabelMTA/%s/dynamic", inKey)
+			resolve = func() func(m *mta.Machine) error {
 				g := cached(c, inKey, func() *graph.Graph { return graph.RandomGnm(params.GraphN, params.GraphM, params.Seed+1) })
-				concomp.LabelMTA(g, m, sim.SchedDynamic)
+				return func(m *mta.Machine) error {
+					concomp.LabelMTA(g, m, sim.SchedDynamic)
+					return nil
+				}
 			}
 		}
 		u, err := Memo(c,
 			fmt.Sprintf("table1/row=%d/p=%d/npw=%d", row, procs, params.NodesPerWalk),
 			[]string{inKey}, appendF64, consumeF64, func() (float64, error) {
-				m := c.MTA(mta.DefaultConfig(procs))
-				kernel(m)
-				return m.Utilization(), nil
+				m, err := c.RunMTA(run, nP, mta.DefaultConfig(procs), resolve())
+				return m.Utilization(), err
 			})
 		if err != nil {
 			return err

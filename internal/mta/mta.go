@@ -29,6 +29,18 @@
 // true for data-parallel loops (disjoint writes, shared reads); loops
 // whose iterations communicate through shared memory must use
 // ParallelForOrdered, which always replays serially.
+//
+// # Charges, timing and tapes
+//
+// A region's charges — per-iteration items or their sums, reference and
+// sync counts, loop-counter grabs, the hottest FEB word, a bank-bucket
+// histogram — do not depend on the processor or stream count; only
+// their timing does. Every live region charges one charges value and
+// hands it to the one timing function (timing.go). RecordTape keeps
+// those charges as a Tape while a kernel runs, and Play times a tape on
+// any machine of the same ChargeClass exactly as a live run of the
+// kernel would time there, which lets a sweep run each kernel once per
+// input rather than once per processor or stream count.
 package mta
 
 import (
@@ -122,7 +134,9 @@ type Machine struct {
 	cfg   Config
 	stats Stats
 
-	// banks maps addresses to memory banks; every Thread carries a copy.
+	// banks maps addresses to bank buckets (see bankBuckets); every
+	// Thread carries a copy. The timing step folds the buckets onto the
+	// machine's Banks.
 	banks bankMap
 
 	hostWorkers int
@@ -146,6 +160,10 @@ type Machine struct {
 	wtallies []*tally
 	maxExact int
 	items    []sim.Item
+	// bankCnt holds the region's bucket counts aligned with its touched
+	// list; fold is the timing step's per-bank scratch (bankPeak).
+	bankCnt []int64
+	fold    []int64
 
 	// Pooled per-chunk partial sums for the aggregate (n > maxExact)
 	// path. Summing chunk partials in chunk-index order makes the
@@ -160,6 +178,11 @@ type Machine struct {
 
 	recordMax int
 	recorded  []RecordedRegion
+
+	// tape is non-nil while RecordTape records the running kernel; dict
+	// is its reusable item dictionary.
+	tape *Tape
+	dict itemDict
 }
 
 // Sharding granularity for host-parallel replay. Chunk boundaries are
@@ -195,14 +218,15 @@ func New(cfg Config) *Machine {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	buckets := bankBuckets(cfg.Banks)
 	m := &Machine{
 		cfg:         cfg,
 		hostWorkers: 1,
-		region:      newTally(cfg.Banks),
+		region:      newTally(buckets),
 		maxExact:    1 << 17,
 	}
-	m.banks = bankMap{hashed: cfg.HashMemory, n: uint64(cfg.Banks)}
-	if b := uint64(cfg.Banks); b&(b-1) == 0 {
+	m.banks = bankMap{hashed: cfg.HashMemory, n: uint64(buckets)}
+	if b := uint64(buckets); b&(b-1) == 0 {
 		m.banks.mask = b - 1
 	}
 	return m
@@ -296,20 +320,21 @@ func hash(addr uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// bankMap maps a logical word address to its memory bank.
+// bankMap maps a logical word address to its bank bucket.
 type bankMap struct {
 	hashed bool   // Config.HashMemory
 	mask   uint64 // n-1 when n is a power of two, else 0
-	n      uint64 // Config.Banks
+	n      uint64 // bankBuckets(Config.Banks)
 }
 
 func (b *bankMap) of(addr uint64) int {
 	if b.hashed {
 		addr = hash(addr)
 	}
-	// The default Banks = 128·procs is a power of two whenever procs is,
-	// so the charge path's hottest instruction is usually a mask, not a
-	// 64-bit modulo. The two are value-identical for power-of-two Banks.
+	// Every default Banks = 128·procs up to procs = 8 tallies into 1024
+	// buckets, so the charge path's hottest instruction is usually a
+	// mask, not a 64-bit modulo. The two are value-identical for a
+	// power-of-two bucket count.
 	if b.mask != 0 {
 		return int(addr & b.mask)
 	}
@@ -470,14 +495,6 @@ func (m *Machine) beginRegion() {
 	m.region.reset()
 }
 
-// commitRegion folds the merged region tally into the machine totals.
-func (m *Machine) commitRegion() {
-	m.stats.Refs += m.region.refs
-	m.stats.Instrs += m.region.instrs
-	m.stats.FetchAdds += m.region.fetchAdds
-	m.stats.SyncOps += m.region.syncOps
-}
-
 // grabCounter charges one int_fetch_add on the shared loop counter. The
 // counter word is served by the MTA's one-cycle atomic at the memory
 // module, so grabs serialize at one per cycle but do not occupy a data
@@ -488,23 +505,6 @@ func (t *Thread) grabCounter() {
 	t.serialRefs++
 	t.tl.refs++
 	t.recordOp(OpMemDep, 1)
-}
-
-// regionFloors returns the lower bounds on the region's wall time
-// imposed by memory banks and FEB hotspots: a bank accepts one request
-// per BankCycle cycles, competing FEB operations on one word serialize,
-// and the shared dynamic-schedule counter serves one grab per cycle.
-// The trace layer uses the breakdown to name the binding floor.
-func (m *Machine) regionFloors() floors {
-	var fl floors
-	fl.bank = float64(m.region.bankPeak()) * m.cfg.BankCycle
-	hottest := m.region.hot.max()
-	if hottest > 1 {
-		fl.hotspot = float64(hottest) * m.cfg.HotspotCycle
-		fl.retries = hottest - 1
-	}
-	fl.ctr = float64(m.region.ctrGrabs)
-	return fl
 }
 
 // replaySpan runs iterations [lo, hi) on thread t in ascending order,
@@ -552,7 +552,7 @@ func (m *Machine) replaySpan(t *Thread, lo, hi int, sched sim.Sched, body func(i
 // workerTallies returns w pooled tallies, growing the pool on demand.
 func (m *Machine) workerTallies(w int) []*tally {
 	for len(m.wtallies) < w {
-		m.wtallies = append(m.wtallies, newTally(m.cfg.Banks))
+		m.wtallies = append(m.wtallies, newTally(int(m.banks.n)))
 	}
 	return m.wtallies[:w]
 }
@@ -588,10 +588,9 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 		panic("mta: negative iteration count")
 	}
 	m.beginRegion()
-	m.stats.Regions++
-	var res sim.RegionResult
+	ch := charges{kind: regionParallel, n: n, sched: sched}
 	if n == 0 {
-		return res
+		return m.charge(&ch)
 	}
 	exact := n <= m.maxExact
 	if exact {
@@ -687,37 +686,13 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 		}
 	}
 
-	var samples []float64
+	m.tallyCharges(&ch)
 	if exact {
-		if m.sink != nil && m.sampleCy > 0 {
-			tl := &sim.IssueTimeline{Interval: m.sampleCy}
-			res = sim.RunRegionTimeline(m.cfg.Procs, m.cfg.UseStreams, m.items, sched, tl)
-			samples = tl.Used
-		} else {
-			res = sim.RunRegion(m.cfg.Procs, m.cfg.UseStreams, m.items, sched)
-		}
+		ch.items = m.items
 	} else {
-		avg := sim.Item{Issue: totIssue / float64(n), Crit: totCrit / float64(n)}
-		res = sim.RunUniformRegion(m.cfg.Procs, m.cfg.UseStreams, n, avg, sched)
-		if maxCrit > res.Cycles {
-			res.Cycles = maxCrit
-		}
-		res.Issued = totIssue
+		ch.issue, ch.crit, ch.maxCrit = totIssue, totCrit, maxCrit
 	}
-	fl := m.regionFloors()
-	fluid := res.Cycles
-	if floor := fl.max(); floor > res.Cycles {
-		m.stats.BankStalls += floor - res.Cycles
-		res.Cycles = floor
-	}
-	m.commitRegion()
-	m.stats.Retries += fl.retries
-	start := m.stats.Cycles
-	m.stats.Cycles += res.Cycles
-	m.stats.Issued += res.Issued
-	if m.sink != nil {
-		m.emitRegion("parallel", n, start, fluid, res, fl, trace.CatMemStall, samples)
-	}
+	res := m.charge(&ch)
 	if recording {
 		m.recorded = append(m.recorded, RecordedRegion{Items: itemTraces, Cycles: res.Cycles, Issued: res.Issued})
 	}
@@ -729,33 +704,15 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 // parallelize. The machine advances by the thread's critical path.
 func (m *Machine) Serial(body func(t *Thread)) {
 	m.beginRegion()
-	m.stats.SerialSpans++
 	t := m.newThread(m.region)
 	body(&t)
 	it := t.item(&m.cfg)
-	fl := m.regionFloors()
-	fluid := it.Crit
-	cycles := fluid
-	if floor := fl.max(); floor > cycles {
-		cycles = floor
-	}
-	m.commitRegion()
-	m.stats.Retries += fl.retries
-	start := m.stats.Cycles
-	m.stats.Cycles += cycles
-	m.stats.Issued += it.Issue
-	if m.sink != nil {
-		res := sim.RegionResult{Cycles: cycles, Issued: it.Issue, Items: 1}
-		m.emitRegion("serial", 0, start, fluid, res, fl, trace.CatSerial, nil)
-	}
+	ch := charges{kind: regionSerial, issue: it.Issue, crit: it.Crit}
+	m.tallyCharges(&ch)
+	m.charge(&ch)
 }
 
 // Barrier charges a full-machine barrier.
 func (m *Machine) Barrier() {
-	m.stats.Barriers++
-	start := m.stats.Cycles
-	m.stats.Cycles += m.cfg.BarrierCycles
-	if m.sink != nil {
-		m.emitBarrier(start)
-	}
+	m.charge(&charges{kind: regionBarrier})
 }

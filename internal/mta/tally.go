@@ -6,13 +6,14 @@ package mta
 // elementwise vector adds) is order-independent, which is what keeps the
 // simulated results identical for any worker count.
 //
-// Bank reference counts are kept sparse: bankRefs is a dense vector for
-// O(1) increments, and touched lists the banks with a nonzero count so
-// reset, merge, and the peak scan cost O(banks touched) instead of
-// O(Banks) = O(128·procs). A region that touches a handful of banks (a
-// serial section, a small loop) no longer pays for the whole machine's
-// bank vector; counts only ever increment, so bankRefs[b] == 0 is a
-// reliable "not yet touched" test.
+// Bank reference counts are kept per bucket (see bankBuckets) and
+// sparse: bankRefs is a dense vector for O(1) increments, and touched
+// lists the buckets with a nonzero count so reset, merge, and the copy
+// into the region's charges cost O(buckets touched) instead of
+// O(buckets). A region that touches a handful of buckets (a serial
+// section, a small loop) does not pay for the whole vector; counts only
+// ever increment, so bankRefs[b] == 0 is a reliable "not yet touched"
+// test.
 type tally struct {
 	refs      int64
 	instrs    int64
@@ -28,7 +29,7 @@ func newTally(banks int) *tally {
 	return &tally{bankRefs: make([]int64, banks)}
 }
 
-// addBank charges one reference to bank b.
+// addBank charges one reference to bucket b.
 func (a *tally) addBank(b int) {
 	if a.bankRefs[b] == 0 {
 		a.touched = append(a.touched, int32(b))
@@ -62,17 +63,6 @@ func (a *tally) merge(b *tally) {
 		a.bankRefs[bank] += b.bankRefs[bank]
 	}
 	a.hot.mergeFrom(&b.hot)
-}
-
-// bankPeak returns the highest per-bank reference count.
-func (a *tally) bankPeak() int64 {
-	var peak int64
-	for _, b := range a.touched {
-		if c := a.bankRefs[b]; c > peak {
-			peak = c
-		}
-	}
-	return peak
 }
 
 // hotSmallMax is how many distinct FEB words a region may touch before

@@ -11,12 +11,16 @@
 #     worker cap measured +26% and up) trips it.
 #   - 2 or 3 cores: workers=1 and workers=2; fails unless workers=2 is
 #     at least 1.15x faster than workers=1 on the MTA and 1.40x on the
-#     SMP. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) with the
-#     Floyd-pop region heap and the folded SMP counters, five runs of
-#     this script (each the minimum of 3) gave MTA 1.28-1.67x (median
-#     1.38x) and SMP 1.63-2.13x (median 1.79x). The MTA gains less
-#     because its region scheduler (sim.RunRegion) replays serially after
-#     the sharded charge replay.
+#     SMP. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) with the bank
+#     references tallied into 1024 buckets (the p = 8 machines this
+#     benchmark runs tally the same size as before), five runs of this
+#     script (each the minimum of 3) gave MTA 1.26-1.67x (median 1.43x)
+#     and SMP 1.36-2.26x (median 2.13x); the 1.36x SMP run failed the
+#     guard. Five runs of the parent in the same session gave MTA
+#     1.22-1.54x (median 1.41x) and SMP 1.25-2.29x (median 1.98x), with
+#     one SMP failure at 1.25x: the SMP legs are noisy on this host. The
+#     MTA gains less because its region scheduler (sim.RunRegion) replays
+#     serially after the sharded charge replay.
 #
 # A single-core host cannot express any parallelism, so it skips.
 #

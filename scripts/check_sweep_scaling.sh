@@ -5,10 +5,14 @@
 #   - 4 or more cores: the E1 (fig1) harness sweep at jobs=4 must run at
 #     least 1.8x faster than at jobs=1.
 #   - 2 or 3 cores: fig1 at jobs=2 must run at least 1.3x faster than at
-#     jobs=1. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) with the
-#     Floyd-pop region heap and the folded SMP counters, five runs of
-#     this script (each the minimum of 3) gave 1.63-2.36x (median 1.99x);
-#     fig1 at jobs=1 took 1.45 s.
+#     jobs=1. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) with each
+#     MTA run shared across processor counts (one recording, the other
+#     cells play its tape), ten runs of this script (each the minimum of
+#     3) gave 1.39-2.22x (median 1.96x); fig1 at jobs=1 took 1.07-1.41 s.
+#     Five runs of the parent in the same session gave 2.01-2.22x
+#     (median 2.12x) at 1.55-1.77 s: a cell that needs a run still being
+#     recorded waits for it, so the jobs=2 ratio is a little lower while
+#     both legs are faster.
 #
 # The scheduler caps jobs at GOMAXPROCS, so on a single core the curve
 # is structurally flat and the guard skips.
