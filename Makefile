@@ -6,7 +6,7 @@ GO ?= go
 COMMIT := $(shell sh scripts/version.sh)
 LDFLAGS = -X pargraph/internal/cmdutil.Commit=$(COMMIT)
 
-.PHONY: build test race vet fmt-check bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins check-medium cache-clean verify
+.PHONY: build test race vet fmt-check bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve check-pins check-medium check-nofma cache-clean verify
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -97,6 +97,12 @@ check-pins:
 # number at the scale EXPERIMENTS.md quotes.
 check-medium:
 	sh scripts/check_medium.sh
+
+# Fail if the compiler fuses any multiply-add in the module on arm64,
+# ppc64le, s390x or riscv64 (amd64 never does): a fused x*y + z rounds
+# once, so simulated bits would depend on the host's architecture.
+check-nofma:
+	sh scripts/check_nofma.sh
 
 # Empty the persistent input/result cache the experiment commands use
 # when -cache-dir or $PARGRAPH_CACHE points at one. Entries are

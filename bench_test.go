@@ -23,13 +23,11 @@ import (
 	"pargraph/internal/harness"
 	"pargraph/internal/list"
 	"pargraph/internal/listrank"
-	"pargraph/internal/msf"
 	"pargraph/internal/mta"
 	"pargraph/internal/rng"
 	"pargraph/internal/runner"
 	"pargraph/internal/sim"
 	"pargraph/internal/smp"
-	"pargraph/internal/spantree"
 	"pargraph/internal/spec"
 	"pargraph/internal/treecon"
 )
@@ -178,14 +176,6 @@ func BenchmarkNativeHelmanJaja(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		listrank.HelmanJaja(l, benchProcs)
-	}
-}
-
-func BenchmarkNativeWyllie(b *testing.B) {
-	l := list.New(benchListN, list.Random, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		listrank.Wyllie(l, benchProcs)
 	}
 }
 
@@ -463,22 +453,6 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 func BenchmarkAblationReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchEnv().RunAblReduction(1<<15, benchProcs)
-	}
-}
-
-func BenchmarkNativeBoruvka(b *testing.B) {
-	g := msf.RandomWGraph(1<<14, 1<<16, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msf.Boruvka(g, benchProcs)
-	}
-}
-
-func BenchmarkNativeSpanningTree(b *testing.B) {
-	g := graph.RandomGnm(1<<14, 1<<16, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spantree.Parallel(g, benchProcs)
 	}
 }
 

@@ -1,7 +1,16 @@
 package pargraph
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -11,6 +20,23 @@ import (
 var unreachableAllowed = map[string]string{
 	"pargraph/internal/cmdtest": "a helper only the commands' tests import",
 	"pargraph/internal/model":   "the paper's §2 cost model, checked against the simulators' counters by its own tests",
+}
+
+// funcAllowed are the internal functions no command, example or
+// perfbench binary links, each kept for a reason of its own. Keys are
+// linker names: pkg.F, pkg.(*T).M or pkg.T.M.
+var funcAllowed = map[string]string{
+	"pargraph/internal/mta.CycleSim":                 "the cycle-exact barrel simulator the fluid region model is validated against (S18)",
+	"pargraph/internal/mta.CycleResult.Utilization":  "the cycle-exact oracle's utilisation, compared with the fluid model's",
+	"pargraph/internal/mta.(*Machine).RecordRegions": "records real kernels' regions for the cycle-exact oracle to replay",
+	"pargraph/internal/mta.(*Machine).Recorded":      "reads back what RecordRegions recorded",
+	"pargraph/internal/graph.Chain":                  "a fixture with a known answer: one component, a path",
+	"pargraph/internal/graph.Star":                   "a fixture with a known answer: one component, one hub",
+	"pargraph/internal/graph.KnownComponents":        "a fixture with known components, the oracle for every labelling",
+	"pargraph/internal/mta.(*Machine).Serial":        "an MTA primitive (one stream, no overlap) the machine tests exercise",
+	"pargraph/internal/mta.(*Thread).SyncLoad":       "an MTA primitive (full/empty-bit load) the machine tests exercise",
+	"pargraph/internal/mta.(*Thread).SyncStore":      "an MTA primitive (full/empty-bit store) the machine tests exercise",
+	"pargraph/internal/mta.(*Thread).StoreN":         "an MTA primitive (bulk store) the machine tests exercise",
 }
 
 // TestEveryInternalPackageIsReachable keeps dead packages from piling
@@ -38,4 +64,147 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 			t.Errorf("%s is reachable now; drop it from unreachableAllowed", p)
 		}
 	}
+}
+
+// TestEveryInternalFunctionIsLinked keeps dead functions from piling up
+// inside live packages: every function declared in a non-test file
+// under internal/ must be linked into a command, an example or
+// perfbench, or be listed in funcAllowed. The binaries are built with
+// inlining off in this module, so an inlined callee keeps its symbol.
+func TestEveryInternalFunctionIsLinked(t *testing.T) {
+	dir := t.TempDir()
+	build := func(pkgDir, out string, pkgs ...string) {
+		t.Helper()
+		args := append([]string{"build", "-gcflags=pargraph/...=-l", "-o", out}, pkgs...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = pkgDir
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, msg)
+		}
+	}
+	build(".", dir+string(filepath.Separator), "./cmd/...", "./examples/...")
+	build("perfbench", filepath.Join(dir, "perfbench"), ".")
+
+	bins, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(bins) == 0 {
+		t.Fatalf("no binaries in %s: %v", dir, err)
+	}
+	linked := make(map[string]bool)
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", bin).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin, err)
+		}
+		sc := bufio.NewScanner(bytes.NewReader(out))
+		for sc.Scan() {
+			f := strings.Fields(sc.Text())
+			if len(f) == 3 && f[1] == "T" && strings.HasPrefix(f[2], "pargraph/internal/") {
+				linked[stripTypeArgs(f[2])] = true
+			}
+		}
+	}
+
+	var found []string
+	declared := make(map[string]bool)
+	fset := token.NewFileSet()
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		pkg := "pargraph/" + filepath.ToSlash(filepath.Dir(path))
+		if _, ok := unreachableAllowed[pkg]; ok {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
+				continue
+			}
+			names := linkerNames(pkg, fn)
+			isLinked := false
+			for _, n := range names {
+				isLinked = isLinked || linked[n]
+			}
+			_, allowed := funcAllowed[names[0]]
+			pos := fset.Position(fn.Pos())
+			switch {
+			case !isLinked && !allowed:
+				found = append(found, fmt.Sprintf("%s:%d %s is linked into no command, example or perfbench; delete it or use it", pos.Filename, pos.Line, names[0]))
+			case isLinked && allowed:
+				found = append(found, fmt.Sprintf("%s:%d %s is linked now; drop it from funcAllowed", pos.Filename, pos.Line, names[0]))
+			}
+			declared[names[0]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range funcAllowed {
+		if !declared[name] {
+			found = append(found, fmt.Sprintf("%s is in funcAllowed but declared nowhere under internal/", name))
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Error(f)
+	}
+}
+
+// linkerNames gives the symbols the linker uses for fn in package pkg:
+// pkg.F, pkg.(*T).M or pkg.T.M. A method on a value receiver may be
+// linked only through its pointer wrapper, so it has both names, the
+// value one first.
+func linkerNames(pkg string, fn *ast.FuncDecl) []string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return []string{pkg + "." + fn.Name.Name}
+	}
+	typ := fn.Recv.List[0].Type
+	ptr := false
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ, ptr = star.X, true
+	}
+	switch g := typ.(type) {
+	case *ast.IndexExpr:
+		typ = g.X
+	case *ast.IndexListExpr:
+		typ = g.X
+	}
+	recv := typ.(*ast.Ident).Name
+	if ptr {
+		return []string{pkg + ".(*" + recv + ")." + fn.Name.Name}
+	}
+	return []string{pkg + "." + recv + "." + fn.Name.Name, pkg + ".(*" + recv + ")." + fn.Name.Name}
+}
+
+// stripTypeArgs drops the bracketed shape arguments the compiler gives
+// a generic instantiation, so pkg.F[go.shape.int] reads pkg.F and
+// pkg.(*T[go.shape.int]).M reads pkg.(*T).M.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

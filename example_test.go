@@ -63,19 +63,6 @@ func ExampleEvalExpression() {
 	// Output: 14
 }
 
-// The lightest edges that keep a square connected.
-func ExampleMinimumSpanningForest() {
-	edges := []pargraph.WeightedEdge{
-		{U: 0, V: 1, W: 1},
-		{U: 1, V: 2, W: 2},
-		{U: 2, V: 3, W: 3},
-		{U: 3, V: 0, W: 4},
-	}
-	tree, weight := pargraph.MinimumSpanningForest(4, edges, 2)
-	fmt.Println(len(tree), weight)
-	// Output: 3 6
-}
-
 // One call reruns the paper's Fig. 1 point on a simulated machine.
 func ExampleSimulateListRank() {
 	res := pargraph.SimulateListRank(pargraph.MTA, 1<<14, pargraph.Random, 4, 1)

@@ -2,7 +2,6 @@ package pargraph
 
 import (
 	"pargraph/internal/graph"
-	"pargraph/internal/spantree"
 	"pargraph/internal/treecon"
 )
 
@@ -64,15 +63,6 @@ func EvalExpression(e Expression, procs int) int64 {
 // EvalExpressionSequential is the post-order baseline evaluator.
 func EvalExpressionSequential(e Expression) int64 {
 	return treecon.EvalSequential(e.internal())
-}
-
-// SpanningForest computes a spanning forest of g in parallel
-// (Shiloach–Vishkin grafting with compare-and-swap edge recording). It
-// returns the indices into g.Edges of the tree edges plus a component
-// label per vertex.
-func SpanningForest(g Graph, procs int) (treeEdges []int32, labels []int32) {
-	f := spantree.Parallel(g.internal(), procs)
-	return f.TreeEdges, f.Label
 }
 
 // ScaleFreeGraph generates an R-MAT graph with 2^scale vertices and m

@@ -144,28 +144,6 @@ func ConsumeInt32s(b []byte) ([]int32, []byte, bool) {
 	return v, b[4*n:], true
 }
 
-// AppendInts appends a length-prefixed []int (as 64-bit words).
-func AppendInts(buf []byte, v []int) []byte {
-	buf = AppendUint64(buf, uint64(len(v)))
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-	}
-	return buf
-}
-
-// ConsumeInts reads a length-prefixed []int off the front of b.
-func ConsumeInts(b []byte) ([]int, []byte, bool) {
-	n, b, ok := ConsumeUint64(b)
-	if !ok || n > maxLen || uint64(len(b)) < 8*n {
-		return nil, nil, false
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v, b[8*n:], true
-}
-
 // AppendBytes appends a length-prefixed byte section (a nested
 // marshaled value, say).
 func AppendBytes(buf, v []byte) []byte {

@@ -32,10 +32,11 @@ func ResolveJobs(j int) (int, error) {
 // two names a directory.
 const CacheEnv = "PARGRAPH_CACHE"
 
-// OpenCache resolves the persistent input-cache directory — the
-// -cache-dir flag wins, then $PARGRAPH_CACHE, then off — and opens a
+// OpenCache resolves the persistent cache directory — the -cache-dir
+// flag wins, then $PARGRAPH_CACHE, then off — and opens a
 // content-addressed store there under the given schema salt. Returns
-// (nil, nil) when caching is off.
+// (nil, nil) when caching is off. The caller names the store in the
+// error: one directory holds both the input and the result store.
 func OpenCache(flagValue, schema string) (*diskcache.Store, error) {
 	dir := flagValue
 	if dir == "" {
@@ -44,11 +45,7 @@ func OpenCache(flagValue, schema string) (*diskcache.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	s, err := diskcache.Open(dir, schema)
-	if err != nil {
-		return nil, fmt.Errorf("opening input cache: %w", err)
-	}
-	return s, nil
+	return diskcache.Open(dir, schema)
 }
 
 // PrintCacheStats reports one store's traffic counters in the -cache-stats

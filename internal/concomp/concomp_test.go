@@ -282,29 +282,3 @@ func TestAllAlgorithmsOnRMAT(t *testing.T) {
 		t.Error("SMP kernel wrong on R-MAT")
 	}
 }
-
-func TestSVSPMDProperty(t *testing.T) {
-	check := func(seed uint64, nn, mm uint16, pp uint8) bool {
-		n := int(nn)%300 + 2
-		maxM := n * (n - 1) / 2
-		m := int(mm) % (maxM + 1)
-		p := int(pp)%8 + 1
-		g := graph.RandomGnm(n, m, seed)
-		return graph.SameComponents(UnionFind(g), SVSPMD(g, p))
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSVSPMDFixedTopologies(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"mesh":     graph.Mesh2D(9, 11),
-		"star":     graph.Star(64),
-		"isolated": {N: 10},
-	} {
-		if !graph.SameComponents(UnionFind(g), SVSPMD(g, 4)) {
-			t.Errorf("%s: SPMD partition wrong", name)
-		}
-	}
-}

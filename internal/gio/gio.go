@@ -1,9 +1,8 @@
-// Package gio reads and writes graphs in the DIMACS formats of the
+// Package gio reads and writes graphs in the DIMACS format of the
 // implementation challenges the paper's related work was benchmarked in
 // (Hsu/Ramachandran/Dean, Krishnamurthy et al., and Goddard et al. all
 // report results from the 3rd DIMACS challenge): the unweighted
-// "p edge" format with `e u v` lines, and the weighted "p sp" shortest
-// -path format with `a u v w` arcs, both 1-indexed.
+// "p edge" format with 1-indexed `e u v` lines.
 package gio
 
 import (
@@ -14,7 +13,6 @@ import (
 	"strings"
 
 	"pargraph/internal/graph"
-	"pargraph/internal/msf"
 )
 
 // capHint bounds the edge-slice capacity preallocated from a header's
@@ -99,80 +97,6 @@ func ReadDIMACS(r io.Reader) (*graph.Graph, error) {
 	}
 	if g.M() != edges {
 		return nil, fmt.Errorf("gio: problem line promised %d edges, found %d", edges, g.M())
-	}
-	return g, nil
-}
-
-// WriteDIMACSWeighted writes g in the `p sp` format with one `a` line
-// per undirected edge.
-func WriteDIMACSWeighted(w io.Writer, g *msf.WGraph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p sp %d %d\n", g.N, len(g.Edges))
-	for _, e := range g.Edges {
-		fmt.Fprintf(bw, "a %d %d %d\n", e.U+1, e.V+1, e.W)
-	}
-	return bw.Flush()
-}
-
-// ReadDIMACSWeighted parses the `p sp` format into a weighted graph.
-func ReadDIMACSWeighted(r io.Reader) (*msf.WGraph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var g *msf.WGraph
-	arcs := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "c":
-			continue
-		case "p":
-			if g != nil {
-				return nil, fmt.Errorf("gio: line %d: duplicate problem line", line)
-			}
-			if len(fields) != 4 || fields[1] != "sp" {
-				return nil, fmt.Errorf("gio: line %d: want `p sp N M`", line)
-			}
-			n, err1 := strconv.Atoi(fields[2])
-			m, err2 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, fmt.Errorf("gio: line %d: bad problem sizes", line)
-			}
-			g = &msf.WGraph{N: n, Edges: make([]msf.WEdge, 0, capHint(m))}
-			arcs = m
-		case "a":
-			if g == nil {
-				return nil, fmt.Errorf("gio: line %d: arc before problem line", line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("gio: line %d: want `a u v w`", line)
-			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			wt, err3 := strconv.ParseInt(fields[3], 10, 64)
-			if err1 != nil || err2 != nil || err3 != nil || u < 1 || v < 1 || u > g.N || v > g.N {
-				return nil, fmt.Errorf("gio: line %d: bad arc %q (want 1-indexed vertices in [1,%d])", line, sc.Text(), g.N)
-			}
-			if u == v {
-				return nil, fmt.Errorf("gio: line %d: self-loop %q", line, sc.Text())
-			}
-			g.Edges = append(g.Edges, msf.WEdge{U: int32(u - 1), V: int32(v - 1), W: wt})
-		default:
-			return nil, fmt.Errorf("gio: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("gio: %w", err)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("gio: no problem line")
-	}
-	if len(g.Edges) != arcs {
-		return nil, fmt.Errorf("gio: problem line promised %d arcs, found %d", arcs, len(g.Edges))
 	}
 	return g, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"pargraph/internal/graph"
-	"pargraph/internal/msf"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -94,58 +93,5 @@ func TestReadRejectsMalformed(t *testing.T) {
 		if _, err := ReadDIMACS(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestWeightedRoundTrip(t *testing.T) {
-	g := msf.RandomWGraph(50, 120, 2)
-	var buf bytes.Buffer
-	if err := WriteDIMACSWeighted(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDIMACSWeighted(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N != g.N || len(back.Edges) != len(g.Edges) {
-		t.Fatal("shape changed")
-	}
-	for i := range g.Edges {
-		if g.Edges[i] != back.Edges[i] {
-			t.Fatalf("edge %d changed", i)
-		}
-	}
-	// The MSF of the round-tripped graph must be identical.
-	if msf.Kruskal(g).Weight != msf.Kruskal(back).Weight {
-		t.Fatal("MSF weight changed across round trip")
-	}
-}
-
-func TestWeightedRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"no-problem":        "a 1 2 5\n",
-		"bad-arc":           "p sp 2 1\na 1 9 5\n",
-		"short-arc":         "p sp 2 1\na 1 2\n",
-		"wrong-kind":        "p edge 2 1\ne 1 2\n",
-		"zero-index":        "p sp 2 1\na 0 1 5\n",
-		"self-loop":         "p sp 2 1\na 2 2 5\n",
-		"duplicate-problem": "p sp 2 1\np sp 2 1\na 1 2 5\n",
-		"count-mismatch":    "p sp 3 5\na 1 2 3\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadDIMACSWeighted(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestNegativeWeightAllowed(t *testing.T) {
-	in := "p sp 2 1\na 1 2 -7\n"
-	g, err := ReadDIMACSWeighted(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Edges[0].W != -7 {
-		t.Fatalf("weight = %d, want -7", g.Edges[0].W)
 	}
 }

@@ -90,9 +90,6 @@ func (g *Graph) buildCSR() *CSR {
 	return &CSR{N: n, RowPtr: row, Col: col}
 }
 
-// Degree returns the degree of vertex v.
-func (c *CSR) Degree(v int) int { return int(c.RowPtr[v+1] - c.RowPtr[v]) }
-
 // Neighbors returns the adjacency slice of v. The caller must not modify it.
 func (c *CSR) Neighbors(v int) []int32 { return c.Col[c.RowPtr[v]:c.RowPtr[v+1]] }
 

@@ -90,7 +90,7 @@ func TestCSRDegreesSumTo2M(t *testing.T) {
 	csr := g.ToCSR()
 	total := 0
 	for v := 0; v < g.N; v++ {
-		total += csr.Degree(v)
+		total += len(csr.Neighbors(v))
 	}
 	if total != 2*g.M() {
 		t.Fatalf("degree sum = %d, want %d", total, 2*g.M())
@@ -146,8 +146,8 @@ func TestTorus2DRegular(t *testing.T) {
 	g := Torus2D(4, 5)
 	csr := g.ToCSR()
 	for v := 0; v < g.N; v++ {
-		if csr.Degree(v) != 4 {
-			t.Fatalf("torus vertex %d has degree %d, want 4", v, csr.Degree(v))
+		if len(csr.Neighbors(v)) != 4 {
+			t.Fatalf("torus vertex %d has degree %d, want 4", v, len(csr.Neighbors(v)))
 		}
 	}
 }
@@ -173,7 +173,7 @@ func TestChainAndStar(t *testing.T) {
 		t.Fatal("star malformed")
 	}
 	csr := g.ToCSR()
-	if csr.Degree(0) != 9 || csr.Degree(5) != 1 {
+	if len(csr.Neighbors(0)) != 9 || len(csr.Neighbors(5)) != 1 {
 		t.Fatal("star degrees wrong")
 	}
 }

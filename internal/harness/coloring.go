@@ -284,26 +284,6 @@ func (r *ColoringResult) WriteText(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// WriteCSV emits the timing rows as long-format CSV.
-func (r *ColoringResult) WriteCSV(w io.Writer) error {
-	series := make([]Series, 2*len(r.Dynamics))
-	byInput := map[string]int{}
-	for i, d := range r.Dynamics {
-		series[2*i] = Series{Machine: "MTA", Workload: d.Input}
-		series[2*i+1] = Series{Machine: "SMP", Workload: d.Input}
-		byInput[d.Input] = 2 * i
-	}
-	for _, row := range r.Rows {
-		i, ok := byInput[row.Input]
-		if !ok {
-			continue
-		}
-		series[i].Points = append(series[i].Points, Point{X: float64(row.Procs), Seconds: row.MTASeconds})
-		series[i+1].Points = append(series[i+1].Points, Point{X: float64(row.Procs), Seconds: row.SMPSeconds})
-	}
-	return seriesCSV(w, series)
-}
-
 // RunAblColoringSched (A8) compares dynamic against static block
 // scheduling of the MTA coloring loops on an RMAT input. The coloring
 // grain is one vertex — a degree-sized neighbor scan — so this probes

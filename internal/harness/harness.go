@@ -56,11 +56,6 @@ type Series struct {
 	Points   []Point
 }
 
-// Label renders the curve's legend entry.
-func (s Series) Label() string {
-	return fmt.Sprintf("%s/%s/p=%d", s.Machine, s.Workload, s.Procs)
-}
-
 func writeSeriesTable(w io.Writer, title, xName string, series []Series) {
 	fmt.Fprintf(w, "%s\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

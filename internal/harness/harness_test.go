@@ -43,11 +43,11 @@ func TestFig1SeriesComplete(t *testing.T) {
 	}
 	for _, s := range res.Series {
 		if len(s.Points) != 2 {
-			t.Fatalf("series %s has %d points, want 2", s.Label(), len(s.Points))
+			t.Fatalf("series %s/%s/p=%d has %d points, want 2", s.Machine, s.Workload, s.Procs, len(s.Points))
 		}
 		for _, pt := range s.Points {
 			if pt.Seconds <= 0 {
-				t.Fatalf("series %s has non-positive time", s.Label())
+				t.Fatalf("series %s/%s/p=%d has non-positive time", s.Machine, s.Workload, s.Procs)
 			}
 		}
 	}
@@ -99,7 +99,7 @@ func TestFig1Shapes(t *testing.T) {
 	// Shape 5: times grow with problem size.
 	for _, s := range res.Series {
 		if s.Points[1].Seconds <= s.Points[0].Seconds {
-			t.Errorf("series %s not monotone in n", s.Label())
+			t.Errorf("series %s/%s/p=%d not monotone in n", s.Machine, s.Workload, s.Procs)
 		}
 	}
 }

@@ -58,18 +58,18 @@ func fig2Artifacts(t *testing.T, jobs int) (jsonOut, csvOut []byte, events []tra
 	return jb.Bytes(), cb.Bytes(), rec.Events
 }
 
-func coloringArtifacts(t *testing.T, jobs int) (csvOut []byte, events []trace.Event) {
+func coloringArtifacts(t *testing.T, jobs int) (jsonOut []byte, events []trace.Event) {
 	t.Helper()
 	rec := &trace.Recorder{}
 	res, err := jobsEnv(jobs, rec).RunColoring(DefaultColoring(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cb bytes.Buffer
-	if err := res.WriteCSV(&cb); err != nil {
+	var jb bytes.Buffer
+	if err := (&Report{Coloring: res}).WriteJSON(&jb); err != nil {
 		t.Fatal(err)
 	}
-	return cb.Bytes(), rec.Events
+	return jb.Bytes(), rec.Events
 }
 
 // sameEvents compares two forwarded trace streams byte-for-byte via
@@ -134,14 +134,14 @@ func TestJobsDeterminismFig2(t *testing.T) {
 
 func TestJobsDeterminismColoring(t *testing.T) {
 	forceHostParallelism(t, 8)
-	csv1, ev1 := coloringArtifacts(t, 1)
-	if len(csv1) == 0 || len(ev1) == 0 {
+	json1, ev1 := coloringArtifacts(t, 1)
+	if len(json1) == 0 || len(ev1) == 0 {
 		t.Fatal("empty sequential artifacts")
 	}
 	for _, jobs := range jobsSweep[1:] {
-		csvJ, evJ := coloringArtifacts(t, jobs)
-		if !bytes.Equal(csv1, csvJ) {
-			t.Errorf("coloring CSV differs between jobs=1 and jobs=%d", jobs)
+		jsonJ, evJ := coloringArtifacts(t, jobs)
+		if !bytes.Equal(json1, jsonJ) {
+			t.Errorf("coloring JSON differs between jobs=1 and jobs=%d", jobs)
 		}
 		sameEvents(t, "coloring", jobs, ev1, evJ)
 	}

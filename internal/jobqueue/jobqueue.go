@@ -186,17 +186,6 @@ func snapshotLocked(j *job) Snapshot {
 	}
 }
 
-// Done returns a channel closed when the job finishes (done or failed);
-// nil for unknown ids. A finished job's channel is already closed.
-func (q *Queue) Done(id string) <-chan struct{} {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if j, ok := q.jobs[id]; ok {
-		return j.done
-	}
-	return nil
-}
-
 // Cancel stops a job: a pending job fails immediately with ErrCanceled;
 // a running job has its context canceled and fails when its runner
 // returns. Returns false when the id is unknown or the job already

@@ -13,12 +13,14 @@ import (
 // wait blocks until the job finishes or the test times out.
 func wait(t *testing.T, q *Queue, id string) Snapshot {
 	t.Helper()
-	ch := q.Done(id)
-	if ch == nil {
+	q.mu.Lock()
+	j, ok := q.jobs[id]
+	q.mu.Unlock()
+	if !ok {
 		t.Fatalf("unknown job %s", id)
 	}
 	select {
-	case <-ch:
+	case <-j.done:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("job %s did not finish", id)
 	}

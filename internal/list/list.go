@@ -130,16 +130,6 @@ func FindHeadBySum(succ []int64) int {
 	return int(n*(n-1)/2 - z - 1)
 }
 
-// Tail returns the index of the last node by scanning for the sentinel.
-func (l *List) Tail() int {
-	for i, s := range l.Succ {
-		if s == NilNext {
-			return i
-		}
-	}
-	panic("list: no tail sentinel found")
-}
-
 // VerifyRanks checks that rank assigns each node its 0-based distance
 // from the head. It returns a descriptive error on the first mismatch.
 //

@@ -82,14 +82,6 @@ func TestFindHeadBySum(t *testing.T) {
 	}
 }
 
-func TestTail(t *testing.T) {
-	l := New(100, Random, 3)
-	tail := l.Tail()
-	if l.Succ[tail] != NilNext {
-		t.Fatalf("Tail() = %d but Succ[%d] = %d", tail, tail, l.Succ[tail])
-	}
-}
-
 func TestVerifyRanksAcceptsCorrect(t *testing.T) {
 	l := New(50, Random, 9)
 	rank := make([]int64, 50)

@@ -75,7 +75,10 @@ func TestVerifyRanksMatchesWalk(t *testing.T) {
 			if n < 3 {
 				continue
 			}
-			tail := l.Tail()
+			tail := 0
+			for l.Succ[tail] != NilNext {
+				tail++
+			}
 			mid := int(l.Succ[l.Head])
 
 			for _, at := range []int{l.Head, mid, tail} {

@@ -4,11 +4,10 @@
 // with all values 1 and ⊕ = +, and is the building block of the
 // tree-based algorithms the paper's introduction motivates.
 //
-// Five implementations are provided:
+// Four implementations are provided:
 //
 //   - Sequential: the pointer-following baseline every parallel speedup
 //     is measured against.
-//   - Wyllie: classic PRAM pointer jumping, the O(n log n)-work baseline.
 //   - HelmanJaja: the Helman–JáJá sublist algorithm with native
 //     goroutine parallelism, the paper's SMP algorithm.
 //   - RankSMP: the same Helman–JáJá algorithm executed against the

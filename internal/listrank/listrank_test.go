@@ -27,15 +27,6 @@ func TestSequentialRandom(t *testing.T) {
 	mustRanks(t, l, Sequential(l), "sequential")
 }
 
-func TestWyllieMatchesSequential(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 100, 1000} {
-		for _, p := range []int{1, 4} {
-			l := list.New(n, list.Random, uint64(n))
-			mustRanks(t, l, Wyllie(l, p), "wyllie")
-		}
-	}
-}
-
 func TestHelmanJajaAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 64, 1000, 10000} {
 		for _, p := range []int{1, 2, 8} {
@@ -150,10 +141,9 @@ func TestAllImplementationsAgree(t *testing.T) {
 	l := list.New(4096, list.Random, 77)
 	want := Sequential(l)
 	impls := map[string][]int64{
-		"wyllie": Wyllie(l, 4),
-		"hj":     HelmanJaja(l, 4),
-		"mta":    RankMTA(l, mta.New(mta.DefaultConfig(1)), 400, sim.SchedDynamic),
-		"smp":    RankSMP(l, smp.New(smp.DefaultConfig(2)), 16, 5),
+		"hj":  HelmanJaja(l, 4),
+		"mta": RankMTA(l, mta.New(mta.DefaultConfig(1)), 400, sim.SchedDynamic),
+		"smp": RankSMP(l, smp.New(smp.DefaultConfig(2)), 16, 5),
 	}
 	for name, got := range impls {
 		for i := range want {
@@ -235,23 +225,6 @@ func BenchmarkHelmanJajaRandom1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		HelmanJaja(l, 8)
 	}
-}
-
-func TestHelmanJajaSPMDMatches(t *testing.T) {
-	check := func(seed uint64, sz uint16, pp uint8) bool {
-		n := int(sz)%3000 + 1
-		p := int(pp)%8 + 1
-		l := list.New(n, list.Random, seed)
-		return l.VerifyRanks(HelmanJajaSPMD(l, p)) == nil
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHelmanJajaSPMDOrdered(t *testing.T) {
-	l := list.New(5000, list.Ordered, 0)
-	mustRanks(t, l, HelmanJajaSPMD(l, 8), "helman-jaja spmd")
 }
 
 // TestSMPLocalityOrdering: the three layouts must cost Ordered <

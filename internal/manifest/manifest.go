@@ -113,13 +113,6 @@ func HashBytes(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// AddArtifact records a produced artifact from its rendered bytes.
-func (m *Manifest) AddArtifact(name, path string, data []byte) {
-	m.Artifacts = append(m.Artifacts, Artifact{
-		Name: name, Path: path, SHA256: HashBytes(data), Bytes: int64(len(data)),
-	})
-}
-
 // Encode renders the manifest as stable, indented JSON: inputs sorted
 // by key, artifacts in the order they were added (the runner adds them
 // in a fixed role order), fields in declaration order. Equal manifests

@@ -11,6 +11,11 @@ func input(key string, data []byte) Input {
 	return Input{Key: key, SHA256: HashBytes(data), Bytes: int64(len(data))}
 }
 
+// artifact digests rendered bytes the way the runner records them.
+func artifact(name, path string, data []byte) Artifact {
+	return Artifact{Name: name, Path: path, SHA256: HashBytes(data), Bytes: int64(len(data))}
+}
+
 func sample() *Manifest {
 	m := New([]byte("[run]\ncommand = \"listrank\"\n"), "abc123", "pargraph-inputs-v1")
 	m.Commit = "deadbeef" // pin: the real value depends on the build
@@ -18,8 +23,9 @@ func sample() *Manifest {
 	l.Add(input("list/1024/Random/7", []byte("list-bytes")))
 	l.Add(input("gnm/64/128/1", []byte("graph-bytes")))
 	m.Inputs, _ = l.Inputs()
-	m.AddArtifact("stdout", "", []byte("machine=MTA\n"))
-	m.AddArtifact("trace", "t.json", []byte("{}"))
+	m.Artifacts = append(m.Artifacts,
+		artifact("stdout", "", []byte("machine=MTA\n")),
+		artifact("trace", "t.json", []byte("{}")))
 	return m
 }
 

@@ -75,8 +75,8 @@ func SVIter(n, m, p int) Triplet {
 	mp := float64(m) / float64(p)
 	np := float64(n) / float64(p)
 	return Triplet{
-		TM: 3*mp + 1 + np*log2(float64(n)),
-		TC: (float64(n)*log2(float64(n)) + float64(n+m)) / float64(p),
+		TM: float64(3*mp) + 1 + float64(np*log2(float64(n))),
+		TC: (float64(float64(n)*log2(float64(n))) + float64(n+m)) / float64(p),
 		B:  4,
 	}
 }
@@ -97,7 +97,7 @@ func SVMTA(n, m, p, iters int) Triplet {
 	if iters < 1 {
 		iters = 1
 	}
-	perIter := (10*2*float64(m) + 6*float64(n)) / float64(p)
+	perIter := (float64(10*2*float64(m)) + float64(6*float64(n))) / float64(p)
 	return Triplet{TM: 0, TC: perIter * float64(iters), B: 2 * float64(iters)}
 }
 
@@ -112,7 +112,7 @@ func ColoringSMPRound(n, m, p int) Triplet {
 	np := float64(n) / float64(p)
 	return Triplet{
 		TM: 2 * (2*mp + np),
-		TC: 2 * (4*mp + 4*np),
+		TC: 2 * (float64(4*mp) + float64(4*np)),
 		B:  3,
 	}
 }
@@ -142,7 +142,7 @@ func ColoringMTA(n, m, p, touched int) Triplet {
 	frac := float64(touched) / float64(n)
 	return Triplet{
 		TM: 0,
-		TC: frac * (8*2*float64(m) + 8*float64(n)) / float64(p),
+		TC: frac * (float64(8*2*float64(m)) + float64(8*float64(n))) / float64(p),
 		B:  0,
 	}
 }
@@ -151,7 +151,7 @@ func ColoringMTA(n, m, p, touched int) Triplet {
 // every non-contiguous access pays memLatency cycles, computation is one
 // op per cycle, and each barrier costs barrierCy.
 func SMPSeconds(t Triplet, clockMHz, memLatencyCy, barrierCy float64) float64 {
-	cycles := t.TM*memLatencyCy + t.TC + t.B*barrierCy
+	cycles := float64(t.TM*memLatencyCy) + t.TC + float64(t.B*barrierCy)
 	return cycles / (clockMHz * 1e6)
 }
 

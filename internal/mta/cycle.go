@@ -86,7 +86,7 @@ func CycleSim(items []TraceItem, streams int, memLatency int64, lookahead int, j
 		rngState ^= rngState >> 7
 		rngState ^= rngState << 17
 		u := float64(rngState>>11) / (1 << 53) // [0,1)
-		return int64(float64(memLatency) * (1 - jitter + 2*jitter*u))
+		return int64(float64(memLatency) * (1 - jitter + float64(2*jitter*u)))
 	}
 	ss := make([]streamState, streams)
 	next := 0

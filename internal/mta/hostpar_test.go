@@ -147,8 +147,8 @@ func TestAutoHostWorkers(t *testing.T) {
 	forceHostParallelism(t, 8)
 	m := New(DefaultConfig(4))
 	m.SetHostWorkers(0)
-	if got := m.HostWorkers(); got != runtime.NumCPU() {
-		t.Fatalf("auto HostWorkers() = %d, want NumCPU = %d", got, runtime.NumCPU())
+	if got := m.hostWorkers; got != runtime.NumCPU() {
+		t.Fatalf("auto hostWorkers = %d, want NumCPU = %d", got, runtime.NumCPU())
 	}
 
 	// Below the auto cutoff the replay must not shard: an

@@ -272,9 +272,6 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
-// HostWorkers returns the configured host worker count.
-func (m *Machine) HostWorkers() int { return m.hostWorkers }
-
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -478,7 +475,7 @@ func (t *Thread) SyncStore(addr uint64) {
 func (t *Thread) item(cfg *Config) sim.Item {
 	issue := t.instr + t.serialRefs + t.overlapRefs
 	crit := t.instr +
-		t.serialRefs*cfg.MemLatency +
+		float64(t.serialRefs*cfg.MemLatency) +
 		t.overlapRefs*cfg.MemLatency/float64(cfg.Lookahead)
 	if crit < issue {
 		crit = issue

@@ -68,7 +68,7 @@ func (m *Machine) emitRegion(kind string, items int, start, fluid float64, res s
 	if res.Issued > 0 {
 		attr[trace.CatIssue] = res.Issued
 	}
-	if idle := fluid*procs - res.Issued; idle > 1e-9 {
+	if idle := float64(fluid*procs) - res.Issued; idle > 1e-9 {
 		attr[idleCat] = idle
 	}
 	if stall := (res.Cycles - fluid) * procs; stall > 1e-9 {

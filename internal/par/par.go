@@ -1,7 +1,8 @@
-// Package par provides the minimal fork-join helpers the native
-// (goroutine-based) algorithm implementations share: a blocked parallel
-// for and a reusable barrier, the two primitives the paper's SMP codes
-// are written with (pthreads + software barriers).
+// Package par provides the fork-join helpers the native
+// (goroutine-based) algorithm implementations and the simulators' host
+// replay share: For, a blocked parallel for that forks and joins per
+// call, and Pool, a persistent set of helper goroutines a machine
+// reuses across regions.
 package par
 
 import (
@@ -60,67 +61,4 @@ func For(n, p int, body func(worker, lo, hi int)) {
 	}
 	wg.Wait()
 	pc.rethrow()
-}
-
-// Workers runs body once per worker 0..p-1 concurrently and waits. It is
-// For without the range split, for SPMD-style phases that partition work
-// themselves.
-func Workers(p int, body func(worker int)) {
-	if p < 1 {
-		p = 1
-	}
-	if p == 1 {
-		body(0)
-		return
-	}
-	var wg sync.WaitGroup
-	var pc panicCatcher
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer pc.capture()
-			body(w)
-		}(w)
-	}
-	wg.Wait()
-	pc.rethrow()
-}
-
-// Barrier is a reusable counting barrier for p participants, the software
-// synchronization construct the paper's SMP codes rely on.
-type Barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	p     int
-	count int
-	phase int
-}
-
-// NewBarrier returns a barrier for p participants. It panics if p < 1.
-func NewBarrier(p int) *Barrier {
-	if p < 1 {
-		panic("par: barrier needs at least one participant")
-	}
-	b := &Barrier{p: p}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all p participants have called Wait, then releases
-// them together. The barrier is immediately reusable.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.count++
-	if b.count == b.p {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
 }

@@ -60,65 +60,6 @@ func TestForMoreWorkersThanWork(t *testing.T) {
 	}
 }
 
-func TestWorkers(t *testing.T) {
-	var count int32
-	Workers(8, func(w int) { atomic.AddInt32(&count, 1) })
-	if count != 8 {
-		t.Fatalf("ran %d workers, want 8", count)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const p = 8
-	const rounds = 50
-	b := NewBarrier(p)
-	var phase int32
-	errs := make(chan string, p)
-	Workers(p, func(w int) {
-		for r := 0; r < rounds; r++ {
-			if got := atomic.LoadInt32(&phase); got != int32(r) {
-				errs <- "worker observed wrong phase"
-				return
-			}
-			b.Wait()
-			if w == 0 {
-				atomic.AddInt32(&phase, 1)
-			}
-			b.Wait()
-		}
-		errs <- ""
-	})
-	for i := 0; i < p; i++ {
-		if e := <-errs; e != "" {
-			t.Fatal(e)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	b := NewBarrier(2)
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			b.Wait()
-		}
-		close(done)
-	}()
-	for i := 0; i < 100; i++ {
-		b.Wait()
-	}
-	<-done
-}
-
-func TestNewBarrierPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(0)
-}
-
 func TestWorkerPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -127,19 +68,6 @@ func TestWorkerPanicPropagates(t *testing.T) {
 	}()
 	For(10, 4, func(w, lo, hi int) {
 		if lo == 0 {
-			panic("boom")
-		}
-	})
-}
-
-func TestWorkersPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic in worker did not reach the caller")
-		}
-	}()
-	Workers(3, func(w int) {
-		if w == 1 {
 			panic("boom")
 		}
 	})

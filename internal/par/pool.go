@@ -7,7 +7,7 @@ import (
 )
 
 // Pool is a persistent team of parked worker goroutines for repeated
-// fork-join regions. Workers(p, body) spawns and joins p goroutines on
+// fork-join regions. For(n, p, body) spawns and joins p goroutines on
 // every call; a simulator replaying thousands of regions pays that
 // spawn/schedule cost thousands of times. A Pool parks its helpers on a
 // lightweight channel dispatch instead, so each region costs one send

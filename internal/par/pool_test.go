@@ -44,7 +44,7 @@ func TestPoolReusesGoroutines(t *testing.T) {
 	}
 }
 
-// TestPoolPanicPropagation mirrors the Workers contract: a panic in any
+// TestPoolPanicPropagation mirrors For's contract: a panic in any
 // body — helper or caller-run worker 0 — reaches the Run caller after
 // all workers finish.
 func TestPoolPanicPropagation(t *testing.T) {

@@ -110,9 +110,3 @@ func (r *RNG) Shuffle(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Split returns a new generator seeded from this one's stream, for
-// handing independent streams to concurrent workers.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
-}

@@ -123,21 +123,6 @@ func TestPermVariesWithSeed(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(3)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split streams collided %d times", same)
-	}
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	r := New(11)
 	p := []int{5, 5, 7, 9, 9, 9}

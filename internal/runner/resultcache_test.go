@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pargraph/internal/cmdutil"
@@ -141,6 +142,55 @@ func TestNoResultCacheForcesRecompute(t *testing.T) {
 		if r.Source != "computed" {
 			t.Errorf("with the result cache off, cell %q claims source %q", r.Key, r.Source)
 		}
+	}
+}
+
+// TestUnopenableCacheDirRunsUncached: a cache directory that cannot be
+// opened (a regular file in its place) costs the run its caching, not
+// the run. It warns once on stderr naming the store, then writes the
+// same stdout, stderr and manifest inputs as a run with no cache. A
+// shard, whose only product is its result-cache entries, still fails
+// with the open error before any cell runs.
+func TestUnopenableCacheDirRunsUncached(t *testing.T) {
+	t.Setenv(cmdutil.CacheEnv, "")
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const warning = "warning: opening input cache: diskcache: mkdir " // the rest names the OS error
+	man := filepath.Join(dir, "m.json")
+	for _, text := range []string{
+		testSpec,
+		"[run]\ncommand = \"listrank\"\n[workload]\nn = 1024\nmachine = \"mta\"\nprocs = 2\n",
+	} {
+		plain := runWithStats(t, parseSpec(t, text, man, ""))
+		broken := runWithStats(t, parseSpec(t, text, man, file))
+		first, rest, _ := strings.Cut(broken.stderr, "\n")
+		if !strings.HasPrefix(first, warning) || !strings.HasSuffix(first, "; running without the cache") {
+			t.Errorf("first stderr line = %q, want the input-cache warning", first)
+		}
+		if rest != plain.stderr {
+			t.Errorf("stderr after the warning:\n%s\nwant the uncached run's:\n%s", rest, plain.stderr)
+		}
+		if !bytes.Equal(broken.stdout, plain.stdout) {
+			t.Errorf("stdout differs from the uncached run:\n%s\nvs\n%s", broken.stdout, plain.stdout)
+		}
+		if len(plain.manifest.Inputs) == 0 || !reflect.DeepEqual(broken.manifest.Inputs, plain.manifest.Inputs) {
+			t.Errorf("manifest inputs %+v, want the uncached run's %+v", broken.manifest.Inputs, plain.manifest.Inputs)
+		}
+	}
+
+	sp := parseSpec(t, shardSpec, "", file)
+	sp.Run.Shard = "0/2"
+	var cells atomic.Int32
+	var out bytes.Buffer
+	err := Run(sp, Options{Stdout: &out, Stderr: &out, CellObserver: func(float64) { cells.Add(1) }})
+	if err == nil || !strings.HasPrefix(err.Error(), "opening input cache: diskcache: mkdir ") {
+		t.Fatalf("sharded run on an unopenable cache: err = %v, want the open error", err)
+	}
+	if n := cells.Load(); n != 0 || out.Len() != 0 {
+		t.Errorf("the failed shard ran %d cells and wrote %q", n, out.String())
 	}
 }
 

@@ -172,18 +172,27 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 	// input store (generated lists/graphs/references) and the result
 	// store (whole sweep-cell outcomes, keyed on the cost-model schema
 	// version plus the cell's configuration and input content keys).
+	// A directory that cannot be opened costs the run its caching, not
+	// the run: one warning, then both stores off, as if none was named.
+	// A shard stores its cells there and nowhere else, so it fails.
 	inputStore, err := cmdutil.OpenCache(sp.Run.CacheDir, harness.InputSchema)
 	if err != nil {
-		return nil, err
+		err = fmt.Errorf("opening input cache: %w", err)
 	}
-	env.CacheStore = inputStore
 	var resultStore *diskcache.Store
-	if !o.NoResultCache {
-		resultStore, err = cmdutil.OpenCache(sp.Run.CacheDir, harness.ResultSchema)
-		if err != nil {
-			return nil, err
+	if err == nil && !o.NoResultCache {
+		if resultStore, err = cmdutil.OpenCache(sp.Run.CacheDir, harness.ResultSchema); err != nil {
+			err = fmt.Errorf("opening result cache: %w", err)
 		}
 	}
+	if err != nil {
+		if shard.Active() {
+			return nil, err
+		}
+		fmt.Fprintf(o.Stderr, "warning: %v; running without the cache\n", err)
+		inputStore, resultStore = nil, nil
+	}
+	env.CacheStore = inputStore
 	env.ResultStore = resultStore
 	if shard.Active() && resultStore == nil {
 		return nil, fmt.Errorf("-shard stores its cells in the result cache: it needs -cache-dir (or $%s) and no -no-result-cache", cmdutil.CacheEnv)

@@ -54,7 +54,7 @@ func (r *reservoir) quantiles(qs []float64) ([]float64, int64) {
 	}
 	sort.Float64s(sorted)
 	for i, q := range qs {
-		k := int(q*float64(len(sorted))+0.5) - 1
+		k := int(float64(q*float64(len(sorted)))+0.5) - 1
 		if k < 0 {
 			k = 0
 		}

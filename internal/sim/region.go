@@ -1,3 +1,24 @@
+// Package sim is the processor-sharing ("fluid") region simulator the
+// MTA model (internal/mta) times its parallel regions with: RunRegion,
+// its closed-form fast path RunUniformRegion, the in-flight item heap
+// RunRegion pops completions from, and the issue-slot timeline of
+// sample.go. It also holds CostSchemaVersion, the version of the cost
+// semantics of the whole simulation stack (internal/smp included) that
+// every cached result is keyed by.
+//
+// The fluid simulator is the timing heart of the MTA model. A Cray MTA
+// processor issues at most one instruction per cycle, round-robin over its
+// ready hardware streams; a stream that has issued a memory reference is
+// blocked for the memory latency while the processor keeps issuing from
+// other streams. Simulating that barrel cycle-by-cycle is exact but
+// needlessly slow; instead we treat the processor's issue slot as a
+// processor-sharing resource. Each in-flight work item demands issue
+// bandwidth at rate (issue cycles)/(critical-path cycles); when the summed
+// demand of the active streams exceeds 1.0 the processor saturates and all
+// items stretch proportionally. Completions are simulated exactly as
+// discrete events, which is what makes dynamic (int_fetch_add)
+// scheduling, load imbalance, and end-of-loop tail effects come out of
+// the model instead of being assumed.
 package sim
 
 import "math"
@@ -32,15 +53,6 @@ type RegionResult struct {
 	Cycles float64 // wall time of the region in processor cycles
 	Issued float64 // issue slots actually consumed, summed over processors
 	Items  int     // number of items executed
-}
-
-// Utilization returns the fraction of issue slots used across procs
-// processors for the region.
-func (r RegionResult) Utilization(procs int) float64 {
-	if r.Cycles <= 0 {
-		return 0
-	}
-	return r.Issued / (r.Cycles * float64(procs))
 }
 
 // itemHeap is a hand-rolled binary min-heap of in-flight item groups
@@ -191,7 +203,7 @@ func (p *procState) advance(t float64, tl *IssueTimeline) {
 		if used > 1 {
 			used = 1
 		}
-		p.issued += dt * used
+		p.issued += float64(dt * used)
 		if tl != nil {
 			tl.add(p.wall, t, used)
 		}
@@ -209,7 +221,7 @@ func (p *procState) nextFinishWall() float64 {
 	if dv < 0 {
 		dv = 0
 	}
-	return p.wall + dv*p.stretch()
+	return p.wall + float64(dv*p.stretch())
 }
 
 // start charges one started item's demand to the processor and returns
@@ -431,7 +443,7 @@ func RunUniformRegion(procs, streamsPerProc, n int, it Item, sched Sched) Region
 	}
 	cycles := 0.0
 	if rounds > 1 {
-		cycles += float64(rounds-1) * fullRoundTime(S)
+		cycles += float64(float64(rounds-1) * fullRoundTime(S))
 	}
 	cycles += fullRoundTime(streamsBusyLast)
 	// Issue slots consumed are exactly n*issue: every item runs once.

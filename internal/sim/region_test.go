@@ -31,7 +31,7 @@ func TestUnsaturatedStreamsOverlapPerfectly(t *testing.T) {
 	if res.Cycles != 104 {
 		t.Fatalf("cycles = %v, want 104 (perfect overlap)", res.Cycles)
 	}
-	if got := res.Utilization(1); math.Abs(got-40.0/104.0) > 1e-9 {
+	if got := res.Issued / res.Cycles; math.Abs(got-40.0/104.0) > 1e-9 {
 		t.Fatalf("utilization = %v, want %v", got, 40.0/104.0)
 	}
 }
@@ -44,7 +44,7 @@ func TestSaturatedProcessorIsIssueBound(t *testing.T) {
 	if math.Abs(res.Cycles-want) > 1e-6 {
 		t.Fatalf("cycles = %v, want %v (issue bound)", res.Cycles, want)
 	}
-	if u := res.Utilization(1); math.Abs(u-1.0) > 1e-9 {
+	if u := res.Issued / res.Cycles; math.Abs(u-1.0) > 1e-9 {
 		t.Fatalf("utilization = %v, want 1.0", u)
 	}
 }
@@ -116,7 +116,7 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 			crit = 4.0
 		}
 		res := RunRegion(2, 16, uniform(n, 4, crit), SchedDynamic)
-		u := res.Utilization(2)
+		u := res.Issued / (res.Cycles * 2)
 		return u >= 0 && u <= 1+1e-9
 	}
 	if err := quick.Check(check, nil); err != nil {

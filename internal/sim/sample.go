@@ -33,7 +33,7 @@ func (tl *IssueTimeline) add(lo, hi, rate float64) {
 		for len(tl.Used) <= b {
 			tl.Used = append(tl.Used, 0)
 		}
-		tl.Used[b] += (bhi - blo) * rate
+		tl.Used[b] += float64((bhi - blo) * rate)
 		if float64(b+1)*tl.Interval >= hi {
 			return
 		}

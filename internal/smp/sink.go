@@ -40,7 +40,7 @@ func (m *Machine) hierarchyAttr(attr map[string]float64, before Stats) float64 {
 	if mem > 0 {
 		attr[trace.CatMem] = mem
 	}
-	return compute + l1 + l2 + mem
+	return compute + float64(l1) + float64(l2) + float64(mem)
 }
 
 // emitPhase emits the attribution event for one parallel phase. cycles
@@ -50,7 +50,7 @@ func (m *Machine) emitPhase(start, cycles, maxBusy, busStall float64, before Sta
 	procs := float64(m.cfg.Procs)
 	attr := make(map[string]float64, 7)
 	busy := m.hierarchyAttr(attr, before)
-	if imb := maxBusy*procs - busy; imb > 1e-9 {
+	if imb := float64(maxBusy*procs) - busy; imb > 1e-9 {
 		attr[trace.CatImbalance] = imb
 	}
 	attr[trace.CatDispatch] = m.cfg.PhaseCy * procs

@@ -255,14 +255,14 @@ func (p *Proc) ref(addr uint64) {
 // busy returns the processor's cycles since its counters were cleared:
 // compute plus each reference's service latency.
 func (p *Proc) busy() float64 {
-	return float64(p.computes) + float64(p.l1Hits)*p.cfg.L1HitCy +
-		float64(p.l2Hits)*p.cfg.L2HitCy + float64(p.misses)*p.cfg.MemCy
+	return float64(p.computes) + float64(float64(p.l1Hits)*p.cfg.L1HitCy) +
+		float64(float64(p.l2Hits)*p.cfg.L2HitCy) + float64(float64(p.misses)*p.cfg.MemCy)
 }
 
 // bus returns the bytes the processor moved over the bus since its
 // counters were cleared: an L1 line per L2 hit, an L2 line per miss.
 func (p *Proc) bus() float64 {
-	return float64(p.l2Hits)*float64(p.cfg.L1Line) + float64(p.misses)*float64(p.cfg.L2Line)
+	return float64(float64(p.l2Hits)*float64(p.cfg.L1Line)) + float64(float64(p.misses)*float64(p.cfg.L2Line))
 }
 
 // drain folds the processor's counters into stats and clears them.
@@ -393,9 +393,6 @@ func effectiveWorkers(w int) int {
 	}
 	return w
 }
-
-// HostWorkers returns the configured host worker count.
-func (m *Machine) HostWorkers() int { return m.hostWorkers }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -572,20 +569,10 @@ func (m *Machine) Sequential(body func(p *Proc)) {
 // component, as a pthreads condition-variable barrier costs.
 func (m *Machine) Barrier() {
 	m.stats.Barriers++
-	cy := m.cfg.BarrierCy + m.cfg.BarrierPP*float64(m.cfg.Procs)
+	cy := m.cfg.BarrierCy + float64(m.cfg.BarrierPP*float64(m.cfg.Procs))
 	start := m.stats.Cycles
 	m.stats.Cycles += cy
 	if m.sink != nil {
 		m.emitBarrier(start, cy)
 	}
-}
-
-// MissRatio returns references served by memory divided by all
-// references since the last Reset.
-func (m *Machine) MissRatio() float64 {
-	total := m.stats.L1Hits + m.stats.L2Hits + m.stats.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.stats.Misses) / float64(total)
 }

@@ -306,13 +306,13 @@ func TestAutoHostWorkers(t *testing.T) {
 
 	small := New(DefaultConfig(2))
 	small.SetHostWorkers(0)
-	if got := small.HostWorkers(); got != 1 {
-		t.Errorf("auto on %d procs: HostWorkers() = %d, want 1", 2, got)
+	if got := small.hostWorkers; got != 1 {
+		t.Errorf("auto on %d procs: hostWorkers = %d, want 1", 2, got)
 	}
 	big := New(DefaultConfig(8))
 	big.SetHostWorkers(0)
-	if got := big.HostWorkers(); got != runtime.NumCPU() {
-		t.Errorf("auto on 8 procs: HostWorkers() = %d, want NumCPU = %d", got, runtime.NumCPU())
+	if got := big.hostWorkers; got != runtime.NumCPU() {
+		t.Errorf("auto on 8 procs: hostWorkers = %d, want NumCPU = %d", got, runtime.NumCPU())
 	}
 
 	run := func(workers int) Stats {
@@ -351,20 +351,6 @@ func TestStatsCounting(t *testing.T) {
 	s := m.Stats()
 	if s.Loads != 2 || s.Stores != 2 || s.Computes != 10 || s.Phases != 1 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestMissRatio(t *testing.T) {
-	m := New(DefaultConfig(1))
-	base := m.Alloc(1 << 20)
-	m.Phase(func(p *Proc) {
-		p.Load(base)
-		for i := 0; i < 9; i++ {
-			p.Load(base)
-		}
-	})
-	if r := m.MissRatio(); math.Abs(r-0.1) > 1e-9 {
-		t.Fatalf("miss ratio = %v, want 0.1", r)
 	}
 }
 

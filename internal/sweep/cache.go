@@ -86,17 +86,11 @@ type cacheEntry struct {
 	err    error
 }
 
-// Get returns the value for key, running build at most once per key
-// across all concurrent callers. A panic inside build is captured and
-// returned as an error to the builder and every waiter, so one bad
-// input fails the cells that need it rather than the process.
-func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
-	e := c.resolve(key, func(e *cacheEntry) { e.val, e.err = build() })
-	return e.val, e.err
-}
-
-// resolve is Get's single flight: the first caller for key runs fill
-// on the fresh entry, everyone else waits for it to finish.
+// resolve is GetAs's single flight: the first caller for key runs fill
+// on the fresh entry, everyone else waits for it to finish. A panic
+// inside fill is captured and returned as an error to the filler and
+// every waiter, so one bad input fails the cells that need it rather
+// than the process.
 func (c *Cache) resolve(key string, fill func(*cacheEntry)) *cacheEntry {
 	c.mu.Lock()
 	if c.entries == nil {
@@ -142,17 +136,9 @@ func (c *Cache) Digest(key string) (Digest, bool) {
 	return e.digest, e.err == nil && e.digest.Key != ""
 }
 
-// Len reports how many keys the cache holds, including in-flight
-// builds.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// GetAs is the typed wrapper over Cache.Get: it builds (or waits for)
-// the value under key and asserts it to T. Mixing types under one key
-// is a programming error and panics on the assertion.
+// GetAs returns the value for key, running build at most once per key
+// across all concurrent callers, and asserts it to T. Mixing types under
+// one key is a programming error and panics on the assertion.
 //
 // With c.Disk attached, the single-flight build first tries the
 // persistent store: a valid entry is decoded instead of rebuilt (the

@@ -13,7 +13,7 @@
 // seed) workload is built once, single-flight, and every cell that asks
 // for it blocks until the one build finishes.
 //
-// Determinism contract: Run dispatches cells in ascending index order,
+// Determinism contract: RunCtx dispatches cells in ascending index order,
 // never aborts early, and reports the lowest-index failure — so the
 // error a caller sees, like the results it assembles, does not depend
 // on the jobs count or on scheduling.
@@ -73,7 +73,7 @@ func (s Shard) Owns(i int) bool { return !s.Active() || i%s.Count == s.Index }
 
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
-// PanicError is the error Run reports for a cell whose function
+// PanicError is the error RunCtx reports for a cell whose function
 // panicked: the panic is confined to its cell (other cells still run to
 // completion) and surfaces here with the recovered value and stack.
 type PanicError struct {
@@ -86,7 +86,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: cell %d panicked: %v\n%s", e.Cell, e.Value, e.Stack)
 }
 
-// Run executes cell(0..n-1) on at most jobs concurrent goroutines and
+// RunCtx executes cell(0..n-1) on at most jobs concurrent goroutines and
 // returns the lowest-index cell error, or nil if every cell succeeded.
 //
 // jobs values below 1 run serially; counts above runtime.GOMAXPROCS(0)
@@ -96,19 +96,15 @@ func (e *PanicError) Error() string {
 // the set of attempted cells, like the reported error, is independent
 // of jobs. A panic inside a cell is captured as a *PanicError for that
 // cell.
-func Run(n, jobs int, cell func(i int) error) error {
-	return RunCtx(context.Background(), n, jobs, cell)
-}
-
-// RunCtx is Run under a context: once ctx is cancelled no further cells
-// are dispatched, so an interrupted run (a shard getting SIGTERM from
-// its coordinator, say) exits after at most the jobs cells already in
-// flight instead of draining the whole dispatch counter. Cancellation
-// is the one departure from the determinism contract — the set of
-// attempted cells becomes whatever was dispatched in ascending order
-// before the cancel landed. If a dispatched cell also failed, its
-// lowest-index error wins; otherwise a cancelled run reports ctx's
-// cause.
+//
+// Once ctx is cancelled no further cells are dispatched, so an
+// interrupted run (a shard getting SIGTERM from its coordinator, say)
+// exits after at most the jobs cells already in flight instead of
+// draining the whole dispatch counter. Cancellation is the one
+// departure from the determinism contract — the set of attempted cells
+// becomes whatever was dispatched in ascending order before the cancel
+// landed. If a dispatched cell also failed, its lowest-index error
+// wins; otherwise a cancelled run reports ctx's cause.
 func RunCtx(ctx context.Context, n, jobs int, cell func(i int) error) error {
 	if n <= 0 {
 		return nil

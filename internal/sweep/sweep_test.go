@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,7 +11,7 @@ import (
 	"testing"
 )
 
-// forceParallelism raises GOMAXPROCS for the duration of a test; Run
+// forceParallelism raises GOMAXPROCS for the duration of a test; RunCtx
 // caps jobs there, so on a small CI machine the concurrent paths these
 // tests exercise would otherwise collapse to serial execution.
 func forceParallelism(t *testing.T, n int) {
@@ -24,7 +25,7 @@ func TestRunExecutesEveryCellOnce(t *testing.T) {
 	const n = 100
 	for _, jobs := range []int{1, 2, 8, 100} {
 		var counts [n]atomic.Int32
-		if err := Run(n, jobs, func(i int) error {
+		if err := RunCtx(context.Background(), n, jobs, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -42,7 +43,7 @@ func TestRunReportsLowestIndexError(t *testing.T) {
 	forceParallelism(t, 8)
 	bad := map[int]bool{7: true, 3: true, 42: true}
 	for _, jobs := range []int{1, 2, 8} {
-		err := Run(64, jobs, func(i int) error {
+		err := RunCtx(context.Background(), 64, jobs, func(i int) error {
 			if bad[i] {
 				return fmt.Errorf("cell %d failed", i)
 			}
@@ -62,7 +63,7 @@ func TestRunPanicConfinedToCell(t *testing.T) {
 	const n = 32
 	for _, jobs := range []int{1, 2, 8} {
 		var ran [n]atomic.Bool
-		err := Run(n, jobs, func(i int) error {
+		err := RunCtx(context.Background(), n, jobs, func(i int) error {
 			ran[i].Store(true)
 			if i == 5 {
 				panic("boom in cell five")
@@ -92,7 +93,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 	const jobs = 3
 	var cur, peak atomic.Int32
 	var mu sync.Mutex
-	if err := Run(50, jobs, func(i int) error {
+	if err := RunCtx(context.Background(), 50, jobs, func(i int) error {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > peak.Load() {
@@ -111,11 +112,11 @@ func TestRunBoundsConcurrency(t *testing.T) {
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	if err := Run(0, 4, func(int) error { panic("no cells") }); err != nil {
+	if err := RunCtx(context.Background(), 0, 4, func(int) error { panic("no cells") }); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
 	ran := 0
-	if err := Run(3, -1, func(i int) error { ran++; return nil }); err != nil || ran != 3 {
+	if err := RunCtx(context.Background(), 3, -1, func(i int) error { ran++; return nil }); err != nil || ran != 3 {
 		t.Errorf("jobs<1: ran=%d err=%v, want serial fallback", ran, err)
 	}
 }
@@ -124,7 +125,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	forceParallelism(t, 8)
 	var c Cache
 	var builds atomic.Int32
-	err := Run(64, 8, func(i int) error {
+	err := RunCtx(context.Background(), 64, 8, func(i int) error {
 		v, err := GetAs(&c, "shared", func() (int, error) {
 			builds.Add(1)
 			return 77, nil
@@ -143,8 +144,8 @@ func TestCacheSingleFlight(t *testing.T) {
 	if b := builds.Load(); b != 1 {
 		t.Errorf("shared input built %d times, want 1", b)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d keys, want 1", c.Len())
+	if len(c.entries) != 1 {
+		t.Errorf("cache holds %d keys, want 1", len(c.entries))
 	}
 }
 
@@ -157,8 +158,8 @@ func TestCacheDistinctKeys(t *testing.T) {
 			t.Fatalf("key %s: %q, %v", key, v, err)
 		}
 	}
-	if c.Len() != 5 {
-		t.Errorf("cache holds %d keys, want 5", c.Len())
+	if len(c.entries) != 5 {
+		t.Errorf("cache holds %d keys, want 5", len(c.entries))
 	}
 }
 

@@ -132,7 +132,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		if e.Samples != nil && e.SampleCy > 0 {
 			capSlots := e.SampleCy * float64(e.Procs)
 			for k, slots := range e.Samples {
-				t := e.Start + float64(k)*e.SampleCy
+				t := e.Start + float64(float64(k)*e.SampleCy)
 				evs = append(evs, chromeEvent{
 					Name: "utilization", Ph: "C",
 					TS: round3(t * us), PID: pid, TID: 0,

@@ -50,7 +50,7 @@ func (r *Recorder) WriteAttribution(w io.Writer) {
 			if e.Machine != machine {
 				continue
 			}
-			capacity += e.Cycles * float64(e.Procs)
+			capacity += float64(e.Cycles * float64(e.Procs))
 			for cat, v := range e.Attr {
 				totals[cat] += v
 			}

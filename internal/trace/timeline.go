@@ -45,7 +45,7 @@ func (tl *Timeline) spread(dst []float64, lo, hi, amount float64) []float64 {
 		for len(dst) <= b {
 			dst = append(dst, 0)
 		}
-		dst[b] += (bhi - blo) * rate
+		dst[b] += float64((bhi - blo) * rate)
 		if float64(b+1)*tl.BucketCy >= hi {
 			return dst
 		}
@@ -71,7 +71,7 @@ func (r *Recorder) Timelines(bucketCy float64) []*Timeline {
 		tl.Capacity = tl.spread(tl.Capacity, e.Start, end, e.Cycles*float64(e.Procs))
 		if e.Samples != nil && e.SampleCy > 0 {
 			for k, slots := range e.Samples {
-				lo := e.Start + float64(k)*e.SampleCy
+				lo := e.Start + float64(float64(k)*e.SampleCy)
 				hi := lo + e.SampleCy
 				if hi > end {
 					hi = end
@@ -101,7 +101,7 @@ func (r *Recorder) WriteTimeline(w io.Writer, bucketCy float64) {
 		fmt.Fprintf(w, "%s utilization timeline (bucket = %.0f cycles)\n", tl.Machine, tl.BucketCy)
 		for k := range tl.Capacity {
 			u := tl.Utilization(k)
-			bar := int(u*40 + 0.5)
+			bar := int(float64(u*40) + 0.5)
 			if bar > 40 {
 				bar = 40
 			}

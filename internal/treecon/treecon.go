@@ -55,17 +55,6 @@ type Expr struct {
 // Len returns the number of nodes.
 func (e *Expr) Len() int { return len(e.Op) }
 
-// Leaves returns the number of leaf nodes.
-func (e *Expr) Leaves() int {
-	c := 0
-	for _, op := range e.Op {
-		if op == OpLeaf {
-			c++
-		}
-	}
-	return c
-}
-
 // Validate checks structural soundness: a proper binary tree in which
 // every internal node has exactly two children, every node except the
 // root has one parent, and leaf values are canonical field elements.

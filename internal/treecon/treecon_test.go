@@ -116,8 +116,9 @@ func TestRandomExprValid(t *testing.T) {
 		if err := e.Validate(); err != nil {
 			t.Fatalf("leaves=%d: %v", leaves, err)
 		}
-		if e.Leaves() != leaves {
-			t.Fatalf("leaves=%d: got %d", leaves, e.Leaves())
+		// A valid full binary tree with L leaves has 2L-1 nodes.
+		if e.Len() != 2*leaves-1 {
+			t.Fatalf("leaves=%d: got %d nodes, want %d", leaves, e.Len(), 2*leaves-1)
 		}
 	}
 }

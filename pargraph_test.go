@@ -144,32 +144,6 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestSpanningForest(t *testing.T) {
-	g := MeshGraph(20, 20)
-	edges, labels := SpanningForest(g, 4)
-	if len(edges) != g.N-1 {
-		t.Fatalf("spanning tree has %d edges, want %d", len(edges), g.N-1)
-	}
-	if CountComponents(labels) != 1 {
-		t.Fatal("mesh should be one component")
-	}
-	// Tree edges must be valid indices and acyclic (checked by size +
-	// connectivity: n-1 edges connecting one component is a tree).
-	for _, ei := range edges {
-		if ei < 0 || int(ei) >= len(g.Edges) {
-			t.Fatalf("edge index %d out of range", ei)
-		}
-	}
-}
-
-func TestSpanningForestDisconnected(t *testing.T) {
-	g := RandomGraph(500, 100, 3) // very sparse: many components
-	edges, labels := SpanningForest(g, 4)
-	if got, want := len(edges), g.N-CountComponents(labels); got != want {
-		t.Fatalf("forest has %d edges, want %d", got, want)
-	}
-}
-
 func TestEvalExpressionMatchesSequential(t *testing.T) {
 	e := RandomExpression(2000, 11)
 	if EvalExpression(e, 4) != EvalExpressionSequential(e) {
@@ -198,42 +172,6 @@ func TestScaleFreeGraphComponents(t *testing.T) {
 	}
 	if !SameComponents(Components(g, 4), ComponentsSequential(g)) {
 		t.Fatal("labelings disagree on scale-free graph")
-	}
-}
-
-func TestMinimumSpanningForest(t *testing.T) {
-	// A square with a heavy diagonal: the MSF must skip the diagonal.
-	edges := []WeightedEdge{
-		{U: 0, V: 1, W: 1},
-		{U: 1, V: 2, W: 2},
-		{U: 2, V: 3, W: 3},
-		{U: 3, V: 0, W: 4},
-		{U: 0, V: 2, W: 100},
-	}
-	tree, w := MinimumSpanningForest(4, edges, 2)
-	if len(tree) != 3 || w != 6 {
-		t.Fatalf("got %d edges weight %d, want 3 edges weight 6", len(tree), w)
-	}
-	for _, ei := range tree {
-		if ei == 4 {
-			t.Fatal("MSF used the heavy diagonal")
-		}
-	}
-}
-
-func TestRootedSpanningTree(t *testing.T) {
-	g := MeshGraph(10, 10)
-	tree, err := RootedSpanningTree(g, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Size[0] != 100 || tree.Depth[0] != 0 {
-		t.Fatalf("root fields wrong: %+v", tree)
-	}
-	for v := 1; v < 100; v++ {
-		if tree.Parent[v] < 0 {
-			t.Fatalf("vertex %d unparented", v)
-		}
 	}
 }
 

@@ -33,21 +33,6 @@ func (m Machine) String() string {
 	return "SMP"
 }
 
-// hostWorkers is applied to every machine the facade constructs; see
-// SetHostWorkers.
-var hostWorkers = 1
-
-// SetHostWorkers sets how many host goroutines the simulators built by
-// SimulateListRank and SimulateComponents use to replay data-parallel
-// regions. Simulated results are identical for any value — only host
-// wall time changes. Values below 1 are treated as 1.
-func SetHostWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	hostWorkers = w
-}
-
 // SimResult reports one simulated kernel execution.
 type SimResult struct {
 	Seconds     float64 // simulated wall time at the machine's clock rate
@@ -67,12 +52,10 @@ func SimulateListRank(machine Machine, n int, layout Layout, procs int, seed uin
 	switch machine {
 	case MTA:
 		m := mta.New(mta.DefaultConfig(procs))
-		m.SetHostWorkers(hostWorkers)
 		rank = listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
 		res.Seconds, res.Cycles, res.Utilization = m.Seconds(), m.Cycles(), m.Utilization()
 	case SMP:
 		m := smp.New(smp.DefaultConfig(procs))
-		m.SetHostWorkers(hostWorkers)
 		rank = listrank.RankSMP(l, m, 8*procs, seed^0x51)
 		res.Seconds, res.Cycles = m.Seconds(), m.Cycles()
 	default:
@@ -96,12 +79,10 @@ func SimulateComponents(machine Machine, g Graph, procs int) SimResult {
 	switch machine {
 	case MTA:
 		m := mta.New(mta.DefaultConfig(procs))
-		m.SetHostWorkers(hostWorkers)
 		labels = concomp.LabelMTA(ig, m, sim.SchedDynamic)
 		res.Seconds, res.Cycles, res.Utilization = m.Seconds(), m.Cycles(), m.Utilization()
 	case SMP:
 		m := smp.New(smp.DefaultConfig(procs))
-		m.SetHostWorkers(hostWorkers)
 		labels = concomp.LabelSMP(ig, m)
 		res.Seconds, res.Cycles = m.Seconds(), m.Cycles()
 	default:
@@ -125,12 +106,10 @@ func SimulateColoring(machine Machine, g Graph, procs int) SimResult {
 	switch machine {
 	case MTA:
 		m := mta.New(mta.DefaultConfig(procs))
-		m.SetHostWorkers(hostWorkers)
 		color, _ = coloring.ColorMTA(ig, m, sim.SchedDynamic)
 		res.Seconds, res.Cycles, res.Utilization = m.Seconds(), m.Cycles(), m.Utilization()
 	case SMP:
 		m := smp.New(smp.DefaultConfig(procs))
-		m.SetHostWorkers(hostWorkers)
 		color, _ = coloring.ColorSMP(ig, m)
 		res.Seconds, res.Cycles = m.Seconds(), m.Cycles()
 	default:

@@ -5,7 +5,6 @@ import (
 	"pargraph/internal/graph"
 	"pargraph/internal/list"
 	"pargraph/internal/listrank"
-	"pargraph/internal/spantree"
 )
 
 // Tree is a rooted tree: for every vertex its parent (-1 at the root),
@@ -41,17 +40,4 @@ func RootTree(n int, edges []Edge, root, procs int) (*Tree, error) {
 func PrefixList(succ []int64, head int, vals []int64, procs int) []int64 {
 	l := &list.List{Succ: succ, Head: head}
 	return listrank.HelmanJajaPrefix(l, vals, procs)
-}
-
-// RootedSpanningTree computes a spanning tree of root's component in an
-// arbitrary graph and roots it — parallel Shiloach–Vishkin grafting
-// followed by the Euler-tour technique, the composition of the paper's
-// cited spanning-tree applications. Vertices outside root's component
-// get Parent -1 and zero Depth/Size.
-func RootedSpanningTree(g Graph, root, procs int) (*Tree, error) {
-	t, err := spantree.Rooted(g.internal(), root, procs)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{N: t.N, Root: t.Root, Parent: t.Parent, Depth: t.Depth, Size: t.Size}, nil
 }
