@@ -61,7 +61,7 @@ func main() {
 	log.SetPrefix("figures: ")
 	cl := runner.NewCommandLine(flag.CommandLine, spec.CmdFigures)
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	csvOut := flag.Bool("csv", false, "emit figure/table results as CSV instead of tables")
+	csvOut := flag.Bool("csv", false, "emit Fig. 1, Fig. 2 and Table 1 as CSV instead of tables (not -summary, -exp or -all)")
 	cpuProf := flag.String("cpuprofile", "", "write a Go CPU profile of the whole run to this file")
 	memProf := flag.String("memprofile", "", "write a Go heap profile at exit to this file")
 	sp, opts, err := cl.Parse(os.Args[1:])

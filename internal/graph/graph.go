@@ -108,22 +108,46 @@ func RandomGnm(n, m int, seed uint64) *Graph {
 	r := rng.New(seed)
 	seen := newEdgeSet(m)
 	edges := make([]Edge, 0, m)
+	// The draws do not depend on which edges exist, so take gnmAhead of
+	// them, then read their home slots in a loop of their own, then
+	// insert them in draw order: once the set outgrows the host's caches
+	// the reads' misses overlap instead of following one another (mixed
+	// into the drawing loop, they did not). A home slot that already
+	// holds the key marks a duplicate, since slots never empty again;
+	// that use is also what keeps the reads. Draws past the m-th edge are
+	// dropped: the generator is local, so nothing else sees them.
+	var keys, home [gnmAhead]uint64
 	for len(edges) < m {
-		u := int32(r.Intn(n))
-		v := int32(r.Intn(n))
-		if u == v {
-			continue
+		for j := 0; j < gnmAhead; {
+			u := int32(r.Intn(n))
+			v := int32(r.Intn(n))
+			if u == v {
+				continue
+			}
+			if u > v {
+				u, v = v, u
+			}
+			keys[j] = uint64(u)<<32 | uint64(v)
+			j++
 		}
-		if u > v {
-			u, v = v, u
+		for j, k := range keys {
+			home[j] = seen.slots[seen.home(k)]
 		}
-		if !seen.add(uint64(u)<<32 | uint64(v)) {
-			continue
+		for j, k := range keys {
+			if len(edges) == m {
+				break
+			}
+			if home[j] == k || !seen.add(k) {
+				continue
+			}
+			edges = append(edges, Edge{U: int32(k >> 32), V: int32(k)})
 		}
-		edges = append(edges, Edge{U: u, V: v})
 	}
 	return &Graph{N: n, Edges: edges}
 }
+
+// gnmAhead is how many draws RandomGnm reads ahead.
+const gnmAhead = 8
 
 // edgeSet is an open-addressing (linear probing) set of edge keys
 // u<<32|v with u < v. Such a key is never 0, because v >= 1, so 0 marks
@@ -144,10 +168,13 @@ func newEdgeSet(m int) edgeSet {
 	return edgeSet{slots: make([]uint64, size), shift: 64 - bits}
 }
 
+// home returns the slot where the probe for k starts.
+func (s *edgeSet) home(k uint64) uint64 { return (k * 0x9e3779b97f4a7c15) >> s.shift }
+
 // add inserts k and reports whether it was absent.
 func (s *edgeSet) add(k uint64) bool {
 	mask := uint64(len(s.slots) - 1)
-	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+	for i := s.home(k); ; i = (i + 1) & mask {
 		switch s.slots[i] {
 		case 0:
 			s.slots[i] = k

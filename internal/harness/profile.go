@@ -31,6 +31,15 @@ type ProfileParams struct {
 	SampleCycles float64
 }
 
+// prefixIn is the cached input of the prefix profile: a list, its
+// values and their sequential prefix sums. Exported fields so the value
+// persists through gob when a disk cache is attached (see sweep.GetAs).
+type prefixIn struct {
+	L    *list.List
+	Vals []int64
+	Want []int64
+}
+
 // ProfileRun summarizes one machine's traced execution.
 type ProfileRun struct {
 	Machine string
@@ -127,13 +136,6 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 		}
 
 	case "prefix":
-		// Exported fields so the value persists through gob when a disk
-		// cache is attached (see sweep.GetAs).
-		type prefixIn struct {
-			L    *list.List
-			Vals []int64
-			Want []int64
-		}
 		pKey := sweep.PrefixKey(n, params.Layout.String(), params.Seed)
 		getIn := func(c *Cell) prefixIn {
 			return cached(c, pKey, func() prefixIn {

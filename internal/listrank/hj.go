@@ -43,83 +43,6 @@ func chooseSublistHeads(l *list.List, s int, seed uint64) []int {
 	return heads
 }
 
-// sublistWalks traverses each sublist sequentially from its head,
-// recording for every node its local rank within the sublist and its
-// sublist index, and returns each sublist's length and successor sublist
-// (-1 past the tail). This is the shared step-3 logic; callers decide
-// how the walks are scheduled.
-type walkState struct {
-	heads    []int
-	headOf   []int32 // headOf[v] = sublist index if v is a head, else -1
-	local    []int64 // local rank of every node within its sublist
-	sublist  []int32 // sublist index of every node
-	length   []int64
-	nextList []int32
-}
-
-func newWalkState(l *list.List, heads []int) *walkState {
-	n := l.Len()
-	w := &walkState{
-		heads:    heads,
-		headOf:   make([]int32, n),
-		local:    make([]int64, n),
-		sublist:  make([]int32, n),
-		length:   make([]int64, len(heads)),
-		nextList: make([]int32, len(heads)),
-	}
-	for i := range w.headOf {
-		w.headOf[i] = -1
-	}
-	for i, h := range heads {
-		w.headOf[h] = int32(i)
-	}
-	return w
-}
-
-// walk traverses sublist i, filling local/sublist and the per-sublist
-// length and successor.
-func (w *walkState) walk(l *list.List, i int) {
-	j := int64(w.heads[i])
-	var cnt int64
-	for {
-		if cnt >= int64(l.Len()) {
-			panic("listrank: list contains a cycle")
-		}
-		w.local[j] = cnt
-		w.sublist[j] = int32(i)
-		cnt++
-		nx := l.Succ[j]
-		if nx == list.NilNext {
-			w.nextList[i] = -1
-			break
-		}
-		if w.headOf[nx] >= 0 {
-			w.nextList[i] = w.headOf[nx]
-			break
-		}
-		j = nx
-	}
-	w.length[i] = cnt
-}
-
-// offsets chains the sublists from the one containing the list head and
-// prefix-sums their lengths — step 4. The chain has at most s links, so
-// this serial pass is negligible, exactly as in the paper.
-func (w *walkState) offsets() []int64 {
-	off := make([]int64, len(w.heads))
-	var acc int64
-	hops := 0
-	for i := int32(0); i >= 0; i = w.nextList[i] {
-		if hops > len(w.heads) {
-			panic("listrank: list contains a cycle")
-		}
-		hops++
-		off[i] = acc
-		acc += w.length[i]
-	}
-	return off
-}
-
 // HelmanJaja ranks the list with the Helman–JáJá sublist algorithm using
 // p goroutine workers and s = 8p sublists, the paper's SMP choice. The
 // final combining pass runs in array order, which is what gives the
@@ -133,23 +56,20 @@ func HelmanJaja(l *list.List, p int) []int64 {
 func HelmanJajaS(l *list.List, p, s int, seed uint64) []int64 {
 	n := l.Len()
 	heads := chooseSublistHeads(l, s, seed)
-	w := newWalkState(l, heads)
 
-	// Step 3: walk the sublists in parallel.
-	par.For(len(heads), p, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			w.walk(l, i)
-		}
-	})
+	// Step 3: walk the sublists on the p workers, recording every node's
+	// sublist and its position in it.
+	d := decompose(l, heads, markHeads(n, heads), p)
+	pl := d.places(n, p)
 
-	// Step 4: serial prefix over the sublist records.
-	off := w.offsets()
+	// Step 4: serial prefix over the sublist lengths.
+	off := chain(d.next, d.length)
 
 	// Step 5: array-order combining pass.
 	rank := make([]int64, n)
 	par.For(n, p, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			rank[i] = w.local[i] + off[w.sublist[i]]
+			rank[i] = int64(pl[i].at) + off[pl[i].sub]
 		}
 	})
 	return rank

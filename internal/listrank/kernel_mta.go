@@ -76,21 +76,20 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 	// Region 3: traverse each walk until the next marked node, counting
 	// its length. Each step is two dependent loads (list[j], rank[j])
 	// plus loop arithmetic — the pointer chase that would devastate a
-	// cache machine and that the MTA hides with streams.
-	lnth := make([]int64, nw)
-	nextWalk := make([]int32, nw)
+	// cache machine and that the MTA hides with streams. The host walks
+	// the list once, before the region (see decompose); the region
+	// charges every step from that walk.
+	d := decompose(l, headNode, rank, m.HostWorkers())
 	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
-		j := int64(headNode[i])
-		var cnt int64 = 1
+		nodes, last := d.of(i), d.after(i, headNode)
 		t.Instr(2)
-		for {
-			if cnt > int64(n) {
-				panic("listrank: list contains a cycle")
+		for x, j := range nodes {
+			nx := last
+			if x+1 < len(nodes) {
+				nx = int64(nodes[x+1])
 			}
-			nx := l.Succ[j]
 			if nx == list.NilNext {
 				t.LoadDep(mtaSuccBase + uint64(j))
-				nextWalk[i] = -1
 				break
 			}
 			// Both dependent loads of the step charged in one call; the
@@ -98,14 +97,7 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 			// calls, at half the charging overhead.
 			t.LoadDep2(mtaSuccBase+uint64(j), mtaRankBase+uint64(nx))
 			t.Instr(2)
-			if rank[nx] != rankSentinel {
-				nextWalk[i] = int32(rank[nx])
-				break
-			}
-			cnt++
-			j = nx
 		}
-		lnth[i] = cnt
 		t.Store(mtaWalkBase + uint64(nw+i))   // lnth[i]
 		t.Store(mtaWalkBase + uint64(2*nw+i)) // next[i]
 	})
@@ -116,8 +108,10 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 	// so offset[i] = n - suffix[i].
 	suffix := make([]int64, nw)
 	hop := make([]int32, nw)
-	copy(suffix, lnth)
-	copy(hop, nextWalk)
+	for i, c := range d.length {
+		suffix[i] = int64(c)
+	}
+	copy(hop, d.next)
 	suffixNew := make([]int64, nw)
 	hopNew := make([]int32, nw)
 	rounds := 0
@@ -161,14 +155,12 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 	// offset.
 	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
 		off := int64(n) - suffix[i]
-		j := int64(headNode[i])
 		t.Instr(3)
-		for step := int64(0); step < lnth[i]; step++ {
+		for step, j := range d.of(i) {
 			t.Store(mtaRankBase + uint64(j))
 			t.LoadDep(mtaSuccBase + uint64(j))
 			t.Instr(2)
-			rank[j] = off + step
-			j = l.Succ[j]
+			rank[j] = off + int64(step)
 		}
 	})
 	return rank

@@ -52,40 +52,34 @@ func PrefixMTA(l *list.List, vals []int64, m *mta.Machine, nwalk int, sched sim.
 		t.Store(mtaRankBase + uint64(headNode[i]))
 	})
 
-	// Compact: walk each sublist summing its values.
+	// Compact: walk each sublist summing its values. The host walks the
+	// list once, before the region (see decompose).
+	d := decompose(l, headNode, out, m.HostWorkers())
 	sum := make([]int64, nw)
-	cnt := make([]int64, nw)
-	nextWalk := make([]int32, nw)
 	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
-		j := int64(headNode[i])
+		nodes, last := d.of(i), d.after(i, headNode)
 		t.Instr(2)
-		t.Load(mtaValBase + uint64(j))
-		acc := vals[j]
-		var c int64 = 1
-		for {
-			if c > int64(n) {
-				panic("listrank: list contains a cycle")
+		t.Load(mtaValBase + uint64(nodes[0]))
+		acc := vals[nodes[0]]
+		for x, j := range nodes {
+			nx := last
+			if x+1 < len(nodes) {
+				nx = int64(nodes[x+1])
 			}
-			nx := l.Succ[j]
 			if nx == list.NilNext {
 				t.LoadDep(mtaSuccBase + uint64(j))
-				nextWalk[i] = -1
 				break
 			}
 			t.LoadDep2(mtaSuccBase+uint64(j), mtaRankBase+uint64(nx))
 			t.Instr(2)
-			if out[nx] != rankSentinel {
-				nextWalk[i] = int32(out[nx])
+			if x+1 == len(nodes) {
 				break
 			}
 			t.Load(mtaValBase + uint64(nx))
 			t.Instr(1)
 			acc += vals[nx]
-			c++
-			j = nx
 		}
 		sum[i] = acc
-		cnt[i] = c
 		t.Store(mtaWalkBase + uint64(nw+i))
 		t.Store(mtaWalkBase + uint64(2*nw+i))
 	})
@@ -95,7 +89,7 @@ func PrefixMTA(l *list.List, vals []int64, m *mta.Machine, nwalk int, sched sim.
 	suffix := make([]int64, nw)
 	hop := make([]int32, nw)
 	copy(suffix, sum)
-	copy(hop, nextWalk)
+	copy(hop, d.next)
 	suffixNew := make([]int64, nw)
 	hopNew := make([]int32, nw)
 	var total int64
@@ -142,16 +136,14 @@ func PrefixMTA(l *list.List, vals []int64, m *mta.Machine, nwalk int, sched sim.
 	// Expand: replay each walk, emitting running sums from its offset.
 	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
 		acc := total - suffix[i] // sum of all values before this walk
-		j := int64(headNode[i])
 		t.Instr(3)
-		for step := int64(0); step < cnt[i]; step++ {
+		for _, j := range d.of(i) {
 			t.Load(mtaValBase + uint64(j))
 			t.Instr(2)
 			acc += vals[j]
 			t.Store(mtaRankBase + uint64(j))
 			t.LoadDep(mtaSuccBase + uint64(j))
 			out[j] = acc
-			j = l.Succ[j]
 		}
 	})
 	return out

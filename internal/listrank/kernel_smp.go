@@ -47,7 +47,6 @@ func RankSMP(l *list.List, m *smp.Machine, s int, seed uint64) []int64 {
 
 	// Step 2: choose and mark the sublist heads (serial; s is tiny).
 	heads := chooseSublistHeads(l, s, seed)
-	w := newWalkState(l, heads)
 	m.Sequential(func(p *smp.Proc) {
 		for _, h := range heads {
 			p.Compute(6) // draw the sample
@@ -59,32 +58,28 @@ func RankSMP(l *list.List, m *smp.Machine, s int, seed uint64) []int64 {
 	// Step 3: walk the sublists, each processor owning a contiguous range
 	// of sublists. Every node costs a successor load, a mark check, and
 	// two bookkeeping stores — non-contiguous when the layout is Random.
+	// The host walks the list once, before the phase (see decompose).
 	k := len(heads)
+	workers := m.HostWorkers()
+	d := decompose(l, heads, markHeads(n, heads), workers)
+	pl := d.places(n, workers)
 	m.Phase(func(p *smp.Proc) {
 		lo, hi := p.ID()*k/procs, (p.ID()+1)*k/procs
 		for i := lo; i < hi; i++ {
-			j := int64(w.heads[i])
-			var steps int
-			for {
-				if steps > n {
-					panic("listrank: list contains a cycle")
-				}
-				steps++
-				p.Store(addr(localA, j))
-				p.Store(addr(subA, j))
+			nodes, last := d.of(i), d.after(i, heads)
+			for x, j := range nodes {
+				p.Store(addr(localA, int64(j)))
+				p.Store(addr(subA, int64(j)))
 				p.Compute(3)
-				p.Load(addr(succA, j))
-				nx := l.Succ[j]
-				if nx == list.NilNext {
-					break
+				p.Load(addr(succA, int64(j)))
+				nx := last
+				if x+1 < len(nodes) {
+					nx = int64(nodes[x+1])
 				}
-				p.Load(addr(headOfA, nx))
-				if w.headOf[nx] >= 0 {
-					break
+				if nx != list.NilNext {
+					p.Load(addr(headOfA, nx))
 				}
-				j = nx
 			}
-			w.walk(l, i) // native bookkeeping mirrors the charged walk
 		}
 	})
 	m.Barrier()
@@ -97,7 +92,7 @@ func RankSMP(l *list.List, m *smp.Machine, s int, seed uint64) []int64 {
 			p.Compute(2)
 		}
 	})
-	off := w.offsets()
+	off := chain(d.next, d.length)
 	m.Barrier()
 
 	// Step 5: array-order combining pass — the contiguous sweep that
@@ -108,10 +103,10 @@ func RankSMP(l *list.List, m *smp.Machine, s int, seed uint64) []int64 {
 		for i := lo; i < hi; i++ {
 			p.Load(addr(localA, int64(i)))
 			p.Load(addr(subA, int64(i)))
-			p.Load(addr(sideA, int64(k+int(w.sublist[i]))))
+			p.Load(addr(sideA, int64(k+int(pl[i].sub))))
 			p.Compute(2)
 			p.Store(addr(rankA, int64(i)))
-			rank[i] = w.local[i] + off[w.sublist[i]]
+			rank[i] = int64(pl[i].at) + off[pl[i].sub]
 		}
 	})
 	m.Barrier()

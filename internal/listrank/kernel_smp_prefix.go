@@ -47,7 +47,6 @@ func PrefixSMP(l *list.List, vals []int64, m *smp.Machine, s int, seed uint64) [
 
 	// Step 2: choose and mark the sublist heads (serial; s is tiny).
 	heads := chooseSublistHeads(l, s, seed)
-	w := newWalkState(l, heads)
 	m.Sequential(func(p *smp.Proc) {
 		for _, h := range heads {
 			p.Compute(6)
@@ -59,40 +58,27 @@ func PrefixSMP(l *list.List, vals []int64, m *smp.Machine, s int, seed uint64) [
 	// Step 3: walk the sublists accumulating value prefixes. Each node
 	// costs the rank walk's references plus the value load.
 	k := len(heads)
-	sums := make([]int64, k)
+	workers := m.HostWorkers()
+	d := decompose(l, heads, markHeads(n, heads), workers)
+	pl, sums := d.sums(vals, workers)
 	m.Phase(func(p *smp.Proc) {
 		lo, hi := p.ID()*k/procs, (p.ID()+1)*k/procs
 		for i := lo; i < hi; i++ {
-			j := int64(w.heads[i])
-			var acc int64
-			var cnt int64
-			for {
-				if cnt > int64(n) {
-					panic("listrank: list contains a cycle")
-				}
-				p.Load(addr(valsA, j))
-				p.Store(addr(localA, j))
-				p.Store(addr(subA, j))
+			nodes, last := d.of(i), d.after(i, heads)
+			for x, j := range nodes {
+				p.Load(addr(valsA, int64(j)))
+				p.Store(addr(localA, int64(j)))
+				p.Store(addr(subA, int64(j)))
 				p.Compute(4)
-				acc += vals[j]
-				w.local[j] = acc
-				w.sublist[j] = int32(i)
-				cnt++
-				p.Load(addr(succA, j))
-				nx := l.Succ[j]
-				if nx == list.NilNext {
-					w.nextList[i] = -1
-					break
+				p.Load(addr(succA, int64(j)))
+				nx := last
+				if x+1 < len(nodes) {
+					nx = int64(nodes[x+1])
 				}
-				p.Load(addr(headOfA, nx))
-				if w.headOf[nx] >= 0 {
-					w.nextList[i] = w.headOf[nx]
-					break
+				if nx != list.NilNext {
+					p.Load(addr(headOfA, nx))
 				}
-				j = nx
 			}
-			w.length[i] = cnt
-			sums[i] = acc
 		}
 	})
 	m.Barrier()
@@ -105,17 +91,7 @@ func PrefixSMP(l *list.List, vals []int64, m *smp.Machine, s int, seed uint64) [
 			p.Compute(2)
 		}
 	})
-	off := make([]int64, k)
-	var acc int64
-	hops := 0
-	for i := int32(0); i >= 0; i = w.nextList[i] {
-		if hops > k {
-			panic("listrank: list contains a cycle")
-		}
-		hops++
-		off[i] = acc
-		acc += sums[i]
-	}
+	off := chain(d.next, sums)
 	m.Barrier()
 
 	// Step 5: array-order combining pass.
@@ -125,10 +101,10 @@ func PrefixSMP(l *list.List, vals []int64, m *smp.Machine, s int, seed uint64) [
 		for i := lo; i < hi; i++ {
 			p.Load(addr(localA, int64(i)))
 			p.Load(addr(subA, int64(i)))
-			p.Load(addr(sideA, int64(k+int(w.sublist[i]))))
+			p.Load(addr(sideA, int64(k+int(pl[i].sub))))
 			p.Compute(2)
 			p.Store(addr(outA, int64(i)))
-			out[i] = w.local[i] + off[w.sublist[i]]
+			out[i] = pl[i].at + off[pl[i].sub]
 		}
 	})
 	m.Barrier()

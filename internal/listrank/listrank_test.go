@@ -308,6 +308,10 @@ func TestCyclicListPanics(t *testing.T) {
 		"prefix-mta": func(l *list.List) {
 			PrefixMTA(l, make([]int64, 100), mta.New(mta.DefaultConfig(1)), 10, sim.SchedDynamic)
 		},
+		"prefix-smp": func(l *list.List) {
+			PrefixSMP(l, make([]int64, 100), smp.New(smp.DefaultConfig(1)), 8, 1)
+		},
+		"helmanjaja-prefix": func(l *list.List) { HelmanJajaPrefix(l, make([]int64, 100), 2) },
 	}
 	for name, f := range impls {
 		func() {

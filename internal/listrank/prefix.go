@@ -34,49 +34,20 @@ func helmanJajaPrefixS(l *list.List, vals []int64, p, s int, seed uint64) []int6
 		panic("listrank: prefix values length mismatch")
 	}
 	heads := chooseSublistHeads(l, s, seed)
-	w := newWalkState(l, heads)
 
-	// Step 3: walk sublists accumulating value prefixes instead of counts.
-	sums := make([]int64, len(heads))
-	par.For(len(heads), p, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j := int64(w.heads[i])
-			var acc int64
-			var cnt int64
-			for {
-				acc += vals[j]
-				w.local[j] = acc
-				w.sublist[j] = int32(i)
-				cnt++
-				nx := l.Succ[j]
-				if nx == list.NilNext {
-					w.nextList[i] = -1
-					break
-				}
-				if w.headOf[nx] >= 0 {
-					w.nextList[i] = w.headOf[nx]
-					break
-				}
-				j = nx
-			}
-			w.length[i] = cnt
-			sums[i] = acc
-		}
-	})
+	// Step 3: walk the sublists accumulating value prefixes instead of
+	// positions.
+	d := decompose(l, heads, markHeads(n, heads), p)
+	pl, sums := d.sums(vals, p)
 
 	// Step 4: chain the sublists, prefixing their value totals.
-	off := make([]int64, len(heads))
-	var acc int64
-	for i := int32(0); i >= 0; i = w.nextList[i] {
-		off[i] = acc
-		acc += sums[i]
-	}
+	off := chain(d.next, sums)
 
 	// Step 5: array-order combining pass.
 	out := make([]int64, n)
 	par.For(n, p, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = w.local[i] + off[w.sublist[i]]
+			out[i] = pl[i].at + off[pl[i].sub]
 		}
 	})
 	return out

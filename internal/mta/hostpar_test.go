@@ -1,10 +1,13 @@
 package mta
 
 import (
+	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pargraph/internal/sim"
+	"pargraph/internal/trace"
 )
 
 // forceHostParallelism raises GOMAXPROCS for the duration of a test.
@@ -57,6 +60,82 @@ func TestHostWorkersInvariantExact(t *testing.T) {
 			if got := runCharged(w, n, sched).Stats(); got != want {
 				t.Errorf("sched=%v workers=%d stats diverge:\n got %+v\nwant %+v", sched, w, got, want)
 			}
+		}
+	}
+}
+
+// TestOverlappedTimingMatchesSerial: with several host workers and no
+// sink an exact region is scheduled in the background while the next
+// one replays, and barriers queue behind it (see timeLater). The clock
+// read between regions, the final Stats, the Stats of the tape recorded
+// meanwhile, played back, and the events of a sink attached once the
+// run is over must all equal the serial machine's bit for bit.
+func TestOverlappedTimingMatchesSerial(t *testing.T) {
+	forceHostParallelism(t, 8)
+	const n = 10 * shardChunk
+	type outcome struct {
+		cycles []float64
+		stats  Stats
+		events []byte
+		played Stats
+	}
+	// A barrier length that is no binary fraction makes the clock's bits
+	// depend on the order barriers and regions commit in.
+	cfg := DefaultConfig(4)
+	cfg.BarrierCycles = 0.1
+	run := func(workers int) outcome {
+		var o outcome
+		m := New(cfg)
+		m.SetHostWorkers(workers)
+		out := make([]int64, n)
+		tape, err := m.RecordTape(func(m *Machine) error {
+			m.ParallelFor(n, sim.SchedDynamic, chargeBody(out))
+			m.Barrier()
+			m.Barrier()
+			m.ParallelFor(n, sim.SchedBlock, chargeBody(out))
+			o.cycles = append(o.cycles, m.Cycles())
+			m.ParallelFor(n, sim.SchedDynamic, chargeBody(out))
+			m.Serial(func(t *Thread) { t.Instr(5); t.LoadDep(7) })
+			for k := 1; k <= 16; k++ {
+				m.ParallelFor(n-37*k, sim.SchedDynamic, chargeBody(out))
+				m.Barrier()
+				m.Barrier()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Attaching a sink settles the last region and barrier first:
+		// they emit nothing, and the region after them emits as usual.
+		rec := &trace.Recorder{}
+		m.SetSink(rec)
+		m.ParallelFor(n, sim.SchedDynamic, chargeBody(out))
+		o.cycles = append(o.cycles, m.Cycles())
+		o.stats = m.Stats()
+		o.events = trace.AppendEvents(nil, rec.Events)
+		pm := New(cfg)
+		if err := pm.Play(tape); err != nil {
+			t.Fatal(err)
+		}
+		o.played = pm.Stats()
+		return o
+	}
+	want := run(1)
+	if len(want.events) == 0 {
+		t.Fatal("the serial run emitted no events")
+	}
+	for _, w := range []int{2, 4} {
+		got := run(w)
+		switch {
+		case !slices.Equal(got.cycles, want.cycles):
+			t.Errorf("workers=%d: clock read between regions %v, serial %v", w, got.cycles, want.cycles)
+		case got.stats != want.stats:
+			t.Errorf("workers=%d: stats diverge:\n got %+v\nwant %+v", w, got.stats, want.stats)
+		case !bytes.Equal(got.events, want.events):
+			t.Errorf("workers=%d: event stream differs from the serial run's", w)
+		case got.played != want.played:
+			t.Errorf("workers=%d: played tape stats %+v, serial %+v", w, got.played, want.played)
 		}
 	}
 }

@@ -160,6 +160,10 @@ type Machine struct {
 	wtallies []*tally
 	maxExact int
 	items    []sim.Item
+	// spareItems is the item buffer a pending region is not using (see
+	// timeLater); pending is that region, nil when none is.
+	spareItems []sim.Item
+	pending    *pendingRegion
 	// bankCnt holds the region's bucket counts aligned with its touched
 	// list; fold is the timing step's per-bank scratch (bankPeak).
 	bankCnt []int64
@@ -272,11 +276,19 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
+// HostWorkers returns how many host goroutines the machine replays on:
+// the SetHostWorkers count, capped at GOMAXPROCS. Kernels shard their
+// own host-side work, such as the list kernels' walk, over it too.
+func (m *Machine) HostWorkers() int { return effectiveWorkers(m.hostWorkers) }
+
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
 // Stats returns a copy of the accumulated statistics.
-func (m *Machine) Stats() Stats { return m.stats }
+func (m *Machine) Stats() Stats {
+	m.settle()
+	return m.stats
+}
 
 // Reset returns the machine to its post-New state, keeping the
 // configuration and host worker count: it clears accumulated statistics,
@@ -286,6 +298,7 @@ func (m *Machine) Stats() Stats { return m.stats }
 // parked goroutines are reused by the next region, not stranded or
 // respawned.
 func (m *Machine) Reset() {
+	m.settle()
 	m.stats = Stats{}
 	m.evSeq = 0
 	m.recordMax = 0
@@ -293,15 +306,22 @@ func (m *Machine) Reset() {
 }
 
 // Cycles returns total simulated cycles so far.
-func (m *Machine) Cycles() float64 { return m.stats.Cycles }
+func (m *Machine) Cycles() float64 {
+	m.settle()
+	return m.stats.Cycles
+}
 
 // Seconds converts the simulated cycle count to seconds at the machine's
 // clock rate.
-func (m *Machine) Seconds() float64 { return m.stats.Cycles / (m.cfg.ClockMHz * 1e6) }
+func (m *Machine) Seconds() float64 {
+	m.settle()
+	return m.stats.Cycles / (m.cfg.ClockMHz * 1e6)
+}
 
 // Utilization is the fraction of issue slots used machine-wide since the
 // last Reset — the quantity the paper reports in Table 1.
 func (m *Machine) Utilization() float64 {
+	m.settle()
 	if m.stats.Cycles <= 0 {
 		return 0
 	}
@@ -565,7 +585,10 @@ func (m *Machine) workerTallies(w int) []*tally {
 // be data-parallel: writes for different iterations must not overlap, and
 // data read by one iteration must not be written by another in the same
 // region. Loops that violate this must use ParallelForOrdered. Simulated
-// results are identical either way.
+// results are identical either way. On a machine with no sink, a
+// sharded region on the exact path is scheduled in the background while
+// the next region replays (see timeLater), and then ParallelFor returns
+// a zero result; Stats and Cycles wait for it.
 func (m *Machine) ParallelFor(n int, sched sim.Sched, body func(i int, t *Thread)) sim.RegionResult {
 	return m.parallelFor(n, sched, body, false)
 }
@@ -587,7 +610,7 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 	m.beginRegion()
 	ch := charges{kind: regionParallel, n: n, sched: sched}
 	if n == 0 {
-		return m.charge(&ch)
+		return m.charge(&ch, false)
 	}
 	exact := n <= m.maxExact
 	if exact {
@@ -689,7 +712,11 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 	} else {
 		ch.issue, ch.crit, ch.maxCrit = totIssue, totCrit, maxCrit
 	}
-	res := m.charge(&ch)
+	// A sharded exact region's schedule can overlap the next region's
+	// replay, unless its result is needed now: to record the region, or
+	// for a sink, whose reader sees its events without asking the machine.
+	later := exact && w > 1 && !recording && m.sink == nil
+	res := m.charge(&ch, later)
 	if recording {
 		m.recorded = append(m.recorded, RecordedRegion{Items: itemTraces, Cycles: res.Cycles, Issued: res.Issued})
 	}
@@ -706,10 +733,10 @@ func (m *Machine) Serial(body func(t *Thread)) {
 	it := t.item(&m.cfg)
 	ch := charges{kind: regionSerial, issue: it.Issue, crit: it.Crit}
 	m.tallyCharges(&ch)
-	m.charge(&ch)
+	m.charge(&ch, false)
 }
 
 // Barrier charges a full-machine barrier.
 func (m *Machine) Barrier() {
-	m.charge(&charges{kind: regionBarrier})
+	m.charge(&charges{kind: regionBarrier}, false)
 }

@@ -17,7 +17,10 @@ import (
 // a kernel; tracing does not change the simulated timing. Reset keeps
 // the sink attached (it is machine configuration, like the host worker
 // count) but restarts event numbering.
-func (m *Machine) SetSink(s trace.Sink) { m.sink = s }
+func (m *Machine) SetSink(s trace.Sink) {
+	m.settle()
+	m.sink = s
+}
 
 // SetTraceSampling sets the within-region sampling interval in
 // simulated cycles: parallel regions on the exact path additionally

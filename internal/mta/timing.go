@@ -84,10 +84,15 @@ func (m *Machine) tallyCharges(ch *charges) {
 }
 
 // charge appends a live region's charges to the tape being recorded, if
-// any, and times them.
-func (m *Machine) charge(ch *charges) sim.RegionResult {
+// any, and times them: now, or with later set, in the background (see
+// timeLater), returning a zero result.
+func (m *Machine) charge(ch *charges, later bool) sim.RegionResult {
 	if m.tape != nil {
 		m.tape.add(ch, &m.dict)
+	}
+	if later {
+		m.timeLater(ch)
+		return sim.RegionResult{}
 	}
 	return m.time(ch)
 }
@@ -99,29 +104,27 @@ func (m *Machine) charge(ch *charges) sim.RegionResult {
 // committed into Stats and, with a sink attached, emitted as an
 // attribution event. It returns the region's final result.
 func (m *Machine) time(ch *charges) sim.RegionResult {
-	start := m.stats.Cycles
 	if ch.kind == regionBarrier {
-		m.stats.Barriers++
-		m.stats.Cycles += m.cfg.BarrierCycles
-		if m.sink != nil {
-			m.emitBarrier(start)
+		// A barrier depends on nothing but the clock, so it queues behind
+		// a pending region instead of waiting for it.
+		if m.pending != nil {
+			m.pending.barriers++
+		} else {
+			m.commitBarrier()
 		}
 		return sim.RegionResult{}
 	}
+	m.settle()
 
 	var res sim.RegionResult
 	var samples []float64
-	kind, items, idleCat := "parallel", ch.n, trace.CatMemStall
 	switch {
 	case ch.kind == regionSerial:
-		m.stats.SerialSpans++
 		res = sim.RegionResult{Cycles: ch.crit, Issued: ch.issue, Items: 1}
-		kind, items, idleCat = "serial", 0, trace.CatSerial
 	case ch.n == 0:
 		m.stats.Regions++
 		return res
 	case ch.items != nil:
-		m.stats.Regions++
 		if m.sink != nil && m.sampleCy > 0 {
 			tl := &sim.IssueTimeline{Interval: m.sampleCy}
 			res = sim.RunRegionTimeline(m.cfg.Procs, m.cfg.UseStreams, ch.items, ch.sched, tl)
@@ -130,7 +133,6 @@ func (m *Machine) time(ch *charges) sim.RegionResult {
 			res = sim.RunRegion(m.cfg.Procs, m.cfg.UseStreams, ch.items, ch.sched)
 		}
 	default:
-		m.stats.Regions++
 		avg := sim.Item{Issue: ch.issue / float64(ch.n), Crit: ch.crit / float64(ch.n)}
 		res = sim.RunUniformRegion(m.cfg.Procs, m.cfg.UseStreams, ch.n, avg, ch.sched)
 		if ch.maxCrit > res.Cycles {
@@ -138,8 +140,30 @@ func (m *Machine) time(ch *charges) sim.RegionResult {
 		}
 		res.Issued = ch.issue
 	}
+	return m.commit(ch, res, m.floors(ch), samples)
+}
 
-	fl := m.floors(ch)
+// commitBarrier commits one barrier into Stats and the sink.
+func (m *Machine) commitBarrier() {
+	start := m.stats.Cycles
+	m.stats.Barriers++
+	m.stats.Cycles += m.cfg.BarrierCycles
+	if m.sink != nil {
+		m.emitBarrier(start)
+	}
+}
+
+// commit raises a timed region's result to its floors and commits it
+// into Stats and the sink.
+func (m *Machine) commit(ch *charges, res sim.RegionResult, fl floors, samples []float64) sim.RegionResult {
+	start := m.stats.Cycles
+	kind, items, idleCat := "parallel", ch.n, trace.CatMemStall
+	if ch.kind == regionSerial {
+		m.stats.SerialSpans++
+		kind, items, idleCat = "serial", 0, trace.CatSerial
+	} else {
+		m.stats.Regions++
+	}
 	fluid := res.Cycles
 	if floor := fl.max(); floor > res.Cycles {
 		if ch.kind == regionParallel {
@@ -158,6 +182,52 @@ func (m *Machine) time(ch *charges) sim.RegionResult {
 		m.emitRegion(kind, items, start, fluid, res, fl, idleCat, samples)
 	}
 	return res
+}
+
+// pendingRegion is an exact region whose items a helper goroutine is
+// scheduling while the kernel replays the regions after it.
+type pendingRegion struct {
+	ch       charges
+	fl       floors
+	res      sim.RegionResult
+	done     chan struct{}
+	barriers int // barriers charged after the region, committed after it
+}
+
+// timeLater times a live exact region the way time does, but runs its
+// item scheduler on a goroutine of its own and commits the result only
+// when settle is next called: by the next region's timing, by any read
+// of Stats, or by Reset or SetSink. The scheduler is the one serial
+// step of a region, so on a machine replaying on several host workers
+// it then overlaps the next region's replay instead of idling them. The
+// floors are taken now, while the region's bank histogram is still in
+// hand, and the items keep their buffer: the next region replays into
+// the spare one.
+func (m *Machine) timeLater(ch *charges) {
+	m.settle()
+	p := &pendingRegion{ch: *ch, fl: m.floors(ch), done: make(chan struct{})}
+	p.ch.bankIdx, p.ch.bankCnt = nil, nil
+	m.items, m.spareItems = m.spareItems, m.items
+	procs, streams := m.cfg.Procs, m.cfg.UseStreams
+	go func() {
+		defer close(p.done)
+		p.res = sim.RunRegion(procs, streams, p.ch.items, p.ch.sched)
+	}()
+	m.pending = p
+}
+
+// settle commits the pending region, if any, waiting for its schedule.
+func (m *Machine) settle() {
+	p := m.pending
+	if p == nil {
+		return
+	}
+	m.pending = nil
+	<-p.done
+	m.commit(&p.ch, p.res, p.fl, nil)
+	for range p.barriers {
+		m.commitBarrier()
+	}
 }
 
 // floors returns the lower bounds on a region's wall time imposed by

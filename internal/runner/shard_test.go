@@ -166,6 +166,11 @@ func TestShardedTextAndCSVFormats(t *testing.T) {
 	for _, format := range []string{"text", "csv"} {
 		t.Run(format, func(t *testing.T) {
 			text := strings.Replace(shardSpec, `format = "json"`, fmt.Sprintf("format = %q", format), 1)
+			if format == "csv" {
+				// CSV renders Fig. 1, Fig. 2 and Table 1 only; the spec
+				// refuses the summary and experiments with it.
+				text = strings.NewReplacer("summary = true\n", "", "exp = \"coloring\"\n", "").Replace(text)
+			}
 			dir := t.TempDir()
 			cache := filepath.Join(dir, "cache")
 			want := shardRun(t, text, dir, "cold", "", "")

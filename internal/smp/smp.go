@@ -394,6 +394,11 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
+// HostWorkers returns how many host goroutines the machine replays on:
+// the SetHostWorkers count, capped at GOMAXPROCS. Kernels shard their
+// own host-side work, such as the list kernels' walk, over it too.
+func (m *Machine) HostWorkers() int { return effectiveWorkers(m.hostWorkers) }
+
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 

@@ -247,6 +247,18 @@ func (s *Spec) validateFigures() error {
 	if err := enum("figures", "format", f.Format, "text", "json", "csv"); err != nil {
 		return err
 	}
+	// Only Fig. 1, Fig. 2 and Table 1 have CSV writers; the summary and
+	// the experiments would simulate and then print nothing.
+	if f.Format == "csv" {
+		for _, c := range []struct {
+			set bool
+			key string
+		}{{f.All, "all"}, {f.Summary, "summary"}, {f.Exp != "", "exp"}} {
+			if c.set {
+				return fmt.Errorf("spec: [figures] format \"csv\" renders only fig and table, not %s", c.key)
+			}
+		}
+	}
 	if !f.All && f.Fig == 0 && f.Table == 0 && !f.Summary && f.Exp == "" {
 		return fmt.Errorf("spec: [figures] selects nothing to run (set all, fig, table, summary, or exp)")
 	}

@@ -80,6 +80,9 @@ func TestBoundaries(t *testing.T) {
 		{"bad-table", "[figures]\ntable = 2\n", `spec: [figures] table must be 1, got 2`},
 		{"bad-exp", "[figures]\nexp = \"warp\"\n", `spec: [figures] unknown experiment "warp"`},
 		{"bad-format", "[figures]\nfig = 1\nformat = \"yaml\"\n", `spec: [figures] format must be one of text, json, csv; got "yaml"`},
+		{"csv-with-all", "[figures]\nall = true\nformat = \"csv\"\n", `spec: [figures] format "csv" renders only fig and table, not all`},
+		{"csv-with-summary", "[figures]\nfig = 1\nsummary = true\nformat = \"csv\"\n", `spec: [figures] format "csv" renders only fig and table, not summary`},
+		{"csv-with-exp", "[figures]\nexp = \"saturation\"\nformat = \"csv\"\n", `spec: [figures] format "csv" renders only fig and table, not exp`},
 		{"selects-nothing", "[run]\ncommand = \"figures\"\n", `spec: [figures] selects nothing to run (set all, fig, table, summary, or exp)`},
 		{"zero-axis-value", "[figures]\nfig = 1\nprocs = [1, 0]\n", `spec: [figures] procs values must be positive, got 0`},
 		{"negative-axis-value", "[figures]\nfig = 2\nedge_factors = [-4]\n", `spec: [figures] edge_factors values must be positive, got -4`},

@@ -11,16 +11,21 @@
 #     worker cap measured +26% and up) trips it.
 #   - 2 or 3 cores: workers=1 and workers=2; fails unless workers=2 is
 #     at least 1.15x faster than workers=1 on the MTA and 1.40x on the
-#     SMP. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) with the bank
-#     references tallied into 1024 buckets (the p = 8 machines this
-#     benchmark runs tally the same size as before), five runs of this
-#     script (each the minimum of 3) gave MTA 1.26-1.67x (median 1.43x)
-#     and SMP 1.36-2.26x (median 2.13x); the 1.36x SMP run failed the
-#     guard. Five runs of the parent in the same session gave MTA
-#     1.22-1.54x (median 1.41x) and SMP 1.25-2.29x (median 1.98x), with
-#     one SMP failure at 1.25x: the SMP legs are noisy on this host. The
-#     MTA gains less because its region scheduler (sim.RunRegion) replays
-#     serially after the sharded charge replay.
+#     SMP. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) once the list
+#     kernels walked the list in one sublist decomposition on the host
+#     workers and sharded exact MTA regions were scheduled in the
+#     background: twelve runs of this script (each the minimum of 3) gave
+#     MTA 1.33-1.97x (median 1.65x) and SMP 1.20-2.16x (median 1.54x),
+#     three SMP runs (1.20x, 1.26x, 1.34x) failing the guard. Nine runs
+#     of the parent alternating with them gave MTA 1.34-1.61x (median
+#     1.47x) and SMP 1.45-1.89x (median 1.62x), and the parent read SMP
+#     1.39x earlier in the same session: the SMP legs are noisy on this
+#     host, and the more so the shorter the kernel, since RankSMP now
+#     runs in 100-230 ms where it took 250-560 ms. Neither
+#     engine reaches 2x. The MTA's region scheduler (sim.RunRegion) is
+#     serial, overlapping only the next region's replay; RankSMP at one
+#     worker takes about a third of its former time, so its fixed serial
+#     costs (the head check, allocation, the barriers) weigh more.
 #
 # A single-core host cannot express any parallelism, so it skips.
 #

@@ -15,6 +15,10 @@
 # jobs actually overlapped (jobs_running_peak >= 2) and export latency
 # quantiles.
 #
+# A third phase checks that a manifest does not depend on what its
+# process ran before: one server runs E8 and then E2, and cmd/reproduce
+# must accept the served E2 manifest, re-running it in a fresh process.
+#
 # Usage: scripts/check_serve.sh
 set -eu
 
@@ -30,7 +34,7 @@ trap cleanup EXIT
 commit=$(sh "$root/scripts/version.sh")
 bin="$work/bin"
 mkdir -p "$bin"
-(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/serve)
+(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/serve ./cmd/reproduce)
 
 spec="$root/specs/e1_fig1.toml"
 cache="$work/cache"
@@ -46,18 +50,40 @@ mkdir -p "$work/cli"
 (cd "$work/cli" && "$bin/figures" -spec "$spec" -cache-dir "$work/clicache" >/dev/null 2>&1)
 [ -f "$work/cli/e1_fig1.json" ] || { echo "FAIL: CLI reference run wrote no report"; exit 1; }
 
-"$bin/serve" -addr localhost:0 -cache-dir "$cache" 2>"$work/server.log" &
-server_pid=$!
+# start_server <log> <serve flags...>: start a server in the background,
+# wait for the port it announces on stderr, and set server_pid and base.
+start_server() {
+    log=$1
+    shift
+    "$bin/serve" -addr localhost:0 "$@" 2>"$log" &
+    server_pid=$!
+    port=""
+    for _ in $(seq 50); do
+        port=$(sed -n 's#.*listening on http://[^:]*:\([0-9]*\)$#\1#p' "$log")
+        [ -n "$port" ] && break
+        sleep 0.1
+    done
+    [ -n "$port" ] || { echo "FAIL: server never announced its port"; cat "$log"; exit 1; }
+    base="http://localhost:$port"
+}
 
-# The chosen port is announced on stderr.
-port=""
-for _ in $(seq 50); do
-    port=$(sed -n 's#.*listening on http://[^:]*:\([0-9]*\)$#\1#p' "$work/server.log")
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-[ -n "$port" ] || { echo "FAIL: server never announced its port"; cat "$work/server.log"; exit 1; }
-base="http://localhost:$port"
+# stop_server <name> <log>: SIGTERM the server, which must drain to
+# exit 0.
+stop_server() {
+    kill -TERM "$server_pid"
+    rc=0
+    wait "$server_pid" || rc=$?
+    server_pid=""
+    if [ "$rc" = 0 ]; then
+        echo "ok: SIGTERM drained the $1 server to a clean exit"
+    else
+        echo "FAIL: $1 server exited $rc on SIGTERM"
+        cat "$2"
+        fail=1
+    fi
+}
+
+start_server "$work/server.log" -cache-dir "$cache"
 
 # submit <specfile> <out>: POST the spec, print the job id.
 submit() {
@@ -133,17 +159,7 @@ grep -q '^jobs_done 2$' "$work/metrics.txt" || {
     echo "FAIL: metrics do not report 2 done jobs:"; cat "$work/metrics.txt"; fail=1; }
 
 # Graceful shutdown: SIGTERM must drain to exit 0.
-kill -TERM "$server_pid"
-rc=0
-wait "$server_pid" || rc=$?
-server_pid=""
-if [ "$rc" = 0 ]; then
-    echo "ok: SIGTERM drained the server to a clean exit"
-else
-    echo "FAIL: server exited $rc on SIGTERM"
-    cat "$work/server.log"
-    fail=1
-fi
+stop_server first "$work/server.log"
 
 # --- Concurrent phase: 4 distinct specs against -concurrency 4 -------
 # Each spec gets a CLI reference run first (shared CLI cache — only the
@@ -156,16 +172,7 @@ for name in $conc_specs; do
     [ -f "$work/cli/$name.json" ] || { echo "FAIL: CLI reference run for $name wrote no report"; exit 1; }
 done
 
-"$bin/serve" -addr localhost:0 -cache-dir "$work/cache_conc" -concurrency 4 2>"$work/server_conc.log" &
-server_pid=$!
-port=""
-for _ in $(seq 50); do
-    port=$(sed -n 's#.*listening on http://[^:]*:\([0-9]*\)$#\1#p' "$work/server_conc.log")
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-[ -n "$port" ] || { echo "FAIL: concurrent server never announced its port"; cat "$work/server_conc.log"; exit 1; }
-base="http://localhost:$port"
+start_server "$work/server_conc.log" -cache-dir "$work/cache_conc" -concurrency 4
 
 ids=""
 for name in $conc_specs; do
@@ -202,16 +209,28 @@ for metric in 'job_seconds{quantile="0.95"}' 'cell_seconds{quantile="0.95"}'; do
         echo "FAIL: /metrics is missing $metric"; fail=1; }
 done
 
-kill -TERM "$server_pid"
-rc=0
-wait "$server_pid" || rc=$?
-server_pid=""
-if [ "$rc" = 0 ]; then
-    echo "ok: concurrent server drained to a clean exit"
+stop_server concurrent "$work/server_conc.log"
+
+# --- Process history: E8, then E2, on one server ---------------------
+# gob numbers the types it encodes in first-use order per process, so
+# an input cached through gob could digest differently after another
+# experiment ran in the same process. The served E2 manifest must still
+# reproduce in a fresh process.
+start_server "$work/server_hist.log" -cache-dir "$work/cache_hist"
+for name in e8_coloring e2_fig2; do
+    id=$(submit "$root/specs/$name.toml" "$work/submit_hist_$name.json")
+    poll "$id" "$work/job_hist_$name.json" || fail=1
+done
+mkdir -p "$work/hist"
+curl -sS "$base/jobs/$id/artifacts/report" >"$work/hist/e2_fig2.json"
+curl -sS "$base/jobs/$id/artifacts/manifest" >"$work/hist/e2_fig2.manifest.json"
+if "$bin/reproduce" "$work/hist/e2_fig2.manifest.json" >"$work/hist/reproduce.log" 2>&1; then
+    echo "ok: E2 served after E8 reproduces in a fresh process"
 else
-    echo "FAIL: concurrent server exited $rc on SIGTERM"
-    cat "$work/server_conc.log"
+    echo "FAIL: cmd/reproduce rejected the E2 manifest served after E8:"
+    cat "$work/hist/reproduce.log"
     fail=1
 fi
+stop_server history "$work/server_hist.log"
 
 exit $fail
