@@ -92,9 +92,10 @@ check-pins:
 	*) echo "check-pins: FAIL — an artifact differs from perfbench/pins.json, or a job failed"; exit 1 ;; \
 	esac
 
-# Fail unless `figures -all -scale medium -jobs 0` reproduces the
-# checked-in figures_medium.txt byte for byte: every E1-E8 and A1-A8
-# number at the scale EXPERIMENTS.md quotes.
+# Fail unless `figures -all -scale medium -jobs 0`, at -workers 1 and
+# again at -workers 2, reproduces the checked-in figures_medium.txt byte
+# for byte: every E1-E8 and A1-A8 number at the scale EXPERIMENTS.md
+# quotes.
 check-medium:
 	sh scripts/check_medium.sh
 

@@ -40,7 +40,7 @@ const (
 
 // benchEnv is the Env the harness benchmarks run under: cells in
 // sequence, regions replayed serially, nothing cached or traced.
-func benchEnv() *harness.Env { return &harness.Env{HostWorkers: 1} }
+func benchEnv() *harness.Env { return &harness.Env{} }
 
 // --- Fig. 1: list ranking ---------------------------------------------
 
@@ -85,7 +85,10 @@ func BenchmarkTable1(b *testing.B) {
 	p.GraphM = 20 * benchGraphN
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := benchEnv().RunTable1(p)
+		res, err := benchEnv().RunTable1(p)
+		if err != nil {
+			b.Fatal(err)
+		}
 		util = res.Rows[0].Utilization[len(res.Rows[0].Utilization)-1]
 	}
 	b.ReportMetric(util*100, "util_%")
@@ -123,7 +126,10 @@ func BenchmarkSummary(b *testing.B) {
 func BenchmarkSaturation(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := benchEnv().RunSaturation([]int{benchProcs}, []int{10000}, 3)
+		res, err := benchEnv().RunSaturation([]int{benchProcs}, []int{10000}, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
 		util = res.Rows[0].Utilization
 	}
 	b.ReportMetric(util*100, "util_%")
@@ -133,31 +139,41 @@ func BenchmarkSaturation(b *testing.B) {
 
 func BenchmarkAblationScheduling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblScheduling(1<<15, benchProcs, 7)
+		if _, err := benchEnv().RunAblScheduling(1<<15, benchProcs, 7); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationHashing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblHashing(1<<16, benchProcs)
+		if _, err := benchEnv().RunAblHashing(1<<16, benchProcs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationSublists(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblSublists(1<<15, benchProcs, []int{1, 8, 64}, 5)
+		if _, err := benchEnv().RunAblSublists(1<<15, benchProcs, []int{1, 8, 64}, 5); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationShortcut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblShortcut(1<<11, 8, benchProcs, 9)
+		if _, err := benchEnv().RunAblShortcut(1<<11, 8, benchProcs, 9); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblCache(1<<17, 1, []int{1, 4, 16}, 11)
+		if _, err := benchEnv().RunAblCache(1<<17, 1, []int{1, 4, 16}, 11); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -312,14 +328,14 @@ func BenchmarkSweepScaling(b *testing.B) {
 	for _, j := range jobs {
 		b.Run(fmt.Sprintf("fig1/jobs=%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (&harness.Env{Jobs: j, HostWorkers: 1}).RunFig1(fig1); err != nil {
+				if _, err := (&harness.Env{Jobs: j}).RunFig1(fig1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("coloring/jobs=%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (&harness.Env{Jobs: j, HostWorkers: 1}).RunColoring(coloringP); err != nil {
+				if _, err := (&harness.Env{Jobs: j}).RunColoring(coloringP); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -335,7 +351,7 @@ func BenchmarkSweepScaling(b *testing.B) {
 func BenchmarkWarmSweep(b *testing.B) {
 	fig1 := harness.DefaultFig1(harness.Small)
 	runFig1 := func(store *diskcache.Store) error {
-		_, err := (&harness.Env{HostWorkers: 1, ResultStore: store}).RunFig1(fig1)
+		_, err := (&harness.Env{ResultStore: store}).RunFig1(fig1)
 		return err
 	}
 	b.Run("fig1/cold", func(b *testing.B) {
@@ -426,7 +442,10 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 func BenchmarkStreamsSweep(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := benchEnv().RunStreams(1<<15, 1, []int{40, 80}, 3)
+		res, err := benchEnv().RunStreams(1<<15, 1, []int{40, 80}, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
 		util = res.Rows[1].Utilization
 	}
 	b.ReportMetric(util*100, "util80_%")
@@ -446,13 +465,17 @@ func BenchmarkTreeEval(b *testing.B) {
 
 func BenchmarkAblationAssociativity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblAssociativity(1<<15, 4, []int{1, 4}, 7)
+		if _, err := benchEnv().RunAblAssociativity(1<<15, 4, []int{1, 4}, 7); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchEnv().RunAblReduction(1<<15, benchProcs)
+		if _, err := benchEnv().RunAblReduction(1<<15, benchProcs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package cmdutil holds the helpers shared by the command-line tools:
 // size and generator checks that reject bad values with a one-line
-// error instead of a panic stack trace, the -jobs resolution, the cache
-// directory, and the pprof and version helpers.
+// error instead of a panic stack trace, the -jobs and -workers
+// resolution, the cache directory, and the pprof and version helpers.
 package cmdutil
 
 import (
@@ -17,14 +17,21 @@ import (
 // rejected, 0 means one concurrent experiment cell per host CPU, and
 // positive values pass through. The sweep scheduler's own GOMAXPROCS
 // cap is a backstop.
-func ResolveJobs(j int) (int, error) {
-	if j < 0 {
-		return 0, fmt.Errorf("-jobs must be >= 0 (0 = one per host CPU), got %d", j)
+func ResolveJobs(j int) (int, error) { return perCPU("jobs", j) }
+
+// ResolveWorkers validates a -workers flag value the same way: 0 means
+// one host goroutine per host CPU replaying each simulated region. The
+// machines' own GOMAXPROCS cap is a backstop.
+func ResolveWorkers(w int) (int, error) { return perCPU("workers", w) }
+
+func perCPU(flag string, n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("-%s must be >= 0 (0 = one per host CPU), got %d", flag, n)
 	}
-	if j == 0 {
+	if n == 0 {
 		return runtime.NumCPU(), nil
 	}
-	return j, nil
+	return n, nil
 }
 
 // CacheEnv is the environment variable consulted when -cache-dir is

@@ -3,18 +3,23 @@ package cmdutil
 import (
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
 
+// TestResolveJobs covers ResolveWorkers too: -jobs and -workers
+// resolve alike.
 func TestResolveJobs(t *testing.T) {
-	if _, err := ResolveJobs(-1); err == nil {
-		t.Error("negative jobs accepted")
-	}
-	if j, err := ResolveJobs(0); err != nil || j != runtime.NumCPU() {
-		t.Errorf("ResolveJobs(0) = %d, %v; want NumCPU=%d", j, err, runtime.NumCPU())
-	}
-	if j, err := ResolveJobs(5); err != nil || j != 5 {
-		t.Errorf("ResolveJobs(5) = %d, %v; want 5", j, err)
+	for name, resolve := range map[string]func(int) (int, error){"jobs": ResolveJobs, "workers": ResolveWorkers} {
+		if _, err := resolve(-1); err == nil || !strings.Contains(err.Error(), "-"+name+" must be >= 0") {
+			t.Errorf("%s: negative value gave %v", name, err)
+		}
+		if j, err := resolve(0); err != nil || j != runtime.NumCPU() {
+			t.Errorf("%s: 0 resolved to %d, %v; want NumCPU=%d", name, j, err, runtime.NumCPU())
+		}
+		if j, err := resolve(5); err != nil || j != 5 {
+			t.Errorf("%s: 5 resolved to %d, %v; want 5", name, j, err)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func (r *AblationResult) WriteText(w io.Writer) {
 // robustness is part of why the paper picks small walks. At coarse grain
 // (about two walks per stream) a block schedule strands long walks on a
 // few streams and dynamic scheduling wins clearly.
-func (e *Env) RunAblScheduling(n, procs int, seed uint64) *AblationResult {
+func (e *Env) RunAblScheduling(n, procs int, seed uint64) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A1: MTA walk scheduling (random list, n=%d, p=%d)", n, procs)}
 	cfg := mta.DefaultConfig(procs)
 	streams := cfg.UseStreams * procs
@@ -66,7 +66,7 @@ func (e *Env) RunAblScheduling(n, procs int, seed uint64) *AblationResult {
 		s    sim.Sched
 	}{{"dynamic (int_fetch_add)", sim.SchedDynamic}, {"static block", sim.SchedBlock}}
 	res.Rows = make([]AblationRow, len(grains)*len(scheds))
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		g, sched := grains[idx/len(scheds)], scheds[idx%len(scheds)]
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
 		row, err := Memo(c, fmt.Sprintf("abl/sched/p=%d/nwalk=%d/sched=%s/grain=%s", procs, g.nwalk, sched.name, g.name),
@@ -87,20 +87,20 @@ func (e *Env) RunAblScheduling(n, procs int, seed uint64) *AblationResult {
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }
 
 // RunAblHashing (A2) measures the MTA's logical-to-physical address
 // hashing by sweeping memory at a pathological power-of-two stride with
 // hashing on and off. With hashing off the stride hammers one memory
 // bank; hashing spreads the same references evenly.
-func (e *Env) RunAblHashing(refs, procs int) *AblationResult {
+func (e *Env) RunAblHashing(refs, procs int) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A2: MTA address hashing (stride sweep, %d refs, p=%d)", refs, procs)}
 	hashedBy := []bool{true, false}
 	res.Rows = make([]AblationRow, len(hashedBy))
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		hashed := hashedBy[idx]
 		row, err := Memo(c, fmt.Sprintf("abl/hashing/refs=%d/p=%d/hashed=%t", refs, procs, hashed),
 			nil, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
@@ -131,19 +131,19 @@ func (e *Env) RunAblHashing(refs, procs int) *AblationResult {
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }
 
 // RunAblSublists (A3) sweeps the Helman–JáJá sublist count s on the SMP
 // for a Random list: too few sublists cause load imbalance across
 // processors, too many add bookkeeping overhead; the paper's choice is
 // s = 8p.
-func (e *Env) RunAblSublists(n, procs int, factors []int, seed uint64) *AblationResult {
+func (e *Env) RunAblSublists(n, procs int, factors []int, seed uint64) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A3: SMP sublist count (random list, n=%d, p=%d)", n, procs)}
 	res.Rows = make([]AblationRow, len(factors))
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		f := factors[idx]
 		s := f * procs
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
@@ -169,15 +169,15 @@ func (e *Env) RunAblSublists(n, procs int, factors []int, seed uint64) *Ablation
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }
 
 // RunAblShortcut (A4) compares Alg. 3 (full shortcut, no star check)
 // against the Alg. 2 form (single shortcut plus per-iteration star
 // computation) on the MTA — the design choice §4 discusses.
-func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) *AblationResult {
+func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A4: SV shortcut strategy on the MTA (n=%d, m=%d)", n, edgeFactor*n)}
 	variants := []struct {
 		config string
@@ -188,7 +188,7 @@ func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) *AblationRes
 		{"Alg. 2: single shortcut + star check", "harness: A4 star-check labeling is wrong", concomp.LabelMTAStarCheck},
 	}
 	res.Rows = make([]AblationRow, len(variants))
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		v := variants[idx]
 		gKey := sweep.GnmKey(n, edgeFactor*n, seed)
 		ufKey := sweep.UnionFindKey(gKey)
@@ -214,18 +214,18 @@ func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) *AblationRes
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }
 
 // RunAblCache (A5) sweeps the SMP's L2 size for list ranking on a Random
 // list: the random-list penalty is a cache-capacity effect, so it should
 // shrink once the working set fits.
-func (e *Env) RunAblCache(n, procs int, l2MB []int, seed uint64) *AblationResult {
+func (e *Env) RunAblCache(n, procs int, l2MB []int, seed uint64) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A5: SMP L2 capacity vs random-list penalty (n=%d, p=%d)", n, procs)}
 	res.Rows = make([]AblationRow, len(l2MB))
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		mb := l2MB[idx]
 		layouts := []list.Layout{list.Ordered, list.Random}
 		keys := make([]string, len(layouts))
@@ -256,18 +256,18 @@ func (e *Env) RunAblCache(n, procs int, l2MB []int, seed uint64) *AblationResult
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }
 
 // RunAblAssociativity (A6) asks whether the E4500's direct-mapped caches
 // are part of the SMP's random-list penalty: the same run with 2/4-way
 // caches removes conflict misses, leaving only capacity misses.
-func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) *AblationResult {
+func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A6: SMP cache associativity (random list, n=%d, p=%d)", n, procs)}
 	res.Rows = make([]AblationRow, len(assocs))
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		a := assocs[idx]
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
 		row, err := Memo(c, fmt.Sprintf("abl/assoc/p=%d/assoc=%d/seed=%d", procs, a, seed),
@@ -295,9 +295,9 @@ func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) *Abla
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }
 
 // RunAblReduction (A7) demonstrates §2.2's hotspot remark with a global
@@ -305,13 +305,13 @@ func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) *Abla
 // counter, which serializes at the counter's memory module; (b) threads
 // accumulate privately and combine at the end — "usually these can be
 // worked around in software".
-func (e *Env) RunAblReduction(n, procs int) *AblationResult {
+func (e *Env) RunAblReduction(n, procs int) (*AblationResult, error) {
 	res := &AblationResult{Title: fmt.Sprintf("A7: MTA global sum, hotspot vs software combine (n=%d, p=%d)", n, procs)}
 	const valsBase = uint64(9) << 40
 	const counter = uint64(10) << 40
 
 	res.Rows = make([]AblationRow, 2)
-	err := e.ablSweep(len(res.Rows), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
 		row, err := Memo(c, fmt.Sprintf("abl/reduction/n=%d/p=%d/variant=%d", n, procs, idx),
 			nil, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
 				m := c.MTA(mta.DefaultConfig(procs))
@@ -346,7 +346,7 @@ func (e *Env) RunAblReduction(n, procs int) *AblationResult {
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return res
+	return res, nil
 }

@@ -292,7 +292,7 @@ func (r *ColoringResult) WriteText(w io.Writer) {
 // while RMAT's degree skew is what dynamic scheduling insures against.
 // Colors and rounds must be identical either way (the speculation is
 // schedule-independent); only the time and utilization move.
-func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) *AblationResult {
+func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) (*AblationResult, error) {
 	n := 1 << scale
 	res := &AblationResult{Title: fmt.Sprintf("A8: MTA coloring scheduling (rmat s=%d, m=%dn, p=%d)", scale, edgeFactor, procs)}
 	scheds := []struct {
@@ -300,7 +300,7 @@ func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) *Ab
 		s    sim.Sched
 	}{{"dynamic (int_fetch_add)", sim.SchedDynamic}, {"static block", sim.SchedBlock}}
 	res.Rows = make([]AblationRow, len(scheds))
-	err := e.ablSweep(len(scheds), func(idx int, c *Cell) error {
+	_, err := e.runSweep(len(scheds), e.stdOpts(), func(idx int, c *Cell) error {
 		sched := scheds[idx]
 		gKey := sweep.RMATKey(scale, edgeFactor*n, seed)
 		refKey := sweep.SpecRefKey(gKey)
@@ -330,7 +330,7 @@ func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) *Ab
 		return nil
 	})
 	if err != nil {
-		panic(err) // invariant violation, as in the sequential harness
+		return nil, err
 	}
-	return res
+	return res, nil
 }

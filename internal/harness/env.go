@@ -19,11 +19,11 @@ import (
 // cmd/serve therefore runs jobs genuinely in parallel.
 //
 // The zero Env is valid: cells run sequentially (Jobs < 1 means 1),
-// machines replay regions in auto host-worker mode, nothing is cached,
-// traced, sharded, or interruptible. An Env's exported fields are set
-// before the first Run* call and not mutated during one; the machine
-// pool below is the only cross-goroutine mutable state and carries its
-// own lock.
+// machines replay regions on one host worker (HostWorkers < 1 means 1),
+// nothing is cached, traced, sharded, or interruptible. An Env's
+// exported fields are set before the first Run* call and not mutated
+// during one; the machine pool below is the only cross-goroutine
+// mutable state and carries its own lock.
 type Env struct {
 	// Jobs is how many experiment cells every sweep executes
 	// concurrently (see internal/sweep); values < 1 run sequentially.
@@ -32,8 +32,8 @@ type Env struct {
 
 	// HostWorkers is the host goroutine count every machine this Env
 	// constructs uses to replay data-parallel regions (see
-	// mta.Machine.SetHostWorkers; 0 = auto). Identical simulated
-	// results for any value.
+	// mta.Machine.SetHostWorkers); values < 1 mean 1. Identical
+	// simulated results for any value.
 	HostWorkers int
 
 	// Interrupt, when non-nil, cancels in-flight sweeps at the next

@@ -138,7 +138,7 @@ type SaturationRow struct {
 
 // RunSaturation sweeps list length per processor for each p, one
 // scheduled cell per (p, length) pair.
-func (e *Env) RunSaturation(procs []int, perProc []int, seed uint64) *SaturationResult {
+func (e *Env) RunSaturation(procs []int, perProc []int, seed uint64) (*SaturationResult, error) {
 	nK := len(perProc)
 	rows := make([]SaturationRow, len(procs)*nK)
 	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
@@ -159,9 +159,9 @@ func (e *Env) RunSaturation(procs []int, perProc []int, seed uint64) *Saturation
 		return nil
 	})
 	if err != nil {
-		panic(err) // no verification here: only a panicked cell can fail
+		return nil, err
 	}
-	return &SaturationResult{Rows: rows}
+	return &SaturationResult{Rows: rows}, nil
 }
 
 // WriteText prints the saturation sweep.
@@ -193,7 +193,7 @@ type StreamsRow struct {
 // RunStreams sweeps the number of streams used per processor for
 // list ranking on a Random list, one cell per stream count; the list
 // and its MTA run (see Cell.RunMTA) are built once and shared.
-func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) *StreamsResult {
+func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) (*StreamsResult, error) {
 	rows := make([]StreamsRow, len(streams))
 	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
@@ -220,9 +220,9 @@ func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) *StreamsResul
 		return nil
 	})
 	if err != nil {
-		panic(err) // no verification here: only a panicked cell can fail
+		return nil, err
 	}
-	return &StreamsResult{Rows: rows}
+	return &StreamsResult{Rows: rows}, nil
 }
 
 // WriteText prints the sweep.

@@ -10,7 +10,16 @@ import (
 
 // testEnv is the Env most harness tests run under: cells in sequence,
 // regions replayed serially, nothing cached, traced or sharded.
-func testEnv() *Env { return &Env{HostWorkers: 1} }
+func testEnv() *Env { return &Env{} }
+
+// must returns a sweep's result and panics on its error: no test
+// interrupts these sweeps, so an error is a failed cell.
+func must[T any](res T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 func smallFig1(t *testing.T) *Fig1Result {
 	t.Helper()
@@ -179,7 +188,7 @@ func TestTable1Shapes(t *testing.T) {
 	p.ListN = 1 << 15
 	p.GraphN = 1 << 11
 	p.GraphM = 20 << 11
-	res := testEnv().RunTable1(p)
+	res := must(testEnv().RunTable1(p))
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(res.Rows))
 	}
@@ -223,7 +232,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSaturation(t *testing.T) {
-	res := testEnv().RunSaturation([]int{1, 4}, []int{100, 1000, 10000}, 3)
+	res := must(testEnv().RunSaturation([]int{1, 4}, []int{100, 1000, 10000}, 3))
 	if len(res.Rows) != 6 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
@@ -240,7 +249,7 @@ func TestSaturation(t *testing.T) {
 }
 
 func TestAblScheduling(t *testing.T) {
-	res := testEnv().RunAblScheduling(1<<15, 2, 7)
+	res := must(testEnv().RunAblScheduling(1<<15, 2, 7))
 	if len(res.Rows) != 4 {
 		t.Fatal("want 4 rows")
 	}
@@ -258,7 +267,7 @@ func TestAblScheduling(t *testing.T) {
 }
 
 func TestAblHashing(t *testing.T) {
-	res := testEnv().RunAblHashing(1<<16, 8)
+	res := must(testEnv().RunAblHashing(1<<16, 8))
 	on, off := res.Rows[0].Seconds, res.Rows[1].Seconds
 	if off < 1.5*on {
 		t.Errorf("hashing off (%.6f) should be much slower than on (%.6f)", off, on)
@@ -266,7 +275,7 @@ func TestAblHashing(t *testing.T) {
 }
 
 func TestAblSublists(t *testing.T) {
-	res := testEnv().RunAblSublists(1<<15, 4, []int{1, 8, 64}, 5)
+	res := must(testEnv().RunAblSublists(1<<15, 4, []int{1, 8, 64}, 5))
 	if len(res.Rows) != 3 {
 		t.Fatal("want 3 rows")
 	}
@@ -277,7 +286,7 @@ func TestAblSublists(t *testing.T) {
 }
 
 func TestAblShortcut(t *testing.T) {
-	res := testEnv().RunAblShortcut(1<<10, 8, 2, 9)
+	res := must(testEnv().RunAblShortcut(1<<10, 8, 2, 9))
 	full, star := res.Rows[0].Seconds, res.Rows[1].Seconds
 	if full >= star {
 		t.Errorf("Alg. 3 (%.6f) should beat the star-check form (%.6f)", full, star)
@@ -287,7 +296,7 @@ func TestAblShortcut(t *testing.T) {
 func TestAblCache(t *testing.T) {
 	// 2^17 nodes × 4 bytes × ~4 arrays ≈ 2 MB working set: tiny L2
 	// suffers, a large L2 absorbs the random-list penalty.
-	res := testEnv().RunAblCache(1<<17, 1, []int{1, 16}, 11)
+	res := must(testEnv().RunAblCache(1<<17, 1, []int{1, 16}, 11))
 	if len(res.Rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
@@ -304,9 +313,9 @@ func TestWriteTextSmoke(t *testing.T) {
 	p.ListN = 1 << 14
 	p.GraphN = 1 << 10
 	p.GraphM = 20 << 10
-	testEnv().RunTable1(p).WriteText(&buf)
-	testEnv().RunSaturation([]int{1}, []int{1000}, 1).WriteText(&buf)
-	testEnv().RunAblScheduling(1<<12, 1, 1).WriteText(&buf)
+	must(testEnv().RunTable1(p)).WriteText(&buf)
+	must(testEnv().RunSaturation([]int{1}, []int{1000}, 1)).WriteText(&buf)
+	must(testEnv().RunAblScheduling(1<<12, 1, 1)).WriteText(&buf)
 	for _, want := range []string{"Fig. 1", "Fig. 2", "Table 1", "saturation", "A1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text output missing %q", want)
@@ -360,7 +369,7 @@ func TestFig1ListGenerationMatchesLayouts(t *testing.T) {
 }
 
 func TestAblAssociativity(t *testing.T) {
-	res := testEnv().RunAblAssociativity(1<<16, 2, []int{1, 2, 4}, 13)
+	res := must(testEnv().RunAblAssociativity(1<<16, 2, []int{1, 2, 4}, 13))
 	if len(res.Rows) != 3 {
 		t.Fatal("want 3 rows")
 	}
@@ -371,7 +380,7 @@ func TestAblAssociativity(t *testing.T) {
 }
 
 func TestStreamsSweep(t *testing.T) {
-	res := testEnv().RunStreams(1<<16, 1, []int{1, 8, 40, 80, 128}, 3)
+	res := must(testEnv().RunStreams(1<<16, 1, []int{1, 8, 40, 80, 128}, 3))
 	if len(res.Rows) != 5 {
 		t.Fatal("want 5 rows")
 	}
@@ -391,7 +400,7 @@ func TestStreamsSweep(t *testing.T) {
 }
 
 func TestAblReduction(t *testing.T) {
-	res := testEnv().RunAblReduction(1<<16, 8)
+	res := must(testEnv().RunAblReduction(1<<16, 8))
 	hot, tree := res.Rows[0].Seconds, res.Rows[1].Seconds
 	if hot < 1.5*tree {
 		t.Errorf("counter hotspot (%.6f) should be well above software combine (%.6f)", hot, tree)

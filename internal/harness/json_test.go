@@ -17,7 +17,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	rep := &Report{
 		Fig1:      f1,
-		Ablations: []*AblationResult{testEnv().RunAblScheduling(1<<12, 1, 1)},
+		Ablations: []*AblationResult{must(testEnv().RunAblScheduling(1<<12, 1, 1))},
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -67,7 +67,7 @@ func TestCSVOutput(t *testing.T) {
 	tp.GraphN = 1 << 10
 	tp.GraphM = 10 << 10
 	buf.Reset()
-	if err := testEnv().RunTable1(tp).WriteCSV(&buf); err != nil {
+	if err := must(testEnv().RunTable1(tp)).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 10 {

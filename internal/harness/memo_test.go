@@ -61,7 +61,7 @@ func TestWarmCacheSkipsGeneration(t *testing.T) {
 	dir := t.TempDir()
 	params := Fig2Params{N: 1 << 10, EdgeFactors: []int{4, 8}, Procs: []int{1, 2}, Seed: 0x22, Verify: true}
 	runFig2 := func(store *diskcache.Store) []byte {
-		res, err := (&Env{HostWorkers: 1, CacheStore: store}).RunFig2(params)
+		res, err := (&Env{CacheStore: store}).RunFig2(params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestExprKeyHasOneEncoding(t *testing.T) {
 	// it recorded for the expression.
 	profileDigest := func(store *diskcache.Store) sweep.Digest {
 		var got []sweep.Digest
-		e := &Env{HostWorkers: 1, CacheStore: store, InputHook: func(d sweep.Digest) {
+		e := &Env{CacheStore: store, InputHook: func(d sweep.Digest) {
 			if d.Key == key {
 				got = append(got, d)
 			}
@@ -133,7 +133,7 @@ func TestExprKeyHasOneEncoding(t *testing.T) {
 	}
 
 	shared := open()
-	if _, err := (&Env{HostWorkers: 1, CacheStore: shared}).RunTreeEval([]int{leaves}, 2, seed); err != nil {
+	if _, err := (&Env{CacheStore: shared}).RunTreeEval([]int{leaves}, 2, seed); err != nil {
 		t.Fatal(err)
 	}
 	hits := shared.Stats().Hits

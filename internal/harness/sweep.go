@@ -123,13 +123,6 @@ func (e *Env) RunCell(fn func(*Cell) error) error {
 	return err
 }
 
-// ablSweep is runSweep for the ablation tables, which keep their
-// historical no-error signatures: the caller panics on failure.
-func (e *Env) ablSweep(n int, cell func(i int, c *Cell) error) error {
-	_, err := e.runSweep(n, e.stdOpts(), cell)
-	return err
-}
-
 // runSweep runs n cells under the Env's Jobs setting with one shared
 // single-flight input cache and the Env's machine pool. Each traced
 // cell records into a private recorder; after the sweep the recorders

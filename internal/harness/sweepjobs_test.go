@@ -21,7 +21,7 @@ var jobsSweep = []int{1, 2, 4, 8}
 // jobsEnv is the Env the determinism tests compare across Jobs values,
 // forwarding every traced cell's events to sink (nil = untraced).
 func jobsEnv(jobs int, sink trace.Sink) *Env {
-	return &Env{Jobs: jobs, HostWorkers: 1, TraceSink: sink}
+	return &Env{Jobs: jobs, TraceSink: sink}
 }
 
 func fig1Artifacts(t *testing.T, jobs int) (jsonOut, csvOut []byte, events []trace.Event) {

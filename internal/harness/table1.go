@@ -68,7 +68,7 @@ type Table1Row struct {
 // every processor count — run under the harness Jobs setting; each list
 // and the graph are built once and shared by every processor count, and
 // so is each row's MTA run (see Cell.RunMTA).
-func (e *Env) RunTable1(params Table1Params) *Table1Result {
+func (e *Env) RunTable1(params Table1Params) (*Table1Result, error) {
 	nP := len(params.Procs)
 	layouts := []list.Layout{list.Random, list.Ordered}
 	utils := make([]float64, 3*nP)
@@ -116,10 +116,7 @@ func (e *Env) RunTable1(params Table1Params) *Table1Result {
 		return nil
 	})
 	if err != nil {
-		// The table's kernels verify nothing, so an error here is a
-		// panicked cell — a programming error, as it was when the
-		// sequential harness let the panic fly.
-		panic(err)
+		return nil, err
 	}
 
 	res := &Table1Result{Procs: params.Procs}
@@ -128,7 +125,7 @@ func (e *Env) RunTable1(params Table1Params) *Table1Result {
 		{Workload: "List Ranking / Ordered List", Utilization: utils[nP : 2*nP]},
 		{Workload: "Connected Components", Utilization: utils[2*nP:]},
 	}
-	return res
+	return res, nil
 }
 
 // WriteText prints the table in the paper's layout.

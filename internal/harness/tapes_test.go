@@ -76,7 +76,7 @@ func TestSharedRunsMatchLive(t *testing.T) {
 
 	for _, jobs := range []int{1, 4} {
 		rec := &trace.Recorder{}
-		res := jobsEnv(jobs, rec).RunTable1(tp)
+		res := must(jobsEnv(jobs, rec).RunTable1(tp))
 		var got []float64
 		for _, row := range res.Rows {
 			got = append(got, row.Utilization...)
@@ -91,7 +91,7 @@ func TestSharedRunsMatchLive(t *testing.T) {
 		}
 
 		rec = &trace.Recorder{}
-		sres := jobsEnv(jobs, rec).RunStreams(n, procs, streams, 9)
+		sres := must(jobsEnv(jobs, rec).RunStreams(n, procs, streams, 9))
 		for i, want := range wantStreams {
 			if got := sres.Rows[i]; got != want {
 				t.Errorf("streams jobs=%d row %d: %+v, live run %+v", jobs, i, got, want)

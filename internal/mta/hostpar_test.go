@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"pargraph/internal/sim"
 	"pargraph/internal/trace"
@@ -218,46 +219,60 @@ func TestResetClearsRecording(t *testing.T) {
 	}
 }
 
-// TestAutoHostWorkers pins auto mode (SetHostWorkers(0)): the worker
-// count resolves to the host core count, regions below autoShardMinN
-// stay on the serial path, larger ones shard — and simulated results
-// match explicit-serial replay bit-for-bit either way.
-func TestAutoHostWorkers(t *testing.T) {
+// TestShardMinN pins the MTA's one serial rule at eight host workers:
+// a region one iteration short of shardMinN replays on the calling
+// goroutine, in order, and a region of shardMinN iterations is sharded.
+// Either way its Stats equal one worker's bit for bit.
+func TestShardMinN(t *testing.T) {
 	forceHostParallelism(t, 8)
 	m := New(DefaultConfig(4))
-	m.SetHostWorkers(0)
-	if got := m.hostWorkers; got != runtime.NumCPU() {
-		t.Fatalf("auto hostWorkers = %d, want NumCPU = %d", got, runtime.NumCPU())
-	}
+	m.SetHostWorkers(8)
 
-	// Below the auto cutoff the replay must not shard: an
-	// unsynchronized append would race (and trip -race) if it did.
-	small := autoShardMinN - 1
+	// An unsynchronized append would race (and trip -race) if the
+	// replay sharded.
+	small := shardMinN - 1
 	seen := make([]int, 0, small)
 	m.ParallelFor(small, sim.SchedDynamic, func(i int, th *Thread) {
 		th.Instr(1)
 		seen = append(seen, i)
 	})
 	if len(seen) != small {
-		t.Fatalf("auto small region visited %d of %d iterations", len(seen), small)
+		t.Fatalf("region of %d visited %d iterations", small, len(seen))
+	}
+	for i, v := range seen {
+		if v != i {
+			t.Fatalf("region of %d replayed out of order at %d: got %d", small, i, v)
+		}
 	}
 
-	// Either side of the cutoff, stats must equal serial replay.
-	for _, n := range []int{autoShardMinN - 1, 2 * autoShardMinN} {
-		runWith := func(workers int) Stats {
+	// Sharded, iteration 0 can wait for the first iteration of chunk 1:
+	// the worker replaying chunk 0 is blocked in it, so another claims
+	// chunk 1. Serially, it would wait forever.
+	chunk1 := make(chan struct{})
+	m.ParallelFor(shardMinN, sim.SchedDynamic, func(i int, th *Thread) {
+		th.Instr(1)
+		switch i {
+		case 0:
+			select {
+			case <-chunk1:
+			case <-time.After(10 * time.Second):
+				t.Errorf("region of shardMinN = %d did not shard", shardMinN)
+			}
+		case shardChunk:
+			close(chunk1)
+		}
+	})
+
+	for _, n := range []int{shardMinN - 1, shardMinN} {
+		run := func(workers int) Stats {
 			mm := New(DefaultConfig(4))
 			mm.SetHostWorkers(workers)
 			out := make([]int64, n)
 			mm.ParallelFor(n, sim.SchedDynamic, chargeBody(out))
 			return mm.Stats()
 		}
-		want := runWith(1)
-		mm := New(DefaultConfig(4))
-		mm.SetHostWorkers(0)
-		out := make([]int64, n)
-		mm.ParallelFor(n, sim.SchedDynamic, chargeBody(out))
-		if got := mm.Stats(); got != want {
-			t.Errorf("n=%d auto stats diverge:\n got %+v\nwant %+v", n, got, want)
+		if got, want := run(8), run(1); got != want {
+			t.Errorf("n=%d: stats at 8 workers diverge:\n got %+v\nwant %+v", n, got, want)
 		}
 	}
 }

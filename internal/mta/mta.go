@@ -20,11 +20,13 @@
 //
 // # Host parallelism
 //
-// The replay itself can use several host goroutines: SetHostWorkers(w)
-// makes ParallelFor shard [0, n) into fixed-size chunks that workers
-// claim dynamically, each charging into a private tally that is merged
-// deterministically at region end. Simulated Cycles, Issued, and Stats
-// are identical for every worker count; only host wall time changes.
+// The replay itself can use several host goroutines. ParallelFor cuts
+// [0, n) into fixed-size chunks that workers claim in index order; with
+// SetHostWorkers(w > 1), a region of at least shardMinN iterations is
+// replayed by up to w workers, each charging into a private tally that
+// is merged deterministically at region end, and a smaller one by the
+// calling goroutine alone. Simulated Cycles, Issued, and Stats are
+// identical for every worker count; only host wall time changes.
 // Region bodies must then be safe to run concurrently for distinct i —
 // true for data-parallel loops (disjoint writes, shared reads); loops
 // whose iterations communicate through shared memory must use
@@ -45,7 +47,6 @@ package mta
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"pargraph/internal/par"
@@ -139,19 +140,10 @@ type Machine struct {
 	// machine's Banks.
 	banks bankMap
 
-	hostWorkers int
-	// autoWorkers marks SetHostWorkers(0): replay uses every host core,
-	// but only for regions large enough to repay the fork/join and
-	// merge overhead (autoShardMinN); smaller regions stay serial. An
-	// explicit worker count shards every region above shardMinN as
-	// before.
-	autoWorkers bool
-	// pool holds the parked host workers for sharded replay. It is
-	// created lazily by the first region that shards, resized by
-	// SetHostWorkers, and survives Reset (parked workers are reused, not
-	// stranded: the pool's finalizer releases them if the Machine itself
-	// is dropped).
-	pool *par.Pool
+	// host is the host worker count and its parked helpers. It survives
+	// Reset: parked helpers are reused, not stranded (the pool's
+	// finalizer releases them if the Machine itself is dropped).
+	host *par.Pool
 
 	// Per-region scratch, reset by ParallelFor/Serial. region is the
 	// merged accounting for the current region; wtallies are the pooled
@@ -173,6 +165,8 @@ type Machine struct {
 	// path. Summing chunk partials in chunk-index order makes the
 	// floating-point totals independent of the worker count.
 	chunkParts []chunkPartial
+	// replay is the region ParallelFor is replaying (see replayChunks).
+	replay regionReplay
 
 	// Attribution-event sink (internal/trace); nil means tracing is off
 	// and regions pay only a nil check. evSeq numbers emitted events.
@@ -191,20 +185,23 @@ type Machine struct {
 
 // Sharding granularity for host-parallel replay. Chunk boundaries are
 // fixed by chunk size alone — never by the worker count — so partial
-// sums merge identically for any SetHostWorkers value. shardMinN keeps
-// small regions on the serial path where goroutine fork/join overhead
-// would dominate.
+// sums merge identically for any SetHostWorkers value.
+//
+// shardMinN is the one serial rule: a region of fewer iterations
+// replays on the calling goroutine whatever the worker count. It is the
+// smallest size at which two workers beat one for both a light body
+// (three instructions, two stores) and a walk-like one (ten dependent
+// load pairs), timed over a run of such regions and barriers on a
+// 2-vCPU VM (GOMAXPROCS 2, go1.24.0), medians of nine alternating runs,
+// µs per region at workers 1 against workers 2: light 69.5 against
+// 80.8 at 1,024 iterations, 108.4 against 105.7 at 1,536, 170.4 against
+// 154.9 at 2,048 and 277.4 against 231.1 at 3,072; walk-like 212.0
+// against 164.7 at 1,024 and 462.2 against 337.8 at 2,048. Much of the
+// gain is the sharded region's schedule overlapping the next region's
+// replay (see timeLater).
 const (
 	shardChunk = 512
 	shardMinN  = 2048
-	// autoShardMinN is the serial cutoff in auto mode
-	// (SetHostWorkers(0)). Measured on the experiment kernels, regions
-	// below a few tens of thousands of iterations lose more to
-	// fork/join dispatch and partial-sum merging than sharding saves —
-	// the mid-size sweeps in BENCH_simulators.json ran ~0.9x at
-	// workers=2 — so auto mode keeps them on the serial path and only
-	// shards clearly profitable regions.
-	autoShardMinN = 1 << 15
 )
 
 // chunkPartial is one chunk's partial sums on the aggregate path, padded
@@ -224,10 +221,10 @@ func New(cfg Config) *Machine {
 	}
 	buckets := bankBuckets(cfg.Banks)
 	m := &Machine{
-		cfg:         cfg,
-		hostWorkers: 1,
-		region:      newTally(buckets),
-		maxExact:    1 << 17,
+		cfg:      cfg,
+		host:     par.NewPool(1),
+		region:   newTally(buckets),
+		maxExact: 1 << 17,
 	}
 	m.banks = bankMap{hashed: cfg.HashMemory, n: uint64(buckets)}
 	if b := uint64(buckets); b&(b-1) == 0 {
@@ -237,49 +234,16 @@ func New(cfg Config) *Machine {
 }
 
 // SetHostWorkers sets how many host goroutines replay data-parallel
-// regions. The default 1 replays serially; any value yields identical
-// simulated results. 0 selects auto mode: use every host core, but only
-// for regions of at least autoShardMinN iterations — smaller regions
-// replay serially, where sharding's fork/join overhead costs more than
-// it saves. Negative values are treated as 1. At replay time the
-// count is capped at runtime.GOMAXPROCS(0): workers the scheduler cannot
-// actually run in parallel would only add dispatch overhead. Call it
-// between regions, not from inside a kernel body.
-func (m *Machine) SetHostWorkers(w int) {
-	m.autoWorkers = w == 0
-	if m.autoWorkers {
-		w = runtime.NumCPU()
-	}
-	if w < 1 {
-		w = 1
-	}
-	m.hostWorkers = w
-	if m.pool == nil {
-		return
-	}
-	if eff := effectiveWorkers(w); eff == 1 {
-		// Serial replay never dispatches, so release the parked helpers
-		// rather than leaving them idle.
-		m.pool.Close()
-		m.pool = nil
-	} else {
-		m.pool.Resize(eff)
-	}
-}
-
-// effectiveWorkers caps a requested host worker count at the parallelism
-// the Go scheduler can actually deliver.
-func effectiveWorkers(w int) int {
-	if max := runtime.GOMAXPROCS(0); w > max {
-		return max
-	}
-	return w
-}
+// regions of at least shardMinN iterations: w < 1 means 1, the default.
+// Any count yields identical simulated results. The count is capped at
+// runtime.GOMAXPROCS(0) (see par.Pool.Workers). Call it between
+// regions, not from inside a kernel body.
+func (m *Machine) SetHostWorkers(w int) { m.host.SetWorkers(w) }
 
 // HostWorkers returns how many host goroutines the machine replays on:
 // the SetHostWorkers count, capped at GOMAXPROCS. Kernels shard their
 // own host-side work, such as the list kernels' walk, over it too.
-func (m *Machine) HostWorkers() int { return effectiveWorkers(m.hostWorkers) }
+func (m *Machine) HostWorkers() int { return m.host.Workers() }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -566,6 +530,39 @@ func (m *Machine) replaySpan(t *Thread, lo, hi int, sched sim.Sched, body func(i
 	return issue, crit, maxCrit
 }
 
+// regionReplay is what the workers replaying a region read: its
+// iterations, their body and where their results go.
+type regionReplay struct {
+	n      int
+	sched  sim.Sched
+	body   func(i int, t *Thread)
+	traces []TraceItem    // per-iteration trace slots while recording, else nil
+	parts  []chunkPartial // per-chunk sums on the aggregate path, nil on the exact one
+	next   atomic.Int64   // index of the next chunk to claim
+}
+
+// replayChunks is the one replay loop: it claims the region's chunks in
+// index order and replays each on a thread charging tl, until none is
+// left. A sharded region's workers each run it on a tally of their own;
+// one worker runs it inline on the region's. Items, trace slots and
+// chunk sums are written per iteration or per chunk, so workers never
+// share a write.
+func (m *Machine) replayChunks(tl *tally) {
+	r := &m.replay
+	t := m.newThread(tl)
+	for {
+		ci := int(r.next.Add(1)) - 1
+		lo := ci * shardChunk
+		if lo >= r.n {
+			return
+		}
+		is, cr, mx := m.replaySpan(&t, lo, min(lo+shardChunk, r.n), r.sched, r.body, r.traces, r.parts == nil)
+		if r.parts != nil {
+			r.parts[ci] = chunkPartial{issue: is, crit: cr, max: mx}
+		}
+	}
+}
+
 // workerTallies returns w pooled tallies, growing the pool on demand.
 func (m *Machine) workerTallies(w int) []*tally {
 	for len(m.wtallies) < w {
@@ -580,15 +577,16 @@ func (m *Machine) workerTallies(w int) []*tally {
 // each iteration also pays the int_fetch_add that fetches its index from
 // the shared loop counter, as the paper's codes do.
 //
-// With SetHostWorkers(w > 1) the replay is sharded across w host
-// goroutines, so body may be called concurrently for distinct i and must
-// be data-parallel: writes for different iterations must not overlap, and
-// data read by one iteration must not be written by another in the same
-// region. Loops that violate this must use ParallelForOrdered. Simulated
-// results are identical either way. On a machine with no sink, a
-// sharded region on the exact path is scheduled in the background while
-// the next region replays (see timeLater), and then ParallelFor returns
-// a zero result; Stats and Cycles wait for it.
+// With SetHostWorkers(w > 1) a region of at least shardMinN iterations
+// is sharded across w host goroutines, so body may be called
+// concurrently for distinct i and must be data-parallel: writes for
+// different iterations must not overlap, and data read by one iteration
+// must not be written by another in the same region. Loops that violate
+// this must use ParallelForOrdered. Simulated results are identical
+// either way. On a machine with no sink, a sharded region on the exact
+// path is scheduled in the background while the next region replays
+// (see timeLater), and then ParallelFor returns a zero result; Stats and
+// Cycles wait for it.
 func (m *Machine) ParallelFor(n int, sched sim.Sched, body func(i int, t *Thread)) sim.RegionResult {
 	return m.parallelFor(n, sched, body, false)
 }
@@ -626,91 +624,50 @@ func (m *Machine) parallelFor(n int, sched sim.Sched, body func(i int, t *Thread
 	}
 
 	nchunks := (n + shardChunk - 1) / shardChunk
-	w := effectiveWorkers(m.hostWorkers)
-	if ordered || n < shardMinN || (m.autoWorkers && n < autoShardMinN) {
-		w = 1
+	w := 1
+	if !ordered && n >= shardMinN {
+		w = min(m.host.Workers(), nchunks)
 	}
-	if w > nchunks {
-		w = nchunks
-	}
-
-	var totIssue, totCrit, maxCrit float64
-	if w <= 1 {
-		t := m.newThread(m.region)
-		if exact {
-			// The per-chunk sums are unused on the exact path (RunRegion
-			// consumes the items themselves), so replay straight through.
-			totIssue, totCrit, maxCrit = m.replaySpan(&t, 0, n, sched, body, itemTraces, true)
-		} else {
-			// Sum chunk partials in chunk order even serially, so the
-			// aggregate-path totals match the sharded replay bit for bit.
-			for ci := 0; ci < nchunks; ci++ {
-				lo, hi := ci*shardChunk, (ci+1)*shardChunk
-				if hi > n {
-					hi = n
-				}
-				is, cr, mx := m.replaySpan(&t, lo, hi, sched, body, itemTraces, false)
-				totIssue += is
-				totCrit += cr
-				if mx > maxCrit {
-					maxCrit = mx
-				}
-			}
+	r := &m.replay
+	r.n, r.sched, r.body, r.traces, r.parts = n, sched, body, itemTraces, nil
+	if !exact {
+		if cap(m.chunkParts) < nchunks {
+			m.chunkParts = make([]chunkPartial, nchunks)
 		}
+		r.parts = m.chunkParts[:nchunks]
+	}
+	r.next.Store(0)
+	if w == 1 {
+		m.replayChunks(m.region)
 	} else {
-		var parts []chunkPartial
-		if !exact {
-			if cap(m.chunkParts) < nchunks {
-				m.chunkParts = make([]chunkPartial, nchunks)
-			}
-			parts = m.chunkParts[:nchunks]
-		}
 		tallies := m.workerTallies(w)
-		if m.pool == nil {
-			m.pool = par.NewPool(w)
-		}
-		var next atomic.Int64
-		m.pool.Run(w, func(worker int) {
+		m.host.Run(w, func(worker int) {
 			tl := tallies[worker]
 			tl.reset()
-			t := m.newThread(tl)
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo, hi := ci*shardChunk, (ci+1)*shardChunk
-				if hi > n {
-					hi = n
-				}
-				is, cr, mx := m.replaySpan(&t, lo, hi, sched, body, itemTraces, exact)
-				if !exact {
-					parts[ci] = chunkPartial{issue: is, crit: cr, max: mx}
-				}
-			}
+			m.replayChunks(tl)
 		})
 		// Worker tallies hold pure counts, so merging them is
-		// order-independent; chunk partials are summed in chunk-index
-		// order, which no worker assignment can perturb.
+		// order-independent.
 		for _, tl := range tallies {
 			m.region.merge(tl)
 		}
-		if !exact {
-			for ci := range parts {
-				totIssue += parts[ci].issue
-				totCrit += parts[ci].crit
-				if parts[ci].max > maxCrit {
-					maxCrit = parts[ci].max
-				}
-			}
-		}
 	}
-
+	// The machine outlives the kernel's data.
+	r.body, r.traces = nil, nil
 	m.tallyCharges(&ch)
 	if exact {
 		ch.items = m.items
 	} else {
-		ch.issue, ch.crit, ch.maxCrit = totIssue, totCrit, maxCrit
+		// Chunk partials are summed in chunk-index order, which no worker
+		// assignment can perturb. The exact path needs no sums: the
+		// timing step consumes the items themselves.
+		for _, p := range r.parts {
+			ch.issue += p.issue
+			ch.crit += p.crit
+			if p.max > ch.maxCrit {
+				ch.maxCrit = p.max
+			}
+		}
 	}
 	// A sharded exact region's schedule can overlap the next region's
 	// replay, unless its result is needed now: to record the region, or

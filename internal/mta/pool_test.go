@@ -8,7 +8,8 @@ import (
 	"pargraph/internal/sim"
 )
 
-// poolN is past shardMinN so ParallelFor actually dispatches to the pool.
+// poolN is past shardMinN so ParallelFor actually dispatches to the
+// pool's helpers.
 const poolN = 4 * shardMinN
 
 func runPoolRegion(m *Machine) Stats {
@@ -53,8 +54,8 @@ func TestResetKeepsPoolWorkers(t *testing.T) {
 
 // TestSetHostWorkersResizesPool checks SetHostWorkers between regions
 // resizes the pool safely in both directions: results stay identical,
-// shrinking releases helper goroutines, and dropping to 1 releases the
-// pool entirely.
+// shrinking releases helper goroutines, and dropping to 1 releases
+// every helper.
 func TestSetHostWorkersResizesPool(t *testing.T) {
 	forceHostParallelism(t, 8)
 	want := runPoolRegion(New(DefaultConfig(4)))
@@ -86,9 +87,6 @@ func TestSetHostWorkersResizesPool(t *testing.T) {
 	after6 := runtime.NumGoroutine()
 	m.Reset()
 	m.SetHostWorkers(1)
-	if m.pool != nil {
-		t.Error("SetHostWorkers(1) kept the pool alive")
-	}
 	if now := waitGoroutinesBelow(after6 - 4); now > after6-4 {
 		t.Errorf("SetHostWorkers(1) stranded helpers: %d goroutines, had %d at workers=6", now, after6)
 	}

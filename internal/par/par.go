@@ -1,8 +1,8 @@
 // Package par provides the fork-join helpers the native
 // (goroutine-based) algorithm implementations and the simulators' host
 // replay share: For, a blocked parallel for that forks and joins per
-// call, and Pool, a persistent set of helper goroutines a machine
-// reuses across regions.
+// call, and Pool, a machine's host worker count and the persistent
+// helper goroutines it reuses across regions.
 package par
 
 import (

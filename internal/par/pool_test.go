@@ -13,7 +13,6 @@ import (
 // region widths at, below, and above the pool's size.
 func TestPoolRunCoversWorkersExactlyOnce(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	for region := 0; region < 50; region++ {
 		for _, n := range []int{1, 2, 4, 7} {
 			hits := make([]int32, n)
@@ -33,7 +32,6 @@ func TestPoolRunCoversWorkersExactlyOnce(t *testing.T) {
 // do not keep spawning goroutines.
 func TestPoolReusesGoroutines(t *testing.T) {
 	p := NewPool(8)
-	defer p.Close()
 	p.Run(8, func(int) {}) // warm up
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
@@ -49,7 +47,6 @@ func TestPoolReusesGoroutines(t *testing.T) {
 // all workers finish.
 func TestPoolPanicPropagation(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	for _, victim := range []int{0, 2} {
 		func() {
 			defer func() {
@@ -84,7 +81,6 @@ func TestPoolPanicPropagation(t *testing.T) {
 // calling Run from inside a running body panics instead of deadlocking.
 func TestPoolRejectsNestedRun(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("nested Run did not panic")
@@ -97,20 +93,16 @@ func TestPoolRejectsNestedRun(t *testing.T) {
 	})
 }
 
-// TestPoolResize grows and shrinks the helper set; shrinking must
-// actually release the surplus goroutines.
+// TestPoolResize grows and shrinks the helper set: SetWorkers must
+// release the helpers beyond its count, and a wider Run parks them
+// again.
 func TestPoolResize(t *testing.T) {
+	old := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(old)
 	p := NewPool(8)
-	defer p.Close()
 	p.Run(8, func(int) {})
-	if got := p.Size(); got != 8 {
-		t.Fatalf("Size() = %d, want 8", got)
-	}
 	base := runtime.NumGoroutine()
-	p.Resize(2)
-	if got := p.Size(); got != 2 {
-		t.Fatalf("after Resize(2): Size() = %d, want 2", got)
-	}
+	p.SetWorkers(2)
 	// The six released helpers exit asynchronously.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base-5 && time.Now().Before(deadline) {
@@ -118,11 +110,30 @@ func TestPoolResize(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if now := runtime.NumGoroutine(); now > base-5 {
-		t.Errorf("released helpers did not exit: %d goroutines, had %d before Resize(2)", now, base)
+		t.Errorf("released helpers did not exit: %d goroutines, had %d before SetWorkers(2)", now, base)
 	}
-	p.Run(4, func(int) {}) // growing past the resized size still works
-	if got := p.Size(); got != 4 {
-		t.Fatalf("after Run(4): Size() = %d, want 4", got)
+	var hits atomic.Int32
+	p.Run(4, func(int) { hits.Add(1) }) // growing past the set count still works
+	if got := hits.Load(); got != 4 {
+		t.Fatalf("Run(4) after SetWorkers(2) ran %d workers", got)
+	}
+}
+
+// TestPoolWorkers pins the worker count: n < 1 means 1, and the count
+// is capped at GOMAXPROCS whenever it is read.
+func TestPoolWorkers(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	p := NewPool(0)
+	for _, c := range []struct{ set, want int }{{0, 1}, {-3, 1}, {3, 3}, {16, 4}} {
+		p.SetWorkers(c.set)
+		if got := p.Workers(); got != c.want {
+			t.Errorf("SetWorkers(%d): Workers() = %d, want %d", c.set, got, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(8)
+	if got := p.Workers(); got != 8 {
+		t.Errorf("SetWorkers(16) at GOMAXPROCS 8: Workers() = %d, want 8", got)
 	}
 }
 
@@ -130,7 +141,6 @@ func TestPoolResize(t *testing.T) {
 // just worker 0) by partitioning a sum across workers.
 func TestPoolRunSumsConcurrently(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	const n = 1 << 16
 	data := make([]int64, n)
 	for i := range data {

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"fmt"
+	"io"
 
 	"pargraph/internal/harness"
 	"pargraph/internal/trace"
@@ -106,7 +107,9 @@ func (rc *runCtx) runFigures() error {
 		}
 	}
 	if f.All || f.Table == 1 {
-		rep.Table1 = rc.env.RunTable1(table1P)
+		if rep.Table1, err = rc.env.RunTable1(table1P); err != nil {
+			return err
+		}
 		if text {
 			rep.Table1.WriteText(out)
 		}
@@ -139,93 +142,80 @@ func (rc *runCtx) runFigures() error {
 		}
 	}
 
-	addAbl := func(a *harness.AblationResult) interface{} {
-		rep.Ablations = append(rep.Ablations, a)
-		return a
-	}
-	exps := map[string]func() (interface{}, error){
-		"saturation": func() (interface{}, error) {
-			rep.Saturation = rc.env.RunSaturation([]int{1, 2, 4, 8}, []int{100, 1000, 10000}, 7)
-			return rep.Saturation, nil
+	// Each experiment returns its result, which runExp files in the
+	// report and writes out.
+	exps := map[string]func() (any, error){
+		"saturation": func() (any, error) {
+			return rc.env.RunSaturation([]int{1, 2, 4, 8}, []int{100, 1000, 10000}, 7)
 		},
-		"streams": func() (interface{}, error) {
-			rep.Streams = rc.env.RunStreams(sizeFor(scale, 1<<16, 1<<19, 1<<21), 1,
+		"streams": func() (any, error) {
+			return rc.env.RunStreams(sizeFor(scale, 1<<16, 1<<19, 1<<21), 1,
 				[]int{1, 2, 4, 8, 16, 40, 80, 128}, 7)
-			return rep.Streams, nil
 		},
-		"sched": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblScheduling(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, 7)), nil
+		"sched": func() (any, error) {
+			return rc.env.RunAblScheduling(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, 7)
 		},
-		"hashing": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblHashing(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)), nil
+		"hashing": func() (any, error) {
+			return rc.env.RunAblHashing(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)
 		},
-		"sublists": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblSublists(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4, 8, 16, 64}, 7)), nil
+		"sublists": func() (any, error) {
+			return rc.env.RunAblSublists(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4, 8, 16, 64}, 7)
 		},
-		"shortcut": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblShortcut(sizeFor(scale, 1<<11, 1<<14, 1<<17), 8, 4, 7)), nil
+		"shortcut": func() (any, error) {
+			return rc.env.RunAblShortcut(sizeFor(scale, 1<<11, 1<<14, 1<<17), 8, 4, 7)
 		},
-		"cache": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblCache(sizeFor(scale, 1<<17, 1<<19, 1<<21), 1, []int{1, 2, 4, 8, 16}, 7)), nil
+		"cache": func() (any, error) {
+			return rc.env.RunAblCache(sizeFor(scale, 1<<17, 1<<19, 1<<21), 1, []int{1, 2, 4, 8, 16}, 7)
 		},
-		"assoc": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblAssociativity(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4}, 7)), nil
+		"assoc": func() (any, error) {
+			return rc.env.RunAblAssociativity(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4}, 7)
 		},
-		"reduction": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblReduction(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)), nil
+		"reduction": func() (any, error) {
+			return rc.env.RunAblReduction(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)
 		},
-		"treeeval": func() (interface{}, error) {
+		"treeeval": func() (any, error) {
 			sz := sizeFor(scale, 1<<13, 1<<16, 1<<18)
-			res, err := rc.env.RunTreeEval([]int{sz / 4, sz / 2, sz}, 8, 7)
-			if err != nil {
-				return nil, err
-			}
-			rep.TreeEval = res
-			return res, nil
+			return rc.env.RunTreeEval([]int{sz / 4, sz / 2, sz}, 8, 7)
 		},
-		"coloring": func() (interface{}, error) {
-			res, err := rc.env.RunColoring(coloringP)
-			if err != nil {
-				return nil, err
-			}
-			rep.Coloring = res
-			return res, nil
+		"coloring": func() (any, error) {
+			return rc.env.RunColoring(coloringP)
 		},
-		"colorsched": func() (interface{}, error) {
-			return addAbl(rc.env.RunAblColoringSched(sizeFor(scale, 10, 13, 16), 8, 8, 7)), nil
+		"colorsched": func() (any, error) {
+			return rc.env.RunAblColoringSched(sizeFor(scale, 10, 13, 16), 8, 8, 7)
 		},
 	}
-	writeExp := func(res interface{}) {
-		if !text {
-			return
-		}
-		switch v := res.(type) {
-		case *harness.SaturationResult:
-			v.WriteText(out)
-		case *harness.StreamsResult:
-			v.WriteText(out)
-		case *harness.TreeEvalResult:
-			v.WriteText(out)
-		case *harness.ColoringResult:
-			v.WriteText(out)
-		case *harness.AblationResult:
-			v.WriteText(out)
-		}
-	}
-	if f.All {
-		for _, name := range []string{"saturation", "streams", "sched", "hashing", "sublists", "shortcut", "cache", "assoc", "reduction", "treeeval", "coloring", "colorsched"} {
-			res, err := exps[name]()
-			if err != nil {
-				return err
-			}
-			writeExp(res)
-		}
-	} else if f.Exp != "" {
-		res, err := exps[f.Exp]()
+	runExp := func(name string) error {
+		res, err := exps[name]()
 		if err != nil {
 			return err
 		}
-		writeExp(res)
+		switch v := res.(type) {
+		case *harness.SaturationResult:
+			rep.Saturation = v
+		case *harness.StreamsResult:
+			rep.Streams = v
+		case *harness.TreeEvalResult:
+			rep.TreeEval = v
+		case *harness.ColoringResult:
+			rep.Coloring = v
+		case *harness.AblationResult:
+			rep.Ablations = append(rep.Ablations, v)
+		}
+		if text {
+			res.(interface{ WriteText(io.Writer) }).WriteText(out)
+		}
+		return nil
+	}
+	if f.All {
+		for _, name := range []string{"saturation", "streams", "sched", "hashing", "sublists", "shortcut", "cache", "assoc", "reduction", "treeeval", "coloring", "colorsched"} {
+			if err := runExp(name); err != nil {
+				return err
+			}
+		}
+	} else if f.Exp != "" {
+		if err := runExp(f.Exp); err != nil {
+			return err
+		}
 	}
 
 	if !render {

@@ -161,12 +161,12 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		return nil, fmt.Errorf("sharded runs write no artifacts; collected runs cannot shard")
 	}
 	env.Shard = shard
-	env.HostWorkers = sp.Run.Workers
-	jobs, err := cmdutil.ResolveJobs(sp.Run.Jobs)
-	if err != nil {
+	if env.HostWorkers, err = cmdutil.ResolveWorkers(sp.Run.Workers); err != nil {
 		return nil, err
 	}
-	env.Jobs = jobs
+	if env.Jobs, err = cmdutil.ResolveJobs(sp.Run.Jobs); err != nil {
+		return nil, err
+	}
 
 	// Every command shares one cache directory under two schemas: the
 	// input store (generated lists/graphs/references) and the result

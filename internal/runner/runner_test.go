@@ -47,7 +47,7 @@ func TestManifestInvariantToExecutionKnobs(t *testing.T) {
 	dir := t.TempDir()
 	var want []byte
 	for _, cfg := range []struct{ jobs, workers int }{
-		{1, 1}, {2, 1}, {8, 1}, {1, 4}, {2, 4}, {8, 4},
+		{1, 1}, {2, 1}, {8, 1}, {1, 4}, {2, 4}, {8, 4}, {0, 0},
 	} {
 		name := fmt.Sprintf("j%dw%d.json", cfg.jobs, cfg.workers)
 		sp := loadTestSpec(t, dir, name)

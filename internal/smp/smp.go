@@ -25,7 +25,6 @@ package smp
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"pargraph/internal/par"
 	"pargraph/internal/trace"
@@ -302,19 +301,12 @@ func (p *Proc) Compute(n int) {
 // SetHostWorkers(w > 1) the simulated processors of a Phase replay
 // concurrently on host goroutines, each against its own private caches.
 type Machine struct {
-	cfg         Config
-	stats       Stats
-	procs       []*Proc
-	hostWorkers int
-	// autoWorkers marks SetHostWorkers(0): phases replay concurrently
-	// only when the machine simulates at least autoMinProcs processors —
-	// with fewer, the per-phase fork/join overhead outweighs what the
-	// narrow sharding can save, so auto mode keeps those serial.
-	autoWorkers bool
-	// pool holds the parked host workers for concurrent phase replay;
-	// created lazily by the first phase that shards, resized by
-	// SetHostWorkers, kept across Reset.
-	pool *par.Pool
+	cfg   Config
+	stats Stats
+	procs []*Proc
+	// host is the host worker count and its parked helpers, kept across
+	// Reset.
+	host *par.Pool
 	// busyArena amortizes the per-phase procBusy allocations made while a
 	// sink is attached. Emitted trace events retain their slices, so the
 	// arena only batches the allocations — carved chunks are never reused.
@@ -333,7 +325,7 @@ func New(cfg Config) *Machine {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{cfg: cfg, hostWorkers: 1, next: 1 << 20}
+	m := &Machine{cfg: cfg, host: par.NewPool(1), next: 1 << 20}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
 		m.procs[i] = &Proc{
@@ -347,57 +339,30 @@ func New(cfg Config) *Machine {
 }
 
 // SetHostWorkers sets how many host goroutines replay the simulated
-// processors of a Phase. The default 1 replays serially; any value
-// yields identical simulated results because each simulated processor
-// owns its cache state and the bus/barrier merge stays serial in
-// processor order. 0 selects auto mode: use every host core, but stay
-// serial on machines with fewer than autoMinProcs simulated processors,
-// where the per-phase fork/join overhead outweighs the narrow sharding.
-// Negative values are treated as 1. At replay time the
-// count is capped at runtime.GOMAXPROCS(0): workers the scheduler cannot
-// actually run in parallel would only add dispatch overhead.
-func (m *Machine) SetHostWorkers(w int) {
-	m.autoWorkers = w == 0
-	if m.autoWorkers {
-		w = runtime.NumCPU()
-		if m.cfg.Procs < autoMinProcs {
-			w = 1
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	m.hostWorkers = w
-	if m.pool == nil {
-		return
-	}
-	if eff := effectiveWorkers(w); eff == 1 {
-		m.pool.Close()
-		m.pool = nil
-	} else {
-		m.pool.Resize(eff)
-	}
-}
+// processors of a Phase on a machine of at least shardMinProcs
+// processors: w < 1 means 1, the default. Any count yields identical
+// simulated results because each simulated processor owns its cache
+// state and the bus/barrier merge stays serial in processor order. The
+// count is capped at runtime.GOMAXPROCS(0) (see par.Pool.Workers).
+func (m *Machine) SetHostWorkers(w int) { m.host.SetWorkers(w) }
 
-// autoMinProcs is auto mode's serial cutoff: a phase shards one host
-// task per simulated processor, so with only a couple of processors the
-// fork/join cost per phase cannot be amortized (the mid-size sweeps in
-// BENCH_simulators.json ran below 1x there).
-const autoMinProcs = 4
-
-// effectiveWorkers caps a requested host worker count at the parallelism
-// the Go scheduler can actually deliver.
-func effectiveWorkers(w int) int {
-	if max := runtime.GOMAXPROCS(0); w > max {
-		return max
-	}
-	return w
-}
+// shardMinProcs is the one serial rule: a machine simulating fewer
+// processors replays every phase on the calling goroutine whatever the
+// worker count. Sharding two processors loses on short lists and wins
+// on long ones; the losses are a tenth of a millisecond, the wins tens.
+// RankSMP with 8p sublists on a Random list, 2-vCPU VM (GOMAXPROCS 2,
+// go1.24.0), medians of five to nine alternating runs, ms at workers 1
+// against workers 2: at p = 2, 0.39 against 0.41 at 4,096 nodes, 1.43
+// against 1.59 at 2^14, 28.6 against 31.9 at 2^18, and 120.5–133.2
+// against 73.4–118.5 at 2^20 and 223.7–270.1 against 145.0–175.8 at
+// 2^21 over three series; at p = 4, 0.35 against 0.44 at 4,096 nodes
+// and 29.6 against 18.2 at 2^18.
+const shardMinProcs = 2
 
 // HostWorkers returns how many host goroutines the machine replays on:
 // the SetHostWorkers count, capped at GOMAXPROCS. Kernels shard their
 // own host-side work, such as the list kernels' walk, over it too.
-func (m *Machine) HostWorkers() int { return effectiveWorkers(m.hostWorkers) }
+func (m *Machine) HostWorkers() int { return m.host.Workers() }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -450,8 +415,9 @@ func (m *Machine) Alloc(bytes int) uint64 {
 // to the bus bound if the phase's aggregate traffic exceeds the shared
 // bus bandwidth. Kernels partition work inside body using p.ID().
 //
-// With SetHostWorkers(w > 1) the per-processor bodies run concurrently
-// on host goroutines, so body must confine its writes to processor p's
+// With SetHostWorkers(w > 1) on a machine of at least shardMinProcs
+// processors the per-processor bodies run concurrently on host
+// goroutines, so body must confine its writes to processor p's
 // partition (true of the phase-parallel Helman–JáJá codes). Phases whose
 // processors communicate through shared arrays must use PhaseOrdered.
 // The counter merge and bus/barrier accounting always run serially in
@@ -477,32 +443,20 @@ func (m *Machine) phase(body func(p *Proc), ordered bool) {
 	for _, p := range m.procs {
 		p.clear()
 	}
-	w := effectiveWorkers(m.hostWorkers)
-	if ordered || w > m.cfg.Procs {
-		if ordered {
-			w = 1
-		} else {
-			w = m.cfg.Procs
-		}
+	P := m.cfg.Procs
+	w := 1
+	if !ordered && P >= shardMinProcs {
+		w = min(m.host.Workers(), P)
 	}
-	if w > 1 {
-		if m.pool == nil {
-			m.pool = par.NewPool(w)
+	m.host.Run(w, func(worker int) {
+		// Same blocked partition as par.For; simulated results do not
+		// depend on it (each simulated processor owns its caches and the
+		// merge below is serial), only load balance does. One worker runs
+		// inline and replays the processors in index order.
+		for i := worker * P / w; i < (worker+1)*P/w; i++ {
+			body(m.procs[i])
 		}
-		P := m.cfg.Procs
-		m.pool.Run(w, func(worker int) {
-			// Same blocked partition as par.For; simulated results do not
-			// depend on it (each simulated processor owns its caches and
-			// the merge below is serial), only load balance does.
-			for i := worker * P / w; i < (worker+1)*P/w; i++ {
-				body(m.procs[i])
-			}
-		})
-	} else {
-		for _, p := range m.procs {
-			body(p)
-		}
-	}
+	})
 	// Merge in processor index order — the same floating-point
 	// accumulation order as serial replay.
 	maxCycles := 0.0

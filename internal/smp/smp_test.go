@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"pargraph/internal/rng"
 	"pargraph/internal/trace"
@@ -296,39 +297,67 @@ func TestResetRestoresAllocator(t *testing.T) {
 	}
 }
 
-// TestAutoHostWorkers pins auto mode (SetHostWorkers(0)): machines with
-// at least autoMinProcs simulated processors use every host core,
-// smaller ones stay serial, and simulated results match explicit-serial
-// replay either way.
-func TestAutoHostWorkers(t *testing.T) {
+// TestShardMinProcs pins the SMP's one serial rule at eight host
+// workers: a machine one processor short of shardMinProcs replays a
+// phase on the calling goroutine, in processor order, and a machine of
+// shardMinProcs processors shards it. Either way its Stats equal one
+// worker's bit for bit.
+func TestShardMinProcs(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 
-	small := New(DefaultConfig(2))
-	small.SetHostWorkers(0)
-	if got := small.hostWorkers; got != 1 {
-		t.Errorf("auto on %d procs: hostWorkers = %d, want 1", 2, got)
-	}
-	big := New(DefaultConfig(8))
-	big.SetHostWorkers(0)
-	if got := big.hostWorkers; got != runtime.NumCPU() {
-		t.Errorf("auto on 8 procs: hostWorkers = %d, want NumCPU = %d", got, runtime.NumCPU())
+	if small := shardMinProcs - 1; small > 0 {
+		m := New(DefaultConfig(small))
+		m.SetHostWorkers(8)
+		var seen []int // unsynchronized on purpose: -race catches a shard
+		m.Phase(func(p *Proc) { seen = append(seen, p.ID()) })
+		if len(seen) != small {
+			t.Fatalf("%d processors replayed as %v", small, seen)
+		}
+		for i, id := range seen {
+			if id != i {
+				t.Fatalf("%d processors replayed out of order: %v", small, seen)
+			}
+		}
 	}
 
-	run := func(workers int) Stats {
-		m := New(DefaultConfig(8))
-		m.SetHostWorkers(workers)
-		base := m.Alloc(1 << 20)
-		m.Phase(func(p *Proc) {
-			for i := 0; i < 1024; i++ {
-				p.Load(base + uint64(p.ID())<<17 + uint64(i*8))
+	// Sharded, processor 0 can wait for processor 1, which another
+	// worker replays. Serially, it would wait forever.
+	m := New(DefaultConfig(shardMinProcs))
+	m.SetHostWorkers(8)
+	proc1 := make(chan struct{})
+	m.Phase(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			select {
+			case <-proc1:
+			case <-time.After(10 * time.Second):
+				t.Errorf("a phase on shardMinProcs = %d processors did not shard", shardMinProcs)
 			}
-			p.Compute(100)
-		})
-		return m.Stats()
-	}
-	if got, want := run(0), run(1); got != want {
-		t.Errorf("auto stats diverge:\n got %+v\nwant %+v", got, want)
+		case 1:
+			close(proc1)
+		}
+	})
+
+	for _, procs := range []int{shardMinProcs - 1, shardMinProcs, 8} {
+		if procs < 1 {
+			continue
+		}
+		run := func(workers int) Stats {
+			m := New(DefaultConfig(procs))
+			m.SetHostWorkers(workers)
+			base := m.Alloc(1 << 20)
+			m.Phase(func(p *Proc) {
+				for i := 0; i < 1024; i++ {
+					p.Load(base + uint64(p.ID())<<17 + uint64(i*8))
+				}
+				p.Compute(100)
+			})
+			return m.Stats()
+		}
+		if got, want := run(8), run(1); got != want {
+			t.Errorf("%d processors: stats at 8 workers diverge:\n got %+v\nwant %+v", procs, got, want)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ var fields = []field{
 		func(s *Spec) any { return &s.Run.Scale }},
 	{"run", "seed", onAll &^ onFigures, false, "seed", "workload seed",
 		func(s *Spec) any { return &s.Run.Seed }},
-	{"run", "workers", onAll, true, "workers", "host goroutines replaying each simulated region (0 = auto: every core, serial for small regions); results are identical for any value",
+	{"run", "workers", onAll, true, "workers", "host goroutines replaying each simulated region (0 = one per host CPU); results are identical for any value",
 		func(s *Spec) any { return &s.Run.Workers }},
 	{"run", "jobs", onAll, true, "jobs", "experiment cells run concurrently (0 = NumCPU; profile -machine both runs one cell per machine, a single run is one cell); results are identical for any value",
 		func(s *Spec) any { return &s.Run.Jobs }},

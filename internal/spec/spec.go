@@ -48,7 +48,7 @@ type Run struct {
 	Command  string // figures, profile, coloring, listrank, concomp
 	Scale    string // figures: small, medium, paper
 	Seed     uint64 // profile/workload seed
-	Workers  int    // host goroutines per simulated region (0 = auto)
+	Workers  int    // host goroutines per simulated region (0 = one per host CPU)
 	Jobs     int    // concurrent experiment cells (0 = NumCPU)
 	Shard    string // "i/N" — run only that shard's cells (figures/profile)
 	CacheDir string // persistent input/result cache directory ("" = $PARGRAPH_CACHE, then off)
@@ -205,7 +205,7 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if r.Workers < 0 {
-		return fmt.Errorf("spec: [run] workers must be >= 0 (0 = auto: one per host CPU), got %d", r.Workers)
+		return fmt.Errorf("spec: [run] workers must be >= 0 (0 = one per host CPU), got %d", r.Workers)
 	}
 	if r.Jobs < 0 {
 		return fmt.Errorf("spec: [run] jobs must be >= 0 (0 = one per host CPU), got %d", r.Jobs)

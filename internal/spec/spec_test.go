@@ -60,7 +60,7 @@ func TestBoundaries(t *testing.T) {
 		// ---- [run] ----
 		{"bad-command", "[run]\ncommand = \"sweep\"\n", `spec: [run] command must be one of figures, profile, coloring, listrank, concomp; got "sweep"`},
 		{"bad-scale", "[run]\nscale = \"huge\"\n[figures]\nall = true\n", `spec: [run] scale must be one of small, medium, paper; got "huge"`},
-		{"negative-workers", "[run]\nworkers = -1\n[figures]\nall = true\n", `spec: [run] workers must be >= 0 (0 = auto: one per host CPU), got -1`},
+		{"negative-workers", "[run]\nworkers = -1\n[figures]\nall = true\n", `spec: [run] workers must be >= 0 (0 = one per host CPU), got -1`},
 		{"negative-jobs", "[run]\njobs = -2\n[figures]\nall = true\n", `spec: [run] jobs must be >= 0 (0 = one per host CPU), got -2`},
 		{"bad-shard", "[run]\nshard = \"0:4\"\n[figures]\nall = true\nformat = \"json\"\n", `spec: [run] shard must look like i/N (e.g. 0/4), got "0:4"`},
 		{"shard-zero-count", "[run]\nshard = \"0/0\"\n[figures]\nall = true\nformat = \"json\"\n", `spec: [run] shard count must be >= 1, got 0`},

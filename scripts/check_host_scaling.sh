@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI guard against inverted host scaling, with one leg per host size
-# (minimum ns/op over three runs of each configuration):
+# (minimum ns/op over four interleaved runs of each configuration):
 #
 #   - 4 or more cores: BenchmarkHostScaling at workers=1 and workers=4;
 #     fails if workers=4 is more than 25% slower than workers=1 on either
@@ -11,21 +11,18 @@
 #     worker cap measured +26% and up) trips it.
 #   - 2 or 3 cores: workers=1 and workers=2; fails unless workers=2 is
 #     at least 1.15x faster than workers=1 on the MTA and 1.40x on the
-#     SMP. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) once the list
-#     kernels walked the list in one sublist decomposition on the host
-#     workers and sharded exact MTA regions were scheduled in the
-#     background: twelve runs of this script (each the minimum of 3) gave
-#     MTA 1.33-1.97x (median 1.65x) and SMP 1.20-2.16x (median 1.54x),
-#     three SMP runs (1.20x, 1.26x, 1.34x) failing the guard. Nine runs
-#     of the parent alternating with them gave MTA 1.34-1.61x (median
-#     1.47x) and SMP 1.45-1.89x (median 1.62x), and the parent read SMP
-#     1.39x earlier in the same session: the SMP legs are noisy on this
-#     host, and the more so the shorter the kernel, since RankSMP now
-#     runs in 100-230 ms where it took 250-560 ms. Neither
-#     engine reaches 2x. The MTA's region scheduler (sim.RunRegion) is
-#     serial, overlapping only the next region's replay; RankSMP at one
-#     worker takes about a third of its former time, so its fixed serial
-#     costs (the head check, allocation, the barriers) weigh more.
+#     SMP. Measured on a 2-vCPU VM (GOMAXPROCS 2, go1.24.0) with the
+#     configurations interleaved: ten runs of this script gave MTA
+#     1.12-1.83x (median 1.63x) and SMP 1.37-2.12x (median 1.66x); two
+#     failed (MTA 1.12x with SMP 1.39x, and SMP 1.37x). Interleaving
+#     removed the host's drift between the configurations, not its
+#     moment-to-moment noise: in one interleaved series a workers=1 run
+#     read 318 ms on the MTA where the others read 471-514 ms, as fast
+#     as the workers=2 runs. Rerun the script before concluding
+#     anything from one failure. Neither engine reaches 2x: the MTA's
+#     region scheduler (sim.RunRegion) is serial, overlapping only the
+#     next region's replay, and RankSMP's fixed serial costs (the head
+#     check, allocation, the barriers) weigh more the shorter it runs.
 #
 # A single-core host cannot express any parallelism, so it skips.
 #
@@ -42,11 +39,26 @@ if [ "$cores" -lt 4 ]; then
     w=2
 fi
 
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+raw="$work/bench.txt"
 
-go test -run '^$' -bench "BenchmarkHostScaling/(MTA|SMP)/workers=(1|$w)\$" \
-    -benchtime 2x -count 3 . | tee "$raw"
+# Four rounds, each running every configuration once, the order
+# alternating between rounds: run back to back (-count 3), all
+# workers=1 runs of an engine came before all of its workers=w runs, so
+# the ratio also measured the host's drift between them.
+go test -c -o "$work/scaling.test" .
+for round in 1 2 3 4; do
+    order="1 $w"
+    if [ $((round % 2)) -eq 0 ]; then
+        order="$w 1"
+    fi
+    for k in $order; do
+        "$work/scaling.test" -test.run '^$' \
+            -test.bench "BenchmarkHostScaling/(MTA|SMP)/workers=$k\$" \
+            -test.benchtime 2x | tee -a "$raw"
+    done
+done
 
 awk -v w="$w" '
 /^Benchmark/ && $4 == "ns/op" {

@@ -9,8 +9,12 @@
 #
 #   go run ./cmd/figures -all -scale medium -jobs 0 > figures_medium.txt
 #
-# The run takes about 11 s of wall time on a 2-vCPU VM (GOMAXPROCS 2,
-# go1.24.0), plus the build.
+# A second leg runs the same report with -workers 2, so host-sharded
+# replay is checked end to end at the scale where region sizes straddle
+# the machines' serial cutoffs; it must match the same file.
+#
+# The two legs take about 25 s of wall time on a 2-vCPU VM (GOMAXPROCS
+# 2, go1.24.0), plus the build.
 #
 # Usage: scripts/check_medium.sh
 set -eu
@@ -20,11 +24,12 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 (cd "$root" && go build -o "$work/figures" ./cmd/figures)
-"$work/figures" -all -scale medium -jobs 0 > "$work/medium.txt"
-
-if ! cmp "$root/figures_medium.txt" "$work/medium.txt"; then
-    diff "$root/figures_medium.txt" "$work/medium.txt" | head -n 40 || true
-    echo "check_medium: FAIL — figures -all -scale medium differs from figures_medium.txt"
-    exit 1
-fi
-echo "check_medium: ok — figures -all -scale medium matches figures_medium.txt"
+for workers in 1 2; do
+    "$work/figures" -all -scale medium -jobs 0 -workers "$workers" > "$work/medium.txt"
+    if ! cmp "$root/figures_medium.txt" "$work/medium.txt"; then
+        diff "$root/figures_medium.txt" "$work/medium.txt" | head -n 40 || true
+        echo "check_medium: FAIL — figures -all -scale medium -workers $workers differs from figures_medium.txt"
+        exit 1
+    fi
+    echo "check_medium: ok — figures -all -scale medium -workers $workers matches figures_medium.txt"
+done
