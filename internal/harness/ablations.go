@@ -40,6 +40,16 @@ func (r *AblationResult) WriteText(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// runAblation runs an ablation's n cells (see runCells) into a table
+// under title.
+func (e *Env) runAblation(title string, n int, cell func(i int, c *Cell) (AblationRow, error)) (*AblationResult, error) {
+	rows, err := runCells(e, n, cell)
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Title: title, Rows: rows}, nil
+}
+
 // RunAblScheduling (A1) compares dynamic (int_fetch_add) against static
 // block scheduling of the MTA list-ranking walks on a Random list, whose
 // walk lengths are skewed — the paper's §3 load-balance argument.
@@ -51,7 +61,7 @@ func (r *AblationResult) WriteText(w io.Writer) {
 // (about two walks per stream) a block schedule strands long walks on a
 // few streams and dynamic scheduling wins clearly.
 func (e *Env) RunAblScheduling(n, procs int, seed uint64) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A1: MTA walk scheduling (random list, n=%d, p=%d)", n, procs)}
+	title := fmt.Sprintf("A1: MTA walk scheduling (random list, n=%d, p=%d)", n, procs)
 	cfg := mta.DefaultConfig(procs)
 	streams := cfg.UseStreams * procs
 	grains := []struct {
@@ -65,12 +75,11 @@ func (e *Env) RunAblScheduling(n, procs int, seed uint64) (*AblationResult, erro
 		name string
 		s    sim.Sched
 	}{{"dynamic (int_fetch_add)", sim.SchedDynamic}, {"static block", sim.SchedBlock}}
-	res.Rows = make([]AblationRow, len(grains)*len(scheds))
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
+	return e.runAblation(title, len(grains)*len(scheds), func(idx int, c *Cell) (AblationRow, error) {
 		g, sched := grains[idx/len(scheds)], scheds[idx%len(scheds)]
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		row, err := Memo(c, fmt.Sprintf("abl/sched/p=%d/nwalk=%d/sched=%s/grain=%s", procs, g.nwalk, sched.name, g.name),
-			[]string{lKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/sched/p=%d/nwalk=%d/sched=%s/grain=%s", procs, g.nwalk, sched.name, g.name),
+			[]string{lKey}, func() (AblationRow, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				m := c.MTA(cfg)
 				listrank.RankMTA(l, m, g.nwalk, sched.s)
@@ -80,16 +89,7 @@ func (e *Env) RunAblScheduling(n, procs int, seed uint64) (*AblationResult, erro
 					Extra:   fmt.Sprintf("utilization %.0f%%", m.Utilization()*100),
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunAblHashing (A2) measures the MTA's logical-to-physical address
@@ -97,13 +97,12 @@ func (e *Env) RunAblScheduling(n, procs int, seed uint64) (*AblationResult, erro
 // hashing on and off. With hashing off the stride hammers one memory
 // bank; hashing spreads the same references evenly.
 func (e *Env) RunAblHashing(refs, procs int) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A2: MTA address hashing (stride sweep, %d refs, p=%d)", refs, procs)}
+	title := fmt.Sprintf("A2: MTA address hashing (stride sweep, %d refs, p=%d)", refs, procs)
 	hashedBy := []bool{true, false}
-	res.Rows = make([]AblationRow, len(hashedBy))
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
+	return e.runAblation(title, len(hashedBy), func(idx int, c *Cell) (AblationRow, error) {
 		hashed := hashedBy[idx]
-		row, err := Memo(c, fmt.Sprintf("abl/hashing/refs=%d/p=%d/hashed=%t", refs, procs, hashed),
-			nil, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/hashing/refs=%d/p=%d/hashed=%t", refs, procs, hashed),
+			nil, func() (AblationRow, error) {
 				cfg := mta.DefaultConfig(procs)
 				cfg.HashMemory = hashed
 				m := c.MTA(cfg)
@@ -124,16 +123,7 @@ func (e *Env) RunAblHashing(refs, procs int) (*AblationResult, error) {
 					Extra:   fmt.Sprintf("bank-stall cycles %.0f", m.Stats().BankStalls),
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunAblSublists (A3) sweeps the Helman–JáJá sublist count s on the SMP
@@ -141,14 +131,13 @@ func (e *Env) RunAblHashing(refs, procs int) (*AblationResult, error) {
 // processors, too many add bookkeeping overhead; the paper's choice is
 // s = 8p.
 func (e *Env) RunAblSublists(n, procs int, factors []int, seed uint64) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A3: SMP sublist count (random list, n=%d, p=%d)", n, procs)}
-	res.Rows = make([]AblationRow, len(factors))
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
+	title := fmt.Sprintf("A3: SMP sublist count (random list, n=%d, p=%d)", n, procs)
+	return e.runAblation(title, len(factors), func(idx int, c *Cell) (AblationRow, error) {
 		f := factors[idx]
 		s := f * procs
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		row, err := Memo(c, fmt.Sprintf("abl/sublists/p=%d/s=%d/seed=%d", procs, s, seed),
-			[]string{lKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/sublists/p=%d/s=%d/seed=%d", procs, s, seed),
+			[]string{lKey}, func() (AblationRow, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				m := c.SMP(smp.DefaultConfig(procs))
 				listrank.RankSMP(l, m, s, seed^uint64(s))
@@ -162,23 +151,14 @@ func (e *Env) RunAblSublists(n, procs int, factors []int, seed uint64) (*Ablatio
 					Extra:   extra,
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunAblShortcut (A4) compares Alg. 3 (full shortcut, no star check)
 // against the Alg. 2 form (single shortcut plus per-iteration star
 // computation) on the MTA — the design choice §4 discusses.
 func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A4: SV shortcut strategy on the MTA (n=%d, m=%d)", n, edgeFactor*n)}
+	title := fmt.Sprintf("A4: SV shortcut strategy on the MTA (n=%d, m=%d)", n, edgeFactor*n)
 	variants := []struct {
 		config string
 		bad    string
@@ -187,13 +167,12 @@ func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) (*AblationRe
 		{"Alg. 3: full shortcut, no star check", "harness: A4 full-shortcut labeling is wrong", concomp.LabelMTA},
 		{"Alg. 2: single shortcut + star check", "harness: A4 star-check labeling is wrong", concomp.LabelMTAStarCheck},
 	}
-	res.Rows = make([]AblationRow, len(variants))
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
+	return e.runAblation(title, len(variants), func(idx int, c *Cell) (AblationRow, error) {
 		v := variants[idx]
 		gKey := sweep.GnmKey(n, edgeFactor*n, seed)
 		ufKey := sweep.UnionFindKey(gKey)
-		row, err := Memo(c, fmt.Sprintf("abl/shortcut/p=%d/variant=%d", procs, idx),
-			[]string{gKey, ufKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/shortcut/p=%d/variant=%d", procs, idx),
+			[]string{gKey, ufKey}, func() (AblationRow, error) {
 				g := cached(c, gKey, func() *graph.Graph { return graph.RandomGnm(n, edgeFactor*n, seed) })
 				want := cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
 				m := c.MTA(mta.DefaultConfig(procs))
@@ -207,33 +186,23 @@ func (e *Env) RunAblShortcut(n, edgeFactor, procs int, seed uint64) (*AblationRe
 					Extra:   fmt.Sprintf("%d regions", m.Stats().Regions),
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunAblCache (A5) sweeps the SMP's L2 size for list ranking on a Random
 // list: the random-list penalty is a cache-capacity effect, so it should
 // shrink once the working set fits.
 func (e *Env) RunAblCache(n, procs int, l2MB []int, seed uint64) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A5: SMP L2 capacity vs random-list penalty (n=%d, p=%d)", n, procs)}
-	res.Rows = make([]AblationRow, len(l2MB))
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
+	title := fmt.Sprintf("A5: SMP L2 capacity vs random-list penalty (n=%d, p=%d)", n, procs)
+	return e.runAblation(title, len(l2MB), func(idx int, c *Cell) (AblationRow, error) {
 		mb := l2MB[idx]
 		layouts := []list.Layout{list.Ordered, list.Random}
 		keys := make([]string, len(layouts))
 		for li, layout := range layouts {
 			keys[li] = sweep.ListKey(n, layout.String(), seed)
 		}
-		row, err := Memo(c, fmt.Sprintf("abl/cache/p=%d/l2mb=%d/seed=%d", procs, mb, seed),
-			keys, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/cache/p=%d/l2mb=%d/seed=%d", procs, mb, seed),
+			keys, func() (AblationRow, error) {
 				var secs [2]float64
 				for li, layout := range layouts {
 					l := cached(c, keys[li], func() *list.List { return list.New(n, layout, seed) })
@@ -249,29 +218,19 @@ func (e *Env) RunAblCache(n, procs int, l2MB []int, seed uint64) (*AblationResul
 					Extra:   fmt.Sprintf("random/ordered gap %.1fx", secs[1]/secs[0]),
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunAblAssociativity (A6) asks whether the E4500's direct-mapped caches
 // are part of the SMP's random-list penalty: the same run with 2/4-way
 // caches removes conflict misses, leaving only capacity misses.
 func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A6: SMP cache associativity (random list, n=%d, p=%d)", n, procs)}
-	res.Rows = make([]AblationRow, len(assocs))
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
+	title := fmt.Sprintf("A6: SMP cache associativity (random list, n=%d, p=%d)", n, procs)
+	return e.runAblation(title, len(assocs), func(idx int, c *Cell) (AblationRow, error) {
 		a := assocs[idx]
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		row, err := Memo(c, fmt.Sprintf("abl/assoc/p=%d/assoc=%d/seed=%d", procs, a, seed),
-			[]string{lKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/assoc/p=%d/assoc=%d/seed=%d", procs, a, seed),
+			[]string{lKey}, func() (AblationRow, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				cfg := smp.DefaultConfig(procs)
 				cfg.L1Assoc = a
@@ -288,16 +247,7 @@ func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) (*Abl
 					Extra:   extra,
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunAblReduction (A7) demonstrates §2.2's hotspot remark with a global
@@ -306,14 +256,13 @@ func (e *Env) RunAblAssociativity(n, procs int, assocs []int, seed uint64) (*Abl
 // accumulate privately and combine at the end — "usually these can be
 // worked around in software".
 func (e *Env) RunAblReduction(n, procs int) (*AblationResult, error) {
-	res := &AblationResult{Title: fmt.Sprintf("A7: MTA global sum, hotspot vs software combine (n=%d, p=%d)", n, procs)}
+	title := fmt.Sprintf("A7: MTA global sum, hotspot vs software combine (n=%d, p=%d)", n, procs)
 	const valsBase = uint64(9) << 40
 	const counter = uint64(10) << 40
 
-	res.Rows = make([]AblationRow, 2)
-	_, err := e.runSweep(len(res.Rows), e.stdOpts(), func(idx int, c *Cell) error {
-		row, err := Memo(c, fmt.Sprintf("abl/reduction/n=%d/p=%d/variant=%d", n, procs, idx),
-			nil, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+	return e.runAblation(title, 2, func(idx int, c *Cell) (AblationRow, error) {
+		return Memo(c, fmt.Sprintf("abl/reduction/n=%d/p=%d/variant=%d", n, procs, idx),
+			nil, func() (AblationRow, error) {
 				m := c.MTA(mta.DefaultConfig(procs))
 				var config string
 				if idx == 0 {
@@ -339,14 +288,5 @@ func (e *Env) RunAblReduction(n, procs int) (*AblationResult, error) {
 					Extra:   fmt.Sprintf("bank-stall cycles %.0f", m.Stats().BankStalls),
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

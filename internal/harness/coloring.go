@@ -161,7 +161,7 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 			// Dynamics cell: the machine-independent round behaviour.
 			d, err := Memo(c,
 				fmt.Sprintf("coloring/dynamics/verify=%t", params.Verify),
-				memoInputs, appendColoringDynamics, consumeColoringDynamics, func() (ColoringDynamics, error) {
+				memoInputs, func() (ColoringDynamics, error) {
 					g, ref := resolve()
 					if params.Verify {
 						if err := coloring.Validate(g, ref.Color); err != nil {
@@ -185,7 +185,7 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 			procs := params.Procs[pi]
 			row, err := Memo(c,
 				fmt.Sprintf("coloring/time/p=%d/verify=%t", procs, params.Verify),
-				memoInputs, appendColoringRow, consumeColoringRow, func() (ColoringRow, error) {
+				memoInputs, func() (ColoringRow, error) {
 					g, ref := resolve()
 					row := ColoringRow{Input: name, Procs: procs}
 
@@ -294,19 +294,18 @@ func (r *ColoringResult) WriteText(w io.Writer) {
 // schedule-independent); only the time and utilization move.
 func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) (*AblationResult, error) {
 	n := 1 << scale
-	res := &AblationResult{Title: fmt.Sprintf("A8: MTA coloring scheduling (rmat s=%d, m=%dn, p=%d)", scale, edgeFactor, procs)}
+	title := fmt.Sprintf("A8: MTA coloring scheduling (rmat s=%d, m=%dn, p=%d)", scale, edgeFactor, procs)
 	scheds := []struct {
 		name string
 		s    sim.Sched
 	}{{"dynamic (int_fetch_add)", sim.SchedDynamic}, {"static block", sim.SchedBlock}}
-	res.Rows = make([]AblationRow, len(scheds))
-	_, err := e.runSweep(len(scheds), e.stdOpts(), func(idx int, c *Cell) error {
+	return e.runAblation(title, len(scheds), func(idx int, c *Cell) (AblationRow, error) {
 		sched := scheds[idx]
 		gKey := sweep.RMATKey(scale, edgeFactor*n, seed)
 		refKey := sweep.SpecRefKey(gKey)
-		row, err := Memo(c,
+		return Memo(c,
 			fmt.Sprintf("abl/colorsched/p=%d/sched=%s", procs, sched.name),
-			[]string{gKey, refKey}, appendAblationRow, consumeAblationRow, func() (AblationRow, error) {
+			[]string{gKey, refKey}, func() (AblationRow, error) {
 				g := cached(c, gKey, func() *graph.Graph { return graph.RMAT(scale, edgeFactor*n, seed) })
 				want := cached(c, refKey, func() []int32 {
 					color, _ := coloring.Speculative(g)
@@ -323,14 +322,5 @@ func (e *Env) RunAblColoringSched(scale, edgeFactor, procs int, seed uint64) (*A
 					Extra:   fmt.Sprintf("%d colors, %d rounds, utilization %.0f%%", st.Colors, st.Rounds, m.Utilization()*100),
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		res.Rows[idx] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -140,23 +140,17 @@ type SaturationRow struct {
 // scheduled cell per (p, length) pair.
 func (e *Env) RunSaturation(procs []int, perProc []int, seed uint64) (*SaturationResult, error) {
 	nK := len(perProc)
-	rows := make([]SaturationRow, len(procs)*nK)
-	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
+	rows, err := runCells(e, len(procs)*nK, func(idx int, c *Cell) (SaturationRow, error) {
 		p := procs[idx/nK]
 		n := perProc[idx%nK] * p
 		lKey := sweep.ListKey(n, list.Random.String(), seed+uint64(n))
-		row, err := Memo(c, fmt.Sprintf("saturation/p=%d", p),
-			[]string{lKey}, appendSaturationRow, consumeSaturationRow, func() (SaturationRow, error) {
+		return Memo(c, fmt.Sprintf("saturation/p=%d", p),
+			[]string{lKey}, func() (SaturationRow, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed+uint64(n)) })
 				m := c.MTA(mta.DefaultConfig(p))
 				listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
 				return SaturationRow{Procs: p, N: n, Utilization: m.Utilization()}, nil
 			})
-		if err != nil {
-			return err
-		}
-		rows[idx] = row
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -194,11 +188,10 @@ type StreamsRow struct {
 // list ranking on a Random list, one cell per stream count; the list
 // and its MTA run (see Cell.RunMTA) are built once and shared.
 func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) (*StreamsResult, error) {
-	rows := make([]StreamsRow, len(streams))
-	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
+	rows, err := runCells(e, len(streams), func(idx int, c *Cell) (StreamsRow, error) {
 		lKey := sweep.ListKey(n, list.Random.String(), seed)
-		row, err := Memo(c, fmt.Sprintf("streams/p=%d/streams=%d", procs, streams[idx]),
-			[]string{lKey}, appendStreamsRow, consumeStreamsRow, func() (StreamsRow, error) {
+		return Memo(c, fmt.Sprintf("streams/p=%d/streams=%d", procs, streams[idx]),
+			[]string{lKey}, func() (StreamsRow, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, list.Random, seed) })
 				cfg := mta.DefaultConfig(procs)
 				cfg.UseStreams = streams[idx]
@@ -213,11 +206,6 @@ func (e *Env) RunStreams(n, procs int, streams []int, seed uint64) (*StreamsResu
 				}
 				return StreamsRow{Streams: streams[idx], Seconds: m.Seconds(), Utilization: m.Utilization()}, nil
 			})
-		if err != nil {
-			return err
-		}
-		rows[idx] = row
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -268,12 +256,11 @@ type exprRef struct {
 // cell per size; the expression and its sequential value are built once
 // per size and shared by both machine runs.
 func (e *Env) RunTreeEval(leaves []int, procs int, seed uint64) (*TreeEvalResult, error) {
-	rows := make([]TreeEvalRow, len(leaves))
-	_, err := e.runSweep(len(rows), e.stdOpts(), func(idx int, c *Cell) error {
+	rows, err := runCells(e, len(leaves), func(idx int, c *Cell) (TreeEvalRow, error) {
 		nl := leaves[idx]
 		eKey := sweep.ExprKey(nl, seed+uint64(nl))
-		row, err := Memo(c, fmt.Sprintf("treeeval/p=%d/seed=%d", procs, seed),
-			[]string{eKey}, appendTreeEvalRow, consumeTreeEvalRow, func() (TreeEvalRow, error) {
+		return Memo(c, fmt.Sprintf("treeeval/p=%d/seed=%d", procs, seed),
+			[]string{eKey}, func() (TreeEvalRow, error) {
 				ref := cached(c, eKey, func() exprRef {
 					e := treecon.RandomExpr(nl, seed+uint64(nl))
 					return exprRef{E: e, Want: treecon.EvalSequential(e)}
@@ -288,11 +275,6 @@ func (e *Env) RunTreeEval(leaves []int, procs int, seed uint64) (*TreeEvalResult
 				}
 				return TreeEvalRow{Leaves: nl, MTASeconds: mm.Seconds(), SMPSeconds: sm.Seconds()}, nil
 			})
-		if err != nil {
-			return err
-		}
-		rows[idx] = row
-		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -60,17 +60,16 @@ type Fig1Result struct {
 // run (see Cell.RunMTA): ranked and verified once, timed per count.
 func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 	nP, nS := len(params.Procs), len(params.Sizes)
-	outs := make([]pointPair, len(params.Layouts)*nP*nS)
-	_, err := e.runSweep(len(outs), e.stdOpts(), func(idx int, c *Cell) error {
+	outs, err := runCells(e, len(params.Layouts)*nP*nS, func(idx int, c *Cell) (pointPair, error) {
 		layout := params.Layouts[idx/(nP*nS)]
 		procs := params.Procs[idx/nS%nP]
 		n := params.Sizes[idx%nS]
 		lKey := sweep.ListKey(n, layout.String(), params.Seed+uint64(n))
 
-		out, err := Memo(c,
+		return Memo(c,
 			fmt.Sprintf("fig1/p=%d/npw=%d/sub=%d/seed=%d/verify=%t",
 				procs, params.NodesPerWalk, params.Sublists, params.Seed, params.Verify),
-			[]string{lKey}, appendPointPair, consumePointPair, func() (pointPair, error) {
+			[]string{lKey}, func() (pointPair, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, layout, params.Seed+uint64(n)) })
 				nwalk := n / params.NodesPerWalk
 				mm, err := c.RunMTA(fmt.Sprintf("RankMTA/%s/nwalk=%d/dynamic", lKey, nwalk), nP,
@@ -99,11 +98,6 @@ func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 					SMP: Point{X: float64(n), Seconds: sm.Seconds()},
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		outs[idx] = out
-		return nil
 	})
 	if err != nil {
 		return nil, err

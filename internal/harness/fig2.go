@@ -57,8 +57,7 @@ type Fig2Result struct {
 // every processor count.
 func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 	nF := len(params.EdgeFactors)
-	outs := make([]pointPair, len(params.Procs)*nF)
-	_, err := e.runSweep(len(outs), e.stdOpts(), func(idx int, c *Cell) error {
+	outs, err := runCells(e, len(params.Procs)*nF, func(idx int, c *Cell) (pointPair, error) {
 		procs := params.Procs[idx/nF]
 		f := params.EdgeFactors[idx%nF]
 		m := f * params.N
@@ -69,9 +68,9 @@ func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 			inputs = append(inputs, ufKey)
 		}
 
-		out, err := Memo(c,
+		return Memo(c,
 			fmt.Sprintf("fig2/p=%d/seed=%d/verify=%t", procs, params.Seed, params.Verify),
-			inputs, appendPointPair, consumePointPair, func() (pointPair, error) {
+			inputs, func() (pointPair, error) {
 				g := cached(c, gKey, func() *graph.Graph {
 					return graph.RandomGnm(params.N, m, params.Seed+uint64(f))
 				})
@@ -101,11 +100,6 @@ func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 					SMP: Point{X: float64(m), Seconds: sm.Seconds()},
 				}, nil
 			})
-		if err != nil {
-			return err
-		}
-		outs[idx] = out
-		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -60,9 +60,11 @@ import (
 const InputSchema = "pargraph-inputs-v1"
 
 // ResultSchema is the diskcache schema salt for memoized results. Bump
-// it whenever the binary encoding of any result type changes (see the
-// codecs in resultcodec.go); bump sim.CostSchemaVersion instead when
-// the simulated numbers themselves change meaning.
+// it whenever the stored bytes of any result type change: a change to
+// the encoding in resultcodec.go, or to the fields of a memoized type,
+// which the encoding derives from (TestResultEncodings pins the bytes).
+// Bump sim.CostSchemaVersion instead when the simulated numbers
+// themselves change meaning.
 const ResultSchema = "pargraph-results-v2"
 
 // traceMode names the cell's tracing configuration for its result key:
@@ -84,12 +86,9 @@ func (c *Cell) traceMode() string {
 // they are exactly the listed ones, then stores the value, the events
 // it emitted and the listed inputs' digests, best-effort. With no
 // ResultStore the compute runs unmemoized, still checked. A Cell runs
-// one memoized computation.
-func Memo[T any](c *Cell, cell string, inputs []string,
-	enc func([]byte, T) []byte,
-	dec func([]byte) (T, []byte, bool),
-	compute func() (T, error)) (T, error) {
-
+// one memoized computation. T's encoding derives from its type (see
+// appendResult).
+func Memo[T any](c *Cell, cell string, inputs []string, compute func() (T, error)) (T, error) {
 	store, hook := c.env.ResultStore, c.env.ResultHook
 	var key string
 	if store != nil || hook != nil {
@@ -97,7 +96,7 @@ func Memo[T any](c *Cell, cell string, inputs []string,
 	}
 	if store != nil {
 		if data, ok := store.Get(key); ok {
-			if v, evs, ds, ok := decodeResult(data, dec, inputs); ok {
+			if v, evs, ds, ok := decodeResult[T](data, inputs); ok {
 				if c.rec != nil {
 					c.rec.Events = append(c.rec.Events, evs...)
 				}
@@ -111,7 +110,7 @@ func Memo[T any](c *Cell, cell string, inputs []string,
 				}
 				return v, nil
 			}
-			// Undecodable under the current codecs: treat as stale,
+			// Undecodable under the current encoding: treat as stale,
 			// fall through and resimulate (the Put below overwrites).
 		}
 	}
@@ -139,7 +138,7 @@ func Memo[T any](c *Cell, cell string, inputs []string,
 		if c.rec != nil {
 			evs = c.rec.Events[start:]
 		}
-		payload := appendDigests(trace.AppendEvents(enc(nil, v), evs), ds)
+		payload := appendDigests(trace.AppendEvents(appendResult(nil, v), evs), ds)
 		store.Put(key, payload) // best-effort: a failed put only loses warmth
 	}
 	if hook != nil {
@@ -170,8 +169,8 @@ func keySet(keys []string) []string {
 // the input digests Memo stored. ok is false unless the payload decodes
 // exactly and its digests name the listed inputs in order; anything
 // else is recomputed rather than replayed.
-func decodeResult[T any](data []byte, dec func([]byte) (T, []byte, bool), inputs []string) (v T, evs []trace.Event, ds []sweep.Digest, ok bool) {
-	v, rest, ok := dec(data)
+func decodeResult[T any](data []byte, inputs []string) (v T, evs []trace.Event, ds []sweep.Digest, ok bool) {
+	v, rest, ok := consumeResult[T](data)
 	if !ok {
 		return v, nil, nil, false
 	}

@@ -32,7 +32,7 @@ func TestMemoChecksListedInputs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := &Env{ResultStore: store}
 			_, err := e.runSweep(1, e.stdOpts(), func(_ int, c *Cell) error {
-				_, err := Memo(c, "memo-test/"+tc.name, tc.listed, appendF64, consumeF64, func() (float64, error) {
+				_, err := Memo(c, "memo-test/"+tc.name, tc.listed, func() (float64, error) {
 					for _, k := range tc.resolves {
 						cached(c, k, func() int { return len(k) })
 					}

@@ -256,14 +256,13 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 	}
 	runs := make([]ProfileRun, len(cells))
 	recs, err := e.runSweep(len(cells), sweepOpts{record: true, sample: params.SampleCycles}, func(i int, c *Cell) error {
-		pt, err := Memo(c, cfg+"/machine="+cells[i].machine, inputs,
-			appendProfPoint, consumeProfPoint, func() (profPoint, error) {
-				cycles, seconds, err := cells[i].run(c)
-				if err != nil {
-					return profPoint{}, err
-				}
-				return profPoint{Cycles: cycles, Seconds: seconds}, nil
-			})
+		pt, err := Memo(c, cfg+"/machine="+cells[i].machine, inputs, func() (profPoint, error) {
+			cycles, seconds, err := cells[i].run(c)
+			if err != nil {
+				return profPoint{}, err
+			}
+			return profPoint{Cycles: cycles, Seconds: seconds}, nil
+		})
 		if err != nil {
 			return err
 		}

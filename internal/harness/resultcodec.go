@@ -1,17 +1,12 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
+
 	"pargraph/internal/binenc"
 	"pargraph/internal/sweep"
 )
-
-// Hand-rolled binenc codecs for the memoized result types (see
-// memo.go). Each append/consume pair must round-trip its type exactly —
-// a warm cell's decoded value feeds the same renderers as a cold cell's
-// computed one, and the artifacts must come out byte-identical. The
-// codecs live in-package so the result structs keep their natural field
-// visibility; any change to an encoding here requires a ResultSchema
-// bump.
 
 // pointPair is one fig1/fig2 cell's outcome: the MTA and SMP points.
 type pointPair struct {
@@ -19,30 +14,128 @@ type pointPair struct {
 	SMP Point
 }
 
-func appendPointPair(buf []byte, v pointPair) []byte {
-	buf = binenc.AppendFloat64(buf, v.MTA.X)
-	buf = binenc.AppendFloat64(buf, v.MTA.Seconds)
-	buf = binenc.AppendFloat64(buf, v.SMP.X)
-	buf = binenc.AppendFloat64(buf, v.SMP.Seconds)
-	return buf
+// profPoint is one profile cell's model numbers (its events travel in
+// the shared trace section of the memo payload).
+type profPoint struct {
+	Cycles  float64
+	Seconds float64
 }
 
-func consumePointPair(b []byte) (pointPair, []byte, bool) {
-	var v pointPair
+// The memoized result types (see memo.go) encode from their Go type:
+// appendResult walks the value's exported fields in declaration order,
+// flattening nested structs, and writes
+//
+//   - a float64 as its IEEE-754 bits (one word);
+//   - an int as one word;
+//   - a string or []byte length-prefixed;
+//   - any other slice as count 0 for nil, n+1 for n elements, then the
+//     elements (ColoringDynamics.Conflicts renders differently as JSON
+//     null and [], so nil and empty stay distinct).
+//
+// A warm cell's decoded value feeds the same renderers as a cold cell's
+// computed one, so the round trip must be exact. Reordering, adding or
+// retyping a field of a memoized type changes its stored bytes and
+// needs a ResultSchema bump; TestResultEncodings pins them.
+
+// appendResult appends v's encoding to buf. It panics on a field kind
+// the encoding does not cover: a programming error, caught by the first
+// cold run of the type.
+func appendResult[T any](buf []byte, v T) []byte {
+	return appendValue(buf, reflect.ValueOf(&v).Elem())
+}
+
+func appendValue(buf []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Float64:
+		return binenc.AppendFloat64(buf, v.Float())
+	case reflect.Int:
+		return binenc.AppendUint64(buf, uint64(v.Int()))
+	case reflect.String:
+		return binenc.AppendString(buf, v.String())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if !v.Type().Field(i).IsExported() {
+				panic(fmt.Sprintf("harness: result field %s.%s is unexported", v.Type(), v.Type().Field(i).Name))
+			}
+			buf = appendValue(buf, v.Field(i))
+		}
+		return buf
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return binenc.AppendBytes(buf, v.Bytes())
+		}
+		if v.IsNil() {
+			return binenc.AppendUint64(buf, 0)
+		}
+		buf = binenc.AppendUint64(buf, uint64(v.Len())+1)
+		for i := range v.Len() {
+			buf = appendValue(buf, v.Index(i))
+		}
+		return buf
+	}
+	panic(fmt.Sprintf("harness: no result encoding for %s", v.Type()))
+}
+
+// consumeResult decodes one T off the front of b; a []byte in T
+// aliases b. ok is false on truncated or oversized input and on a type
+// appendResult refuses; it never panics.
+func consumeResult[T any](b []byte) (v T, rest []byte, ok bool) {
+	rest, ok = consumeValue(b, reflect.ValueOf(&v).Elem())
+	return v, rest, ok
+}
+
+func consumeValue(b []byte, v reflect.Value) ([]byte, bool) {
 	var ok bool
-	if v.MTA.X, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
+	switch v.Kind() {
+	case reflect.Float64:
+		var f float64
+		f, b, ok = binenc.ConsumeFloat64(b)
+		v.SetFloat(f)
+	case reflect.Int:
+		var u uint64
+		u, b, ok = binenc.ConsumeUint64(b)
+		v.SetInt(int64(u))
+	case reflect.String:
+		var s string
+		s, b, ok = binenc.ConsumeString(b)
+		v.SetString(s)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if !v.Type().Field(i).IsExported() {
+				return nil, false
+			}
+			if b, ok = consumeValue(b, v.Field(i)); !ok {
+				return nil, false
+			}
+		}
+		return b, true
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			var p []byte
+			p, b, ok = binenc.ConsumeBytes(b)
+			v.SetBytes(p)
+			return b, ok
+		}
+		var n uint64
+		if n, b, ok = binenc.ConsumeUint64(b); !ok || n == 0 {
+			return b, ok // count 0 is nil
+		}
+		// Every element takes at least a word (an empty struct, which
+		// no result holds, aside), so a count past the bytes left is
+		// corrupt.
+		if n--; n > uint64(len(b)) {
+			return nil, false
+		}
+		s := reflect.MakeSlice(v.Type(), int(n), int(n))
+		for i := range int(n) {
+			if b, ok = consumeValue(b, s.Index(i)); !ok {
+				return nil, false
+			}
+		}
+		v.Set(s)
+		return b, true
 	}
-	if v.MTA.Seconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.SMP.X, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.SMP.Seconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
+	return b, ok
 }
 
 // appendDigests / consumeDigests frame the input digests Memo stores
@@ -77,222 +170,4 @@ func consumeDigests(b []byte) ([]sweep.Digest, []byte, bool) {
 		ds[i].Bytes = int64(u)
 	}
 	return ds, b, true
-}
-
-func appendF64(buf []byte, v float64) []byte { return binenc.AppendFloat64(buf, v) }
-
-func consumeF64(b []byte) (float64, []byte, bool) { return binenc.ConsumeFloat64(b) }
-
-// appendIntsNil / consumeIntsNil length-prefix an []int while keeping
-// nil distinct from empty (count 0 = nil, count n+1 = n elements):
-// ColoringDynamics.Conflicts renders differently as JSON null vs [].
-func appendIntsNil(buf []byte, v []int) []byte {
-	if v == nil {
-		return binenc.AppendUint64(buf, 0)
-	}
-	buf = binenc.AppendUint64(buf, uint64(len(v))+1)
-	for _, x := range v {
-		buf = binenc.AppendUint64(buf, uint64(x))
-	}
-	return buf
-}
-
-func consumeIntsNil(b []byte) ([]int, []byte, bool) {
-	n, b, ok := binenc.ConsumeUint64(b)
-	if !ok {
-		return nil, nil, false
-	}
-	if n == 0 {
-		return nil, b, true
-	}
-	n--
-	if uint64(len(b)) < 8*n {
-		return nil, nil, false
-	}
-	v := make([]int, n)
-	for i := range v {
-		var u uint64
-		if u, b, ok = binenc.ConsumeUint64(b); !ok {
-			return nil, nil, false
-		}
-		v[i] = int(u)
-	}
-	return v, b, true
-}
-
-func appendColoringDynamics(buf []byte, v ColoringDynamics) []byte {
-	buf = binenc.AppendString(buf, v.Input)
-	buf = binenc.AppendUint64(buf, uint64(v.N))
-	buf = binenc.AppendUint64(buf, uint64(v.M))
-	buf = binenc.AppendUint64(buf, uint64(v.SeqColors))
-	buf = binenc.AppendUint64(buf, uint64(v.SpecColors))
-	buf = binenc.AppendUint64(buf, uint64(v.Rounds))
-	buf = appendIntsNil(buf, v.Conflicts)
-	return buf
-}
-
-func consumeColoringDynamics(b []byte) (ColoringDynamics, []byte, bool) {
-	var v ColoringDynamics
-	var ok bool
-	var u uint64
-	if v.Input, b, ok = binenc.ConsumeString(b); !ok {
-		return v, nil, false
-	}
-	for _, dst := range []*int{&v.N, &v.M, &v.SeqColors, &v.SpecColors, &v.Rounds} {
-		if u, b, ok = binenc.ConsumeUint64(b); !ok {
-			return v, nil, false
-		}
-		*dst = int(u)
-	}
-	if v.Conflicts, b, ok = consumeIntsNil(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
-}
-
-func appendColoringRow(buf []byte, v ColoringRow) []byte {
-	buf = binenc.AppendString(buf, v.Input)
-	buf = binenc.AppendUint64(buf, uint64(v.Procs))
-	buf = binenc.AppendFloat64(buf, v.MTASeconds)
-	buf = binenc.AppendFloat64(buf, v.SMPSeconds)
-	return buf
-}
-
-func consumeColoringRow(b []byte) (ColoringRow, []byte, bool) {
-	var v ColoringRow
-	var ok bool
-	var u uint64
-	if v.Input, b, ok = binenc.ConsumeString(b); !ok {
-		return v, nil, false
-	}
-	if u, b, ok = binenc.ConsumeUint64(b); !ok {
-		return v, nil, false
-	}
-	v.Procs = int(u)
-	if v.MTASeconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.SMPSeconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
-}
-
-func appendSaturationRow(buf []byte, v SaturationRow) []byte {
-	buf = binenc.AppendUint64(buf, uint64(v.Procs))
-	buf = binenc.AppendUint64(buf, uint64(v.N))
-	buf = binenc.AppendFloat64(buf, v.Utilization)
-	return buf
-}
-
-func consumeSaturationRow(b []byte) (SaturationRow, []byte, bool) {
-	var v SaturationRow
-	var ok bool
-	var u uint64
-	if u, b, ok = binenc.ConsumeUint64(b); !ok {
-		return v, nil, false
-	}
-	v.Procs = int(u)
-	if u, b, ok = binenc.ConsumeUint64(b); !ok {
-		return v, nil, false
-	}
-	v.N = int(u)
-	if v.Utilization, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
-}
-
-func appendStreamsRow(buf []byte, v StreamsRow) []byte {
-	buf = binenc.AppendUint64(buf, uint64(v.Streams))
-	buf = binenc.AppendFloat64(buf, v.Seconds)
-	buf = binenc.AppendFloat64(buf, v.Utilization)
-	return buf
-}
-
-func consumeStreamsRow(b []byte) (StreamsRow, []byte, bool) {
-	var v StreamsRow
-	var ok bool
-	var u uint64
-	if u, b, ok = binenc.ConsumeUint64(b); !ok {
-		return v, nil, false
-	}
-	v.Streams = int(u)
-	if v.Seconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.Utilization, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
-}
-
-func appendTreeEvalRow(buf []byte, v TreeEvalRow) []byte {
-	buf = binenc.AppendUint64(buf, uint64(v.Leaves))
-	buf = binenc.AppendFloat64(buf, v.MTASeconds)
-	buf = binenc.AppendFloat64(buf, v.SMPSeconds)
-	return buf
-}
-
-func consumeTreeEvalRow(b []byte) (TreeEvalRow, []byte, bool) {
-	var v TreeEvalRow
-	var ok bool
-	var u uint64
-	if u, b, ok = binenc.ConsumeUint64(b); !ok {
-		return v, nil, false
-	}
-	v.Leaves = int(u)
-	if v.MTASeconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.SMPSeconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
-}
-
-func appendAblationRow(buf []byte, v AblationRow) []byte {
-	buf = binenc.AppendString(buf, v.Config)
-	buf = binenc.AppendFloat64(buf, v.Seconds)
-	buf = binenc.AppendString(buf, v.Extra)
-	return buf
-}
-
-func consumeAblationRow(b []byte) (AblationRow, []byte, bool) {
-	var v AblationRow
-	var ok bool
-	if v.Config, b, ok = binenc.ConsumeString(b); !ok {
-		return v, nil, false
-	}
-	if v.Seconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.Extra, b, ok = binenc.ConsumeString(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
-}
-
-// profPoint is one profile cell's model numbers (its events travel in
-// the shared trace section of the memo payload).
-type profPoint struct {
-	Cycles  float64
-	Seconds float64
-}
-
-func appendProfPoint(buf []byte, v profPoint) []byte {
-	buf = binenc.AppendFloat64(buf, v.Cycles)
-	return binenc.AppendFloat64(buf, v.Seconds)
-}
-
-func consumeProfPoint(b []byte) (profPoint, []byte, bool) {
-	var v profPoint
-	var ok bool
-	if v.Cycles, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	if v.Seconds, b, ok = binenc.ConsumeFloat64(b); !ok {
-		return v, nil, false
-	}
-	return v, b, true
 }

@@ -123,6 +123,21 @@ func (e *Env) RunCell(fn func(*Cell) error) error {
 	return err
 }
 
+// runCells runs n cells under stdOpts and returns their values in cell
+// order; it serves every sweep whose cells return one result type.
+// Cells another shard owns keep their zero values. On error the
+// lowest-index cell's comes back, with no values.
+func runCells[T any](e *Env, n int, cell func(i int, c *Cell) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if _, err := e.runSweep(n, e.stdOpts(), func(i int, c *Cell) (err error) {
+		out[i], err = cell(i, c)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // runSweep runs n cells under the Env's Jobs setting with one shared
 // single-flight input cache and the Env's machine pool. Each traced
 // cell records into a private recorder; after the sweep the recorders

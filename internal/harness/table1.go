@@ -71,8 +71,7 @@ type Table1Row struct {
 func (e *Env) RunTable1(params Table1Params) (*Table1Result, error) {
 	nP := len(params.Procs)
 	layouts := []list.Layout{list.Random, list.Ordered}
-	utils := make([]float64, 3*nP)
-	_, err := e.runSweep(len(utils), e.stdOpts(), func(idx int, c *Cell) error {
+	utils, err := runCells(e, 3*nP, func(idx int, c *Cell) (float64, error) {
 		procs := params.Procs[idx%nP]
 		row := idx / nP
 		// resolve resolves the row's input and returns its MTA kernel. It
@@ -103,17 +102,12 @@ func (e *Env) RunTable1(params Table1Params) (*Table1Result, error) {
 				}
 			}
 		}
-		u, err := Memo(c,
+		return Memo(c,
 			fmt.Sprintf("table1/row=%d/p=%d/npw=%d", row, procs, params.NodesPerWalk),
-			[]string{inKey}, appendF64, consumeF64, func() (float64, error) {
+			[]string{inKey}, func() (float64, error) {
 				m, err := c.RunMTA(run, nP, mta.DefaultConfig(procs), resolve())
 				return m.Utilization(), err
 			})
-		if err != nil {
-			return err
-		}
-		utils[idx] = u
-		return nil
 	})
 	if err != nil {
 		return nil, err

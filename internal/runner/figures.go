@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pargraph/internal/harness"
+	"pargraph/internal/spec"
 	"pargraph/internal/trace"
 )
 
@@ -142,48 +143,7 @@ func (rc *runCtx) runFigures() error {
 		}
 	}
 
-	// Each experiment returns its result, which runExp files in the
-	// report and writes out.
-	exps := map[string]func() (any, error){
-		"saturation": func() (any, error) {
-			return rc.env.RunSaturation([]int{1, 2, 4, 8}, []int{100, 1000, 10000}, 7)
-		},
-		"streams": func() (any, error) {
-			return rc.env.RunStreams(sizeFor(scale, 1<<16, 1<<19, 1<<21), 1,
-				[]int{1, 2, 4, 8, 16, 40, 80, 128}, 7)
-		},
-		"sched": func() (any, error) {
-			return rc.env.RunAblScheduling(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, 7)
-		},
-		"hashing": func() (any, error) {
-			return rc.env.RunAblHashing(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)
-		},
-		"sublists": func() (any, error) {
-			return rc.env.RunAblSublists(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4, 8, 16, 64}, 7)
-		},
-		"shortcut": func() (any, error) {
-			return rc.env.RunAblShortcut(sizeFor(scale, 1<<11, 1<<14, 1<<17), 8, 4, 7)
-		},
-		"cache": func() (any, error) {
-			return rc.env.RunAblCache(sizeFor(scale, 1<<17, 1<<19, 1<<21), 1, []int{1, 2, 4, 8, 16}, 7)
-		},
-		"assoc": func() (any, error) {
-			return rc.env.RunAblAssociativity(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4}, 7)
-		},
-		"reduction": func() (any, error) {
-			return rc.env.RunAblReduction(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)
-		},
-		"treeeval": func() (any, error) {
-			sz := sizeFor(scale, 1<<13, 1<<16, 1<<18)
-			return rc.env.RunTreeEval([]int{sz / 4, sz / 2, sz}, 8, 7)
-		},
-		"coloring": func() (any, error) {
-			return rc.env.RunColoring(coloringP)
-		},
-		"colorsched": func() (any, error) {
-			return rc.env.RunAblColoringSched(sizeFor(scale, 10, 13, 16), 8, 8, 7)
-		},
-	}
+	exps := rc.experiments(scale, coloringP)
 	runExp := func(name string) error {
 		res, err := exps[name]()
 		if err != nil {
@@ -207,7 +167,7 @@ func (rc *runCtx) runFigures() error {
 		return nil
 	}
 	if f.All {
-		for _, name := range []string{"saturation", "streams", "sched", "hashing", "sublists", "shortcut", "cache", "assoc", "reduction", "treeeval", "coloring", "colorsched"} {
+		for _, name := range spec.FigureExps {
 			if err := runExp(name); err != nil {
 				return err
 			}
@@ -250,6 +210,52 @@ func (rc *runCtx) runFigures() error {
 		fmt.Fprintln(o.Stdout, "done.")
 	}
 	return nil
+}
+
+// experiments maps each -exp name (spec.FigureExps) to its run at
+// scale; each returns its result, which runFigures files in the report
+// and writes out.
+func (rc *runCtx) experiments(scale harness.Scale, coloringP harness.ColoringParams) map[string]func() (any, error) {
+	return map[string]func() (any, error){
+		"saturation": func() (any, error) {
+			return rc.env.RunSaturation([]int{1, 2, 4, 8}, []int{100, 1000, 10000}, 7)
+		},
+		"streams": func() (any, error) {
+			return rc.env.RunStreams(sizeFor(scale, 1<<16, 1<<19, 1<<21), 1,
+				[]int{1, 2, 4, 8, 16, 40, 80, 128}, 7)
+		},
+		"sched": func() (any, error) {
+			return rc.env.RunAblScheduling(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, 7)
+		},
+		"hashing": func() (any, error) {
+			return rc.env.RunAblHashing(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)
+		},
+		"sublists": func() (any, error) {
+			return rc.env.RunAblSublists(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4, 8, 16, 64}, 7)
+		},
+		"shortcut": func() (any, error) {
+			return rc.env.RunAblShortcut(sizeFor(scale, 1<<11, 1<<14, 1<<17), 8, 4, 7)
+		},
+		"cache": func() (any, error) {
+			return rc.env.RunAblCache(sizeFor(scale, 1<<17, 1<<19, 1<<21), 1, []int{1, 2, 4, 8, 16}, 7)
+		},
+		"assoc": func() (any, error) {
+			return rc.env.RunAblAssociativity(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8, []int{1, 2, 4}, 7)
+		},
+		"reduction": func() (any, error) {
+			return rc.env.RunAblReduction(sizeFor(scale, 1<<16, 1<<19, 1<<21), 8)
+		},
+		"treeeval": func() (any, error) {
+			sz := sizeFor(scale, 1<<13, 1<<16, 1<<18)
+			return rc.env.RunTreeEval([]int{sz / 4, sz / 2, sz}, 8, 7)
+		},
+		"coloring": func() (any, error) {
+			return rc.env.RunColoring(coloringP)
+		},
+		"colorsched": func() (any, error) {
+			return rc.env.RunAblColoringSched(sizeFor(scale, 10, 13, 16), 8, 8, 7)
+		},
+	}
 }
 
 func sizeFor(s harness.Scale, small, medium, paper int) int {

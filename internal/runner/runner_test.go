@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"pargraph/internal/cmdutil"
+	"pargraph/internal/harness"
 	"pargraph/internal/listrank"
 	"pargraph/internal/manifest"
 	"pargraph/internal/spec"
@@ -138,6 +140,22 @@ func manifestWithoutResults(t *testing.T, path string) ([]byte, []manifest.Resul
 func TestSpecDefaultNodesPerWalk(t *testing.T) {
 	if got := spec.Default(spec.CmdListrank).Workload.NodesPerWalk; got != listrank.DefaultNodesPerWalk {
 		t.Errorf("spec default nodes_per_walk = %d, listrank.DefaultNodesPerWalk = %d", got, listrank.DefaultNodesPerWalk)
+	}
+}
+
+// TestExperimentsMatchSpec: figures dispatches exactly the experiments
+// the spec accepts, so every valid -exp runs and -all runs them all.
+func TestExperimentsMatchSpec(t *testing.T) {
+	exps := (&runCtx{}).experiments(harness.Small, harness.ColoringParams{})
+	var got []string
+	for name := range exps {
+		got = append(got, name)
+	}
+	want := slices.Clone(spec.FigureExps)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("dispatch keys %q, spec.FigureExps %q", got, want)
 	}
 }
 

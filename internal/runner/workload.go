@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"pargraph/internal/binenc"
 	"pargraph/internal/coloring"
 	"pargraph/internal/concomp"
 	"pargraph/internal/gio"
@@ -65,7 +64,7 @@ func (rc *runCtx) runWorkload(cell string, inputs []string, prepare func(*harnes
 		if cell == "" {
 			out, err = compute()
 		} else {
-			out, err = harness.Memo(c, cell, inputs, binenc.AppendBytes, binenc.ConsumeBytes, compute)
+			out, err = harness.Memo(c, cell, inputs, compute)
 		}
 		return err
 	})

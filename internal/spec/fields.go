@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"pargraph/internal/cmdutil"
 )
@@ -79,7 +80,7 @@ var fields = []field{
 		func(s *Spec) any { return &s.Figures.Table }},
 	{"figures", "summary", onFigures, false, "summary", "print the §5 headline ratios",
 		func(s *Spec) any { return &s.Figures.Summary }},
-	{"figures", "exp", onFigures, false, "exp", "extra experiment: saturation, streams, sched, hashing, sublists, shortcut, cache, assoc, reduction, treeeval, coloring, colorsched",
+	{"figures", "exp", onFigures, false, "exp", "extra experiment: " + strings.Join(FigureExps, ", "),
 		func(s *Spec) any { return &s.Figures.Exp }},
 	{"figures", "format", onFigures, false, "", "",
 		func(s *Spec) any { return &s.Figures.Format }},

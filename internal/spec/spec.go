@@ -18,6 +18,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pargraph/internal/cmdutil"
@@ -153,12 +154,10 @@ func Default(command string) *Spec {
 	return s
 }
 
-// figureExps is the experiment vocabulary of cmd/figures -exp.
-var figureExps = map[string]bool{
-	"saturation": true, "streams": true, "sched": true, "hashing": true,
-	"sublists": true, "shortcut": true, "cache": true, "assoc": true,
-	"reduction": true, "treeeval": true, "coloring": true, "colorsched": true,
-}
+// FigureExps is the experiment vocabulary of cmd/figures -exp, in the
+// order -all runs it.
+var FigureExps = []string{"saturation", "streams", "sched", "hashing", "sublists", "shortcut",
+	"cache", "assoc", "reduction", "treeeval", "coloring", "colorsched"}
 
 // enum validates a closed string field.
 func enum(section, key, got string, want ...string) error {
@@ -241,7 +240,7 @@ func (s *Spec) validateFigures() error {
 	if f.Table != 0 && f.Table != 1 {
 		return fmt.Errorf("spec: [figures] table must be 1, got %d", f.Table)
 	}
-	if f.Exp != "" && !figureExps[f.Exp] {
+	if f.Exp != "" && !slices.Contains(FigureExps, f.Exp) {
 		return fmt.Errorf("spec: [figures] unknown experiment %q", f.Exp)
 	}
 	if err := enum("figures", "format", f.Format, "text", "json", "csv"); err != nil {

@@ -28,66 +28,8 @@ func EvalContract(e *Expr, p int) int64 {
 		return e.Val[e.Root] % Mod
 	}
 
-	// Mutable contraction state.
-	parent := make([]int32, n)
-	isLeft := make([]bool, n)
-	left := append([]int32(nil), e.Left...)
-	right := append([]int32(nil), e.Right...)
-	val := append([]int64(nil), e.Val...)
-	lin := make([]linear, n)
-	for i := range lin {
-		lin[i] = identity()
-		parent[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		if e.Op[v] == OpLeaf {
-			continue
-		}
-		parent[left[v]] = int32(v)
-		isLeft[left[v]] = true
-		parent[right[v]] = int32(v)
-	}
-	root := e.Root
-
+	c := newContraction(e)
 	leaves := numberLeaves(e, p)
-
-	// rake deletes leaf u and its parent, folding u's constant into the
-	// sibling's pending linear function.
-	rake := func(u int32) {
-		v := parent[u]
-		var w int32
-		if isLeft[u] {
-			w = right[v]
-		} else {
-			w = left[v]
-		}
-		c := lin[u].apply(val[u])
-		av, bv := lin[v].a, lin[v].b
-		aw, bw := lin[w].a, lin[w].b
-		switch e.Op[v] {
-		case OpAdd:
-			// x ↦ av·(aw·x + bw + c) + bv
-			lin[w] = linear{a: av * aw % Mod, b: (av*((bw+c)%Mod)%Mod + bv) % Mod}
-		case OpMul:
-			// x ↦ av·((aw·x + bw)·c) + bv
-			ac := av * c % Mod
-			lin[w] = linear{a: ac * aw % Mod, b: (ac*bw%Mod + bv) % Mod}
-		default:
-			panic("treecon: raking under a leaf")
-		}
-		g := parent[v]
-		parent[w] = g
-		if g < 0 {
-			root = w
-		} else {
-			isLeft[w] = isLeft[v]
-			if isLeft[v] {
-				left[g] = w
-			} else {
-				right[g] = w
-			}
-		}
-	}
 
 	limit := 4
 	for s := 1; s < n; s <<= 1 {
@@ -105,8 +47,8 @@ func EvalContract(e *Expr, p int) int64 {
 			wantLeft := pass == 0
 			par.For(len(leaves), p, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
-					if i%2 == 0 && isLeft[leaves[i]] == wantLeft && parent[leaves[i]] >= 0 {
-						rake(leaves[i])
+					if i%2 == 0 && c.isLeft[leaves[i]] == wantLeft && c.parent[leaves[i]] >= 0 {
+						c.rake(leaves[i])
 					}
 				}
 			})
@@ -121,7 +63,7 @@ func EvalContract(e *Expr, p int) int64 {
 			break
 		}
 	}
-	return lin[root].apply(val[root])
+	return c.lin[c.root].apply(c.val[c.root])
 }
 
 // buildTour constructs the Euler tour of the expression tree as a

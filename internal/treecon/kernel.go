@@ -54,7 +54,8 @@ func newContraction(e *Expr) *contraction {
 	return c
 }
 
-// rake performs one rake; identical math to EvalContract's closure.
+// rake deletes leaf u and its parent, folding u's constant into the
+// sibling's pending linear function.
 func (c *contraction) rake(u int32) {
 	v := c.parent[u]
 	var w int32
@@ -68,8 +69,10 @@ func (c *contraction) rake(u int32) {
 	aw, bw := c.lin[w].a, c.lin[w].b
 	switch c.e.Op[v] {
 	case OpAdd:
+		// x ↦ av·(aw·x + bw + cv) + bv
 		c.lin[w] = linear{a: av * aw % Mod, b: (av*((bw+cv)%Mod)%Mod + bv) % Mod}
 	case OpMul:
+		// x ↦ av·((aw·x + bw)·cv) + bv
 		ac := av * cv % Mod
 		c.lin[w] = linear{a: ac * aw % Mod, b: (ac*bw%Mod + bv) % Mod}
 	default:

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate for the result cache: against a shared cache directory, a warm
-# re-run of each sweep (fig1, fig2, table1, coloring) and of the
+# re-run of each sweep (fig1, fig2, table1, coloring, then every
+# artifact of figures -all, and a profile on both machines) and of the
 # single-run commands (listrank on the MTA, concomp on the MTA with
 # verification, coloring on the SMP with verification, and concomp on a
 # DIMACS file that concomp -out wrote, keyed by the file's content) must
@@ -24,7 +25,7 @@ trap 'rm -rf "$work"' EXIT
 commit=$(sh "$root/scripts/version.sh")
 bin="$work/bin"
 mkdir -p "$bin"
-(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/listrank ./cmd/concomp ./cmd/coloring)
+(cd "$root" && go build -ldflags "-X pargraph/internal/cmdutil.Commit=$commit" -o "$bin" ./cmd/figures ./cmd/profile ./cmd/listrank ./cmd/concomp ./cmd/coloring)
 
 cache="$work/cache"
 fail=0
@@ -117,6 +118,8 @@ check fig1     figures -fig 1 -json
 check fig2     figures -fig 2 -json
 check table1   figures -table 1 -json
 check coloring figures -exp coloring -json
+check all      figures -all -json
+check profile  profile -kernel prefix -machine both -n 16384 -procs 4
 check listrank listrank -machine mta -n 65536 -p 4
 check concomp  concomp -machine mta -n 16384 -m 65536 -p 4 -verify
 check coloring-smp coloring -machine smp -n 4096 -m 32768 -p 4 -verify
