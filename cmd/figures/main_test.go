@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pargraph/internal/cmdtest"
@@ -18,4 +20,19 @@ func TestSmokeColoring(t *testing.T) {
 
 func TestRejectsNegativeWorkers(t *testing.T) {
 	cmdtest.RunError(t, []string{"-fig", "2", "-workers", "-1"}, "workers must be >= 0")
+}
+
+// TestFailedRunKeepsProfiles runs a sweep that fails after profiling
+// starts (a shard needs a cache directory) and checks that it still
+// leaves a complete CPU profile and a heap profile.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmdtest.RunError(t, []string{"-fig", "1", "-shard", "0/2", "-cpuprofile", cpu, "-memprofile", mem}, "needs -cache-dir")
+	if b, err := os.ReadFile(cpu); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("cpu profile is not a gzip stream: %d bytes, %v", len(b), err)
+	}
+	if st, err := os.Stat(mem); err != nil || st.Size() == 0 {
+		t.Errorf("heap profile not written: %v", err)
+	}
 }

@@ -35,8 +35,6 @@ import (
 	"flag"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"pargraph/internal/cmdutil"
 	"pargraph/internal/runner"
@@ -57,22 +55,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	stopCPU, err := cmdutil.StartCPUProfile(*cpuProf)
+	err = cmdutil.RunProfiled(*cpuProf, *memProf, func(ctx context.Context) error {
+		opts.Interrupt = ctx
+		return runner.Run(sp, opts)
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopCPU()
-	defer func() {
-		if err := cmdutil.WriteHeapProfile(*memProf); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	opts.Interrupt = ctx
-	if err := runner.Run(sp, opts); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package cmdutil
 
 import (
+	"context"
+	"errors"
 	"os"
 	"runtime"
 	"strings"
@@ -24,20 +26,20 @@ func TestResolveJobs(t *testing.T) {
 }
 
 func TestProfileHelpersEmptyPathNoOp(t *testing.T) {
-	stop, err := StartCPUProfile("")
+	stop, err := startCPUProfile("")
 	if err != nil {
-		t.Fatalf("StartCPUProfile(\"\"): %v", err)
+		t.Fatalf("startCPUProfile(\"\"): %v", err)
 	}
 	stop()
-	if err := WriteHeapProfile(""); err != nil {
-		t.Fatalf("WriteHeapProfile(\"\"): %v", err)
+	if err := writeHeapProfile(""); err != nil {
+		t.Fatalf("writeHeapProfile(\"\"): %v", err)
 	}
 }
 
 func TestProfileHelpersWriteFiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := dir + "/cpu.pprof"
-	stop, err := StartCPUProfile(cpu)
+	stop, err := startCPUProfile(cpu)
 	if err != nil {
 		t.Fatalf("StartCPUProfile: %v", err)
 	}
@@ -46,8 +48,32 @@ func TestProfileHelpersWriteFiles(t *testing.T) {
 		t.Errorf("cpu profile not written: %v", err)
 	}
 	heap := dir + "/heap.pprof"
-	if err := WriteHeapProfile(heap); err != nil {
+	if err := writeHeapProfile(heap); err != nil {
 		t.Fatalf("WriteHeapProfile: %v", err)
+	}
+	if st, err := os.Stat(heap); err != nil || st.Size() == 0 {
+		t.Errorf("heap profile not written: %v", err)
+	}
+}
+
+// TestRunProfiledFailingRun checks that a run that fails after its
+// profiles start still leaves both: a CPU profile is a gzip stream only
+// once the profiler stops, and the heap profile is written at the end.
+func TestRunProfiledFailingRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := dir+"/cpu.pprof", dir+"/heap.pprof"
+	boom := errors.New("boom")
+	err := RunProfiled(cpu, heap, func(ctx context.Context) error {
+		if ctx.Err() != nil {
+			t.Errorf("run's context canceled before any signal: %v", ctx.Err())
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("RunProfiled returned %v, want the run's error", err)
+	}
+	if b, err := os.ReadFile(cpu); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("cpu profile is not a gzip stream: %d bytes, %v", len(b), err)
 	}
 	if st, err := os.Stat(heap); err != nil || st.Size() == 0 {
 		t.Errorf("heap profile not written: %v", err)

@@ -1,17 +1,39 @@
 package cmdutil
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 )
 
-// StartCPUProfile opens path and starts the Go CPU profiler, returning
-// a stop function the caller defers: it stops the profiler and closes
-// the file. An empty path is a no-op returning a no-op stop, so cmds
-// can call it unconditionally with their -cpuprofile flag value.
-func StartCPUProfile(path string) (func(), error) {
+// RunProfiled is the run step of the commands with -cpuprofile and
+// -memprofile flags: it calls run with a context that SIGINT and SIGTERM
+// cancel, under a CPU profile written to cpuPath, then writes the heap
+// profile to memPath. Both profiles are complete when it returns,
+// whether run succeeded, failed or was interrupted, so the caller may
+// exit at once on the error it returns: run's, joined with a
+// profile's. An empty path skips its profile.
+func RunProfiled(cpuPath, memPath string, run func(ctx context.Context) error) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	stopCPU, err := startCPUProfile(cpuPath)
+	if err != nil {
+		return err
+	}
+	err = run(ctx)
+	stopCPU()
+	return errors.Join(err, writeHeapProfile(memPath))
+}
+
+// startCPUProfile opens path and starts the Go CPU profiler, returning
+// a stop function that stops the profiler and closes the file. An empty
+// path is a no-op returning a no-op stop.
+func startCPUProfile(path string) (func(), error) {
 	if path == "" {
 		return func() {}, nil
 	}
@@ -29,10 +51,10 @@ func StartCPUProfile(path string) (func(), error) {
 	}, nil
 }
 
-// WriteHeapProfile forces a GC (so the profile reflects live objects,
+// writeHeapProfile forces a GC (so the profile reflects live objects,
 // not garbage awaiting collection) and writes the heap profile to path.
-// An empty path is a no-op, mirroring StartCPUProfile.
-func WriteHeapProfile(path string) error {
+// An empty path is a no-op, mirroring startCPUProfile.
+func writeHeapProfile(path string) error {
 	if path == "" {
 		return nil
 	}

@@ -1,6 +1,8 @@
 package concomp
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +282,29 @@ func TestAllAlgorithmsOnRMAT(t *testing.T) {
 	}
 	if !graph.SameComponents(want, LabelSMP(g, smp.New(smp.DefaultConfig(4)))) {
 		t.Error("SMP kernel wrong on R-MAT")
+	}
+}
+
+// TestRandomMatingLabelsPinned pins the exact labels, not only the
+// partition, of the two random-mating variants on a fixed graph and
+// seed. Which root a component keeps depends on every coin drawn, so a
+// coin drawn out of order or an extra one changes the hash.
+func TestRandomMatingLabelsPinned(t *testing.T) {
+	g := graph.RandomGnm(2000, 3000, 7)
+	for _, c := range []struct {
+		name  string
+		label func(*graph.Graph, uint64) []int32
+		want  uint64
+	}{
+		{"RandomMate", RandomMate, 0xeb592e7276cc5bff},
+		{"Hybrid", Hybrid, 0xa0a49f17e7c315d7},
+	} {
+		h := fnv.New64a()
+		for _, v := range c.label(g, 0x5eed) {
+			binary.Write(h, binary.LittleEndian, v)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: labels hash %#x, pinned %#x", c.name, got, c.want)
+		}
 	}
 }

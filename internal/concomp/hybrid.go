@@ -14,50 +14,16 @@ import (
 // are finished with deterministic grafting (SV-style), avoiding
 // random-mating's long geometric tail.
 func Hybrid(g *graph.Graph, seed uint64) []int32 {
-	validateInput(g)
 	n := g.N
-	d := make([]int32, n)
-	for i := range d {
-		d[i] = int32(i)
-	}
-	if n == 0 || len(g.Edges) == 0 {
-		return d
-	}
+	d, live, heads := startMating(g)
 	r := rng.New(seed)
-	live := make([]graph.Edge, len(g.Edges))
-	copy(live, g.Edges)
-	heads := make([]bool, n)
 
 	// Phase 1: random mating while it pays — each round should retire a
 	// constant fraction of the live edges; stop after a fixed number of
 	// rounds or once the edge set is small.
 	const rounds = 4
 	for round := 0; round < rounds && len(live) > n/8; round++ {
-		for i := range heads {
-			heads[i] = r.Uint64()&1 == 0
-		}
-		for _, e := range live {
-			ru, rv := d[e.U], d[e.V]
-			if ru == rv {
-				continue
-			}
-			switch {
-			case !heads[ru] && heads[rv]:
-				d[ru] = rv
-			case !heads[rv] && heads[ru]:
-				d[rv] = ru
-			}
-		}
-		for i := range d {
-			d[i] = d[d[i]]
-		}
-		out := live[:0]
-		for _, e := range live {
-			if d[e.U] != d[e.V] {
-				out = append(out, e)
-			}
-		}
-		live = out
+		live = mate(d, live, heads, r)
 	}
 
 	// Phase 2: finish deterministically on the contracted residue.
@@ -86,13 +52,7 @@ func Hybrid(g *graph.Graph, seed uint64) []int32 {
 			}
 			d[i] = di
 		}
-		out := live[:0]
-		for _, e := range live {
-			if d[e.U] != d[e.V] {
-				out = append(out, e)
-			}
-		}
-		live = out
+		live = discard(d, live)
 		if !graft && len(live) > 0 {
 			panic("concomp: Hybrid stalled with live edges")
 		}

@@ -24,14 +24,7 @@ const (
 func LabelMTA(g *graph.Graph, m *mta.Machine, sched sim.Sched) []int32 {
 	validateInput(g)
 	n := g.N
-	d := make([]int32, n)
-
-	// Initialize D[i] = i.
-	m.ParallelFor(n, sched, func(i int, t *mta.Thread) {
-		t.Store(mtaDBase + uint64(i))
-		d[i] = int32(i)
-	})
-	m.Barrier()
+	d := initLabels(m, n, sched)
 	if n == 0 {
 		return d
 	}
@@ -41,29 +34,7 @@ func LabelMTA(g *graph.Graph, m *mta.Machine, sched sim.Sched) []int32 {
 		if iter > limit {
 			panic(fmt.Sprintf("concomp: LabelMTA failed to converge after %d iterations", iter))
 		}
-		graft := false
-
-		// Graft loop over directed edges (i < 2m in Alg. 3). Reads of
-		// E[i] overlap; D[v] then D[D[v]] are a dependent chain.
-		// Iterations communicate through d[] (and the graft flag), so
-		// replay stays ordered under any host worker count.
-		m.ParallelForOrdered(2*len(g.Edges), sched, func(k int, t *mta.Thread) {
-			e := g.Edges[k/2]
-			u, v := e.U, e.V
-			if k&1 == 1 {
-				u, v = v, u
-			}
-			t.Load2(mtaEdgeBase+uint64(k), mtaDBase+uint64(u))
-			t.LoadDep2(mtaDBase+uint64(v), mtaDBase+uint64(d[v]))
-			t.Instr(4)
-			if d[u] < d[v] && d[v] == d[d[v]] {
-				t.Store(mtaDBase + uint64(d[v]))
-				t.Instr(1) // set the stream-local graft flag
-				d[d[v]] = d[u]
-				graft = true
-			}
-		})
-		m.Barrier()
+		graft := graftRoots(g, m, d, sched)
 
 		// Full shortcut: while (D[i] != D[D[i]]) D[i] = D[D[i]]. The
 		// pointer chase reads entries other iterations rewrite, so it is
@@ -91,4 +62,44 @@ func LabelMTA(g *graph.Graph, m *mta.Machine, sched sim.Sched) []int32 {
 			return d
 		}
 	}
+}
+
+// initLabels is the region LabelMTA and LabelMTAStarCheck open with,
+// D[i] = i over n vertices, and its barrier. It returns D.
+func initLabels(m *mta.Machine, n int, sched sim.Sched) []int32 {
+	d := make([]int32, n)
+	m.ParallelFor(n, sched, func(i int, t *mta.Thread) {
+		t.Store(mtaDBase + uint64(i))
+		d[i] = int32(i)
+	})
+	m.Barrier()
+	return d
+}
+
+// graftRoots is Alg. 3's graft loop over directed edges (i < 2m), which
+// LabelMTA and LabelMTAStarCheck share, and its barrier: every root
+// D[v] with a smaller neighbour label D[u] grafts onto it. Reads of
+// E[i] overlap; D[v] then D[D[v]] are a dependent chain. Iterations
+// communicate through d[] and the graft flag, so replay stays ordered
+// under any host worker count. It reports whether anything grafted.
+func graftRoots(g *graph.Graph, m *mta.Machine, d []int32, sched sim.Sched) bool {
+	graft := false
+	m.ParallelForOrdered(2*len(g.Edges), sched, func(k int, t *mta.Thread) {
+		e := g.Edges[k/2]
+		u, v := e.U, e.V
+		if k&1 == 1 {
+			u, v = v, u
+		}
+		t.Load2(mtaEdgeBase+uint64(k), mtaDBase+uint64(u))
+		t.LoadDep2(mtaDBase+uint64(v), mtaDBase+uint64(d[v]))
+		t.Instr(4)
+		if d[u] < d[v] && d[v] == d[d[v]] {
+			t.Store(mtaDBase + uint64(d[v]))
+			t.Instr(1) // set the stream-local graft flag
+			d[d[v]] = d[u]
+			graft = true
+		}
+	})
+	m.Barrier()
+	return graft
 }

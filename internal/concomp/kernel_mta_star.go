@@ -23,14 +23,8 @@ const mtaStarBase = uint64(7) << 40
 func LabelMTAStarCheck(g *graph.Graph, m *mta.Machine, sched sim.Sched) []int32 {
 	validateInput(g)
 	n := g.N
-	d := make([]int32, n)
+	d := initLabels(m, n, sched)
 	star := make([]bool, n)
-
-	m.ParallelFor(n, sched, func(i int, t *mta.Thread) {
-		t.Store(mtaDBase + uint64(i))
-		d[i] = int32(i)
-	})
-	m.Barrier()
 	if n == 0 {
 		return d
 	}
@@ -40,29 +34,11 @@ func LabelMTAStarCheck(g *graph.Graph, m *mta.Machine, sched sim.Sched) []int32 
 		if iter > limit {
 			panic(fmt.Sprintf("concomp: LabelMTAStarCheck failed to converge after %d iterations", iter))
 		}
-		changed := false
-
 		// Step 1: conditional grafting of roots onto smaller labels.
 		// Grafts, star passes, hooks, and the shortcut all communicate
 		// through d[]/star[], so those regions replay ordered; only the
 		// disjoint star reset shards across host workers.
-		m.ParallelForOrdered(2*len(g.Edges), sched, func(k int, t *mta.Thread) {
-			e := g.Edges[k/2]
-			u, v := e.U, e.V
-			if k&1 == 1 {
-				u, v = v, u
-			}
-			t.Load2(mtaEdgeBase+uint64(k), mtaDBase+uint64(u))
-			t.LoadDep2(mtaDBase+uint64(v), mtaDBase+uint64(d[v]))
-			t.Instr(4)
-			if d[u] < d[v] && d[v] == d[d[v]] {
-				t.Store(mtaDBase + uint64(d[v]))
-				t.Instr(1)
-				d[d[v]] = d[u]
-				changed = true
-			}
-		})
-		m.Barrier()
+		changed := graftRoots(g, m, d, sched)
 
 		// Star computation: the three-pass test, each pass a full region
 		// over the vertices — the cost Alg. 3 avoids.

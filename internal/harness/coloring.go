@@ -25,16 +25,15 @@ type ColoringParams struct {
 	RMATEdges int // edges per vertex for the RMAT input
 	MeshDim   int // MeshDim × MeshDim 2D grid
 	TorusDim  int // TorusDim × TorusDim 2D torus
-	Verify    bool
 }
 
-// DefaultColoring returns parameters at the given scale.
+// DefaultColoring returns parameters at the given scale. Every scale
+// checks every run against the host reference.
 func DefaultColoring(scale Scale) ColoringParams {
 	p := ColoringParams{
 		Procs:     []int{1, 2, 4, 8},
 		Seed:      0x44,
 		RMATEdges: 8,
-		Verify:    true,
 	}
 	switch scale {
 	case Small:
@@ -49,7 +48,6 @@ func DefaultColoring(scale Scale) ColoringParams {
 		p.RMATScale = 18
 		p.MeshDim = 512
 		p.TorusDim = 512
-		p.Verify = false
 	}
 	return p
 }
@@ -131,7 +129,7 @@ type specRef struct {
 
 // RunColoring executes the sweep, verifying every machine run against
 // the host reference (bit-identical colors) and the proper-coloring
-// invariant when params.Verify is set. Per input graph there is one
+// invariant. Per input graph there is one
 // dynamics cell plus one timing cell per processor count, in sequential
 // order; the graph, its CSR, the speculative reference and the MTA run
 // (see Cell.RunMTA) are each built once per input and shared across the
@@ -148,7 +146,7 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 		refKey := sweep.SpecRefKey(in.key)
 		memoInputs := []string{in.key, refKey}
 		// resolve reads both inputs; every cell on this input lists and
-		// resolves both, verifying or not.
+		// resolves both.
 		resolve := func() (*graph.Graph, specRef) {
 			g := cached(c, in.key, in.build)
 			return g, cached(c, refKey, func() specRef {
@@ -160,13 +158,11 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 		if pi := idx%stride - 1; pi < 0 {
 			// Dynamics cell: the machine-independent round behaviour.
 			d, err := Memo(c,
-				fmt.Sprintf("coloring/dynamics/verify=%t", params.Verify),
+				"coloring/dynamics/verify=true",
 				memoInputs, func() (ColoringDynamics, error) {
 					g, ref := resolve()
-					if params.Verify {
-						if err := coloring.Validate(g, ref.Color); err != nil {
-							return ColoringDynamics{}, fmt.Errorf("coloring %s: reference is improper: %w", name, err)
-						}
+					if err := coloring.Validate(g, ref.Color); err != nil {
+						return ColoringDynamics{}, fmt.Errorf("coloring %s: reference is improper: %w", name, err)
 					}
 					return ColoringDynamics{
 						Input: name, N: g.N, M: g.M(),
@@ -184,7 +180,7 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 		} else {
 			procs := params.Procs[pi]
 			row, err := Memo(c,
-				fmt.Sprintf("coloring/time/p=%d/verify=%t", procs, params.Verify),
+				fmt.Sprintf("coloring/time/p=%d/verify=true", procs),
 				memoInputs, func() (ColoringRow, error) {
 					g, ref := resolve()
 					row := ColoringRow{Input: name, Procs: procs}
@@ -192,13 +188,11 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 					mm, err := c.RunMTA(fmt.Sprintf("ColorMTA/%s/dynamic", in.key), nP,
 						mta.DefaultConfig(procs), func(m *mta.Machine) error {
 							gotM, stM := coloring.ColorMTA(g, m, sim.SchedDynamic)
-							if params.Verify {
-								if err := sameColors(ref.Color, gotM); err != nil {
-									return fmt.Errorf("coloring %s MTA: %w", name, err)
-								}
-								if stM.Rounds != ref.Stats.Rounds {
-									return fmt.Errorf("coloring %s MTA: %d rounds, reference took %d", name, stM.Rounds, ref.Stats.Rounds)
-								}
+							if err := sameColors(ref.Color, gotM); err != nil {
+								return fmt.Errorf("coloring %s MTA: %w", name, err)
+							}
+							if stM.Rounds != ref.Stats.Rounds {
+								return fmt.Errorf("coloring %s MTA: %d rounds, reference took %d", name, stM.Rounds, ref.Stats.Rounds)
 							}
 							return nil
 						})
@@ -209,13 +203,11 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 
 					sm := c.SMP(smp.DefaultConfig(procs))
 					gotS, stS := coloring.ColorSMP(g, sm)
-					if params.Verify {
-						if err := sameColors(ref.Color, gotS); err != nil {
-							return row, fmt.Errorf("coloring %s SMP p=%d: %w", name, procs, err)
-						}
-						if stS.Rounds != ref.Stats.Rounds {
-							return row, fmt.Errorf("coloring %s SMP p=%d: %d rounds, reference took %d", name, procs, stS.Rounds, ref.Stats.Rounds)
-						}
+					if err := sameColors(ref.Color, gotS); err != nil {
+						return row, fmt.Errorf("coloring %s SMP p=%d: %w", name, procs, err)
+					}
+					if stS.Rounds != ref.Stats.Rounds {
+						return row, fmt.Errorf("coloring %s SMP p=%d: %d rounds, reference took %d", name, procs, stS.Rounds, ref.Stats.Rounds)
 					}
 					row.SMPSeconds = sm.Seconds()
 					return row, nil

@@ -22,11 +22,11 @@ type Fig1Params struct {
 	NodesPerWalk int // MTA sublist granularity (paper: ~10)
 	Sublists     int // SMP sublists per processor (paper: 8)
 	Seed         uint64
-	Verify       bool // cross-check every run against Sequential
 }
 
 // DefaultFig1 returns parameters at the given scale. The paper sweeps
 // lists up to 80 M nodes; Small stops at 2^18 so the suite stays quick.
+// Every scale checks every run's ranks.
 func DefaultFig1(scale Scale) Fig1Params {
 	p := Fig1Params{
 		Procs:        []int{1, 2, 4, 8},
@@ -34,7 +34,6 @@ func DefaultFig1(scale Scale) Fig1Params {
 		NodesPerWalk: listrank.DefaultNodesPerWalk,
 		Sublists:     8,
 		Seed:         0x11,
-		Verify:       true,
 	}
 	switch scale {
 	case Small:
@@ -43,7 +42,6 @@ func DefaultFig1(scale Scale) Fig1Params {
 		p.Sizes = []int{1 << 18, 1 << 19, 1 << 20, 1 << 21}
 	default:
 		p.Sizes = []int{1 << 21, 1 << 23, 1 << 24, 20 << 20}
-		p.Verify = false
 	}
 	return p
 }
@@ -67,18 +65,16 @@ func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 		lKey := sweep.ListKey(n, layout.String(), params.Seed+uint64(n))
 
 		return Memo(c,
-			fmt.Sprintf("fig1/p=%d/npw=%d/sub=%d/seed=%d/verify=%t",
-				procs, params.NodesPerWalk, params.Sublists, params.Seed, params.Verify),
+			fmt.Sprintf("fig1/p=%d/npw=%d/sub=%d/seed=%d/verify=true",
+				procs, params.NodesPerWalk, params.Sublists, params.Seed),
 			[]string{lKey}, func() (pointPair, error) {
 				l := cached(c, lKey, func() *list.List { return list.New(n, layout, params.Seed+uint64(n)) })
 				nwalk := n / params.NodesPerWalk
 				mm, err := c.RunMTA(fmt.Sprintf("RankMTA/%s/nwalk=%d/dynamic", lKey, nwalk), nP,
 					mta.DefaultConfig(procs), func(m *mta.Machine) error {
 						rank := listrank.RankMTA(l, m, nwalk, sim.SchedDynamic)
-						if params.Verify {
-							if err := l.VerifyRanks(rank); err != nil {
-								return fmt.Errorf("fig1 MTA n=%d: %w", n, err)
-							}
+						if err := l.VerifyRanks(rank); err != nil {
+							return fmt.Errorf("fig1 MTA n=%d: %w", n, err)
 						}
 						return nil
 					})
@@ -88,10 +84,8 @@ func (e *Env) RunFig1(params Fig1Params) (*Fig1Result, error) {
 
 				sm := c.SMP(smp.DefaultConfig(procs))
 				rank := listrank.RankSMP(l, sm, params.Sublists*procs, params.Seed^uint64(n))
-				if params.Verify {
-					if err := l.VerifyRanks(rank); err != nil {
-						return pointPair{}, fmt.Errorf("fig1 SMP n=%d p=%d: %w", n, procs, err)
-					}
+				if err := l.VerifyRanks(rank); err != nil {
+					return pointPair{}, fmt.Errorf("fig1 SMP n=%d p=%d: %w", n, procs, err)
 				}
 				return pointPair{
 					MTA: Point{X: float64(n), Seconds: mm.Seconds()},

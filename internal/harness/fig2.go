@@ -20,17 +20,16 @@ type Fig2Params struct {
 	EdgeFactors []int // the paper sweeps m = 4M..20M for n = 1M
 	Procs       []int
 	Seed        uint64
-	Verify      bool
 }
 
 // DefaultFig2 returns parameters at the given scale. The paper uses
-// n = 1M = 2^20 vertices and m = 4n..20n edges.
+// n = 1M = 2^20 vertices and m = 4n..20n edges. Every scale checks
+// every run's components against union-find.
 func DefaultFig2(scale Scale) Fig2Params {
 	p := Fig2Params{
 		EdgeFactors: []int{4, 8, 12, 16, 20},
 		Procs:       []int{1, 2, 4, 8},
 		Seed:        0x22,
-		Verify:      true,
 	}
 	switch scale {
 	case Small:
@@ -39,7 +38,6 @@ func DefaultFig2(scale Scale) Fig2Params {
 		p.N = 1 << 16
 	default:
 		p.N = 1 << 20
-		p.Verify = false
 	}
 	return p
 }
@@ -63,25 +61,18 @@ func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 		m := f * params.N
 		gKey := sweep.GnmKey(params.N, m, params.Seed+uint64(f))
 		ufKey := sweep.UnionFindKey(gKey)
-		inputs := []string{gKey}
-		if params.Verify {
-			inputs = append(inputs, ufKey)
-		}
 
 		return Memo(c,
-			fmt.Sprintf("fig2/p=%d/seed=%d/verify=%t", procs, params.Seed, params.Verify),
-			inputs, func() (pointPair, error) {
+			fmt.Sprintf("fig2/p=%d/seed=%d/verify=true", procs, params.Seed),
+			[]string{gKey, ufKey}, func() (pointPair, error) {
 				g := cached(c, gKey, func() *graph.Graph {
 					return graph.RandomGnm(params.N, m, params.Seed+uint64(f))
 				})
-				var want []int32
-				if params.Verify {
-					want = cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
-				}
+				want := cached(c, ufKey, func() []int32 { return concomp.UnionFind(g) })
 				mm, err := c.RunMTA(fmt.Sprintf("LabelMTA/%s/dynamic", gKey), len(params.Procs),
 					mta.DefaultConfig(procs), func(mt *mta.Machine) error {
 						got := concomp.LabelMTA(g, mt, sim.SchedDynamic)
-						if params.Verify && !graph.SameComponents(want, got) {
+						if !graph.SameComponents(want, got) {
 							return fmt.Errorf("fig2 MTA m=%d: wrong components", m)
 						}
 						return nil
@@ -92,7 +83,7 @@ func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
 
 				sm := c.SMP(smp.DefaultConfig(procs))
 				got := concomp.LabelSMP(g, sm)
-				if params.Verify && !graph.SameComponents(want, got) {
+				if !graph.SameComponents(want, got) {
 					return pointPair{}, fmt.Errorf("fig2 SMP m=%d p=%d: wrong components", m, procs)
 				}
 				return pointPair{

@@ -31,12 +31,25 @@ func statsBits(stats any) uint64 {
 // by mask (p = 2) and by modulo (p = 3), both schedules, hashing off,
 // and a region large enough for the aggregate (non-exact) path; SMP
 // direct-mapped, 2-way (ablation A6), and a 3 MB L2 whose set count is
-// not a power of two.
+// not a power of two. Each list kernel (rank and prefix) and each MTA
+// connected-components kernel (Alg. 3 and the Alg. 2 star check) has
+// rows of its own, so a step the two kernels of a pair share cannot
+// drift in one of them unseen.
 func TestGoldenBits(t *testing.T) {
 	l := list.New(10000, list.Random, 42)
 	g := graph.RandomGnm(2000, 8000, 42)
 	big := graph.RandomGnm(30000, 140000, 42) // SV's edge loops exceed the exact-region cap
 	long := list.New(200000, list.Random, 42) // spills a 3 MB L2
+	// aliased puts PrefixSMP's localA and subA 3 × 16 KB apart, and
+	// rankAliased RankSMP's (their 4n-byte allocations plus the
+	// allocator's stagger), so each node's two step-3 stores fall in one
+	// direct-mapped L1 set and their order shows in the stats.
+	aliased := list.New(9328, list.Random, 42)
+	rankAliased := list.New(9920, list.Random, 42)
+	vals := make([]int64, l.Len())
+	for i := range vals {
+		vals[i] = int64(i%13) - 6
+	}
 
 	mtaCfg := func(procs int, hashed bool) mta.Config {
 		c := mta.DefaultConfig(procs)
@@ -122,6 +135,26 @@ func TestGoldenBits(t *testing.T) {
 			concomp.LabelMTA(big, m, sim.SchedDynamic)
 			return m.Stats()
 		}, 0x1c48e2d24567fd89},
+		{"mta p=2 prefix dynamic", func() any {
+			m := mta.New(mtaCfg(2, true))
+			listrank.PrefixMTA(l, vals, m, 1000, sim.SchedDynamic)
+			return m.Stats()
+		}, 0xcd2ce7d555d2d71d},
+		{"mta p=3 prefix block", func() any {
+			m := mta.New(mtaCfg(3, true))
+			listrank.PrefixMTA(l, vals, m, 1000, sim.SchedBlock)
+			return m.Stats()
+		}, 0x9d32ad0d53e5dace},
+		{"mta p=2 star-check concomp dynamic", func() any {
+			m := mta.New(mtaCfg(2, true))
+			concomp.LabelMTAStarCheck(g, m, sim.SchedDynamic)
+			return m.Stats()
+		}, 0xe1d77b7c2b3242dc},
+		{"mta p=3 unhashed star-check concomp block", func() any {
+			m := mta.New(mtaCfg(3, false))
+			concomp.LabelMTAStarCheck(g, m, sim.SchedBlock)
+			return m.Stats()
+		}, 0xf61b759586a8b3a5},
 		{"smp direct-mapped listrank", func() any {
 			s := smp.New(smpCfg(1, 4<<20))
 			listrank.RankSMP(l, s, 16, 42)
@@ -132,6 +165,21 @@ func TestGoldenBits(t *testing.T) {
 			concomp.LabelSMP(g, s)
 			return s.Stats()
 		}, 0x157d8539ac5e08c8},
+		{"smp direct-mapped listrank aliased", func() any {
+			s := smp.New(smpCfg(1, 4<<20))
+			listrank.RankSMP(rankAliased, s, 16, 42)
+			return s.Stats()
+		}, 0x16f1178b62e84a75},
+		{"smp direct-mapped prefix", func() any {
+			s := smp.New(smpCfg(1, 4<<20))
+			listrank.PrefixSMP(aliased, vals[:aliased.Len()], s, 16, 42)
+			return s.Stats()
+		}, 0x16923921ec6f404},
+		{"smp 2-way prefix", func() any {
+			s := smp.New(smpCfg(2, 4<<20))
+			listrank.PrefixSMP(aliased, vals[:aliased.Len()], s, 16, 42)
+			return s.Stats()
+		}, 0x162c6547ced9eb36},
 		{"smp 2-way listrank", func() any {
 			s := smp.New(smpCfg(2, 4<<20))
 			listrank.RankSMP(l, s, 16, 42)

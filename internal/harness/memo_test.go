@@ -59,7 +59,7 @@ func TestMemoChecksListedInputs(t *testing.T) {
 // exactly the same report.
 func TestWarmCacheSkipsGeneration(t *testing.T) {
 	dir := t.TempDir()
-	params := Fig2Params{N: 1 << 10, EdgeFactors: []int{4, 8}, Procs: []int{1, 2}, Seed: 0x22, Verify: true}
+	params := Fig2Params{N: 1 << 10, EdgeFactors: []int{4, 8}, Procs: []int{1, 2}, Seed: 0x22}
 	runFig2 := func(store *diskcache.Store) []byte {
 		res, err := (&Env{CacheStore: store}).RunFig2(params)
 		if err != nil {

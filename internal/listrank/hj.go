@@ -2,7 +2,6 @@ package listrank
 
 import (
 	"pargraph/internal/list"
-	"pargraph/internal/par"
 	"pargraph/internal/rng"
 )
 
@@ -60,17 +59,9 @@ func HelmanJajaS(l *list.List, p, s int, seed uint64) []int64 {
 	// Step 3: walk the sublists on the p workers, recording every node's
 	// sublist and its position in it.
 	d := decompose(l, heads, markHeads(n, heads), p)
-	pl := d.places(n, p)
+	pl := d.places(n)
 
-	// Step 4: serial prefix over the sublist lengths.
-	off := chain(d.next, d.length)
-
-	// Step 5: array-order combining pass.
-	rank := make([]int64, n)
-	par.For(n, p, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rank[i] = int64(pl[i].at) + off[pl[i].sub]
-		}
-	})
-	return rank
+	// Steps 4 and 5: serial prefix over the sublist lengths, then the
+	// array-order combining pass.
+	return combine(d, pl, chain(d.next, d.length))
 }

@@ -30,12 +30,6 @@ const DefaultNodesPerWalk = 10
 // re-traversal.
 func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 	n := l.Len()
-	if nwalk < 1 {
-		nwalk = 1
-	}
-	if nwalk > n {
-		nwalk = n
-	}
 
 	// Region 1: find the head: first = (n²+n)/2 - Σ list[i]. One load and
 	// one add per node, fully parallel.
@@ -50,28 +44,8 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 
 	// Region 2: initialize rank[] to the sentinel and mark the walk
 	// heads, reusing rank[] as the mark array exactly as Alg. 1 does.
-	rank := make([]int64, n)
-	m.ParallelFor(n, sched, func(i int, t *mta.Thread) {
-		t.Store(mtaRankBase + uint64(i))
-		rank[i] = rankSentinel
-	})
-	headNode := make([]int, 0, nwalk)
-	headNode = append(headNode, head)
-	rank[head] = 0
-	for i := 1; i < nwalk; i++ {
-		node := i * (n / nwalk)
-		if rank[node] != rankSentinel {
-			continue // collided with the head (or an earlier walk)
-		}
-		rank[node] = int64(len(headNode))
-		headNode = append(headNode, node)
-	}
+	rank, headNode := markWalks(m, n, nwalk, head, sched)
 	nw := len(headNode)
-	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
-		t.Instr(3)
-		t.Store(mtaWalkBase + uint64(i))           // head[i]
-		t.Store(mtaRankBase + uint64(headNode[i])) // mark
-	})
 
 	// Region 3: traverse each walk until the next marked node, counting
 	// its length. Each step is two dependent loads (list[j], rank[j])
@@ -103,15 +77,72 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 	})
 
 	// Region 4: combine walk lengths by pointer jumping over the walk
-	// chain (the paper's while(next[1] != 0) doubling loop). suffix[i]
-	// converges to the total length of walk i and every walk after it,
-	// so offset[i] = n - suffix[i].
+	// chain. suffix[i] becomes the total length of walk i and every walk
+	// after it, so offset[i] = n - suffix[i].
 	suffix := make([]int64, nw)
-	hop := make([]int32, nw)
 	for i, c := range d.length {
 		suffix[i] = int64(c)
 	}
-	copy(hop, d.next)
+	suffix = jumpWalks(m, suffix, d.next, sched)
+
+	// Region 5: re-traverse each walk, writing final ranks from the walk
+	// offset.
+	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
+		off := int64(n) - suffix[i]
+		t.Instr(3)
+		for step, j := range d.of(i) {
+			t.Store(mtaRankBase + uint64(j))
+			t.LoadDep(mtaSuccBase + uint64(j))
+			t.Instr(2)
+			rank[j] = off + int64(step)
+		}
+	})
+	return rank
+}
+
+// markWalks is the walk-marking step RankMTA and PrefixMTA share. It
+// clamps nwalk to [1, n], initializes an n-entry mark array to the
+// sentinel in one region, chooses the walk heads — head first, then
+// every (n/nwalk)-th node that is not already a head — and marks them
+// in a second region, each mark holding its walk's index. It returns
+// the mark array and the heads in walk order.
+func markWalks(m *mta.Machine, n, nwalk, head int, sched sim.Sched) ([]int64, []int) {
+	nwalk = min(max(nwalk, 1), n)
+	mark := make([]int64, n)
+	m.ParallelFor(n, sched, func(i int, t *mta.Thread) {
+		t.Store(mtaRankBase + uint64(i))
+		mark[i] = rankSentinel
+	})
+	heads := make([]int, 0, nwalk)
+	heads = append(heads, head)
+	mark[head] = 0
+	for i := 1; i < nwalk; i++ {
+		node := i * (n / nwalk)
+		if mark[node] != rankSentinel {
+			continue // collided with the head (or an earlier walk)
+		}
+		mark[node] = int64(len(heads))
+		heads = append(heads, node)
+	}
+	nw := len(heads)
+	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
+		t.Instr(3)
+		t.Store(mtaWalkBase + uint64(i))        // head[i]
+		t.Store(mtaRankBase + uint64(heads[i])) // mark
+	})
+	return mark, heads
+}
+
+// jumpWalks is the pointer-jumping step RankMTA and PrefixMTA share
+// (the paper's while(next[1] != 0) doubling loop): one region and one
+// barrier per round over the walk chain next, until no walk has a
+// successor left. It takes over size, each walk's own total, and
+// returns suffix, suffix[i] being the total of walk i and every walk
+// after it.
+func jumpWalks(m *mta.Machine, size []int64, next []int32, sched sim.Sched) []int64 {
+	nw := len(size)
+	suffix, hop := size, make([]int32, nw)
+	copy(hop, next)
 	suffixNew := make([]int64, nw)
 	hopNew := make([]int32, nw)
 	rounds := 0
@@ -147,21 +178,7 @@ func RankMTA(l *list.List, m *mta.Machine, nwalk int, sched sim.Sched) []int64 {
 		suffix, suffixNew = suffixNew, suffix
 		hop, hopNew = hopNew, hop
 		if !jumping {
-			break
+			return suffix
 		}
 	}
-
-	// Region 5: re-traverse each walk, writing final ranks from the walk
-	// offset.
-	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
-		off := int64(n) - suffix[i]
-		t.Instr(3)
-		for step, j := range d.of(i) {
-			t.Store(mtaRankBase + uint64(j))
-			t.LoadDep(mtaSuccBase + uint64(j))
-			t.Instr(2)
-			rank[j] = off + int64(step)
-		}
-	})
-	return rank
 }

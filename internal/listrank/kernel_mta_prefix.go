@@ -21,36 +21,10 @@ func PrefixMTA(l *list.List, vals []int64, m *mta.Machine, nwalk int, sched sim.
 	if len(vals) != n {
 		panic("listrank: prefix values length mismatch")
 	}
-	if nwalk < 1 {
-		nwalk = 1
-	}
-	if nwalk > n {
-		nwalk = n
-	}
 
 	// Mark walk heads, reusing out[] as the mark array.
-	out := make([]int64, n)
-	m.ParallelFor(n, sched, func(i int, t *mta.Thread) {
-		t.Store(mtaRankBase + uint64(i))
-		out[i] = rankSentinel
-	})
-	headNode := make([]int, 0, nwalk)
-	headNode = append(headNode, l.Head)
-	out[l.Head] = 0
-	for i := 1; i < nwalk; i++ {
-		node := i * (n / nwalk)
-		if out[node] != rankSentinel {
-			continue
-		}
-		out[node] = int64(len(headNode))
-		headNode = append(headNode, node)
-	}
+	out, headNode := markWalks(m, n, nwalk, l.Head, sched)
 	nw := len(headNode)
-	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
-		t.Instr(3)
-		t.Store(mtaWalkBase + uint64(i))
-		t.Store(mtaRankBase + uint64(headNode[i]))
-	})
 
 	// Compact: walk each sublist summing its values. The host walks the
 	// list once, before the region (see decompose).
@@ -84,54 +58,15 @@ func PrefixMTA(l *list.List, vals []int64, m *mta.Machine, nwalk int, sched sim.
 		t.Store(mtaWalkBase + uint64(2*nw+i))
 	})
 
-	// Rank the compacted list: pointer jumping accumulates, for each
-	// walk, the value total of it and everything after it.
-	suffix := make([]int64, nw)
-	hop := make([]int32, nw)
-	copy(suffix, sum)
-	copy(hop, d.next)
-	suffixNew := make([]int64, nw)
-	hopNew := make([]int32, nw)
+	// Rank the compacted list: one region reads the walk totals, then
+	// pointer jumping accumulates, for each walk, the value total of it
+	// and everything after it.
 	var total int64
-	for i := 0; i < nw; i++ {
-		total += sum[i]
+	for _, s := range sum {
+		total += s
 	}
 	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) { t.Instr(1); t.Load(mtaWalkBase + uint64(nw+i)) })
-	rounds := 0
-	for {
-		if rounds > 2*64 {
-			panic("listrank: walk chain does not terminate (cyclic list)")
-		}
-		rounds++
-		// Hoisted out of the region body (see RankMTA) so iterations stay
-		// write-disjoint under sharded host replay.
-		jumping := false
-		for _, h := range hop {
-			if h >= 0 {
-				jumping = true
-				break
-			}
-		}
-		m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {
-			t.Instr(2)
-			if h := hop[i]; h >= 0 {
-				t.Load(mtaWalkBase + uint64(3*nw+i))
-				t.LoadDep(mtaWalkBase + uint64(3*nw+int(h)))
-				t.Store(mtaWalkBase + uint64(4*nw+i))
-				suffixNew[i] = suffix[i] + suffix[h]
-				hopNew[i] = hop[h]
-			} else {
-				suffixNew[i] = suffix[i]
-				hopNew[i] = -1
-			}
-		})
-		m.Barrier()
-		suffix, suffixNew = suffixNew, suffix
-		hop, hopNew = hopNew, hop
-		if !jumping {
-			break
-		}
-	}
+	suffix := jumpWalks(m, sum, d.next, sched)
 
 	// Expand: replay each walk, emitting running sums from its offset.
 	m.ParallelFor(nw, sched, func(i int, t *mta.Thread) {

@@ -30,37 +30,15 @@ func PrefixSMP(l *list.List, vals []int64, m *smp.Machine, s int, seed uint64) [
 	outA := m.Alloc(n * elemBytes)    // output
 	sideA := m.Alloc(4 * s * elemBytes)
 
-	addr := func(base uint64, i int64) uint64 { return base + uint64(i)*elemBytes }
-
-	// Step 1: find the head by summing successor indices.
-	m.Phase(func(p *smp.Proc) {
-		lo, hi := p.ID()*n/procs, (p.ID()+1)*n/procs
-		for i := lo; i < hi; i++ {
-			p.Load(addr(succA, int64(i)))
-			p.Compute(1)
-		}
-	})
-	m.Barrier()
-	if h := list.FindHeadBySum(l.Succ); h != l.Head {
-		panic("listrank: corrupt list, computed head disagrees")
-	}
-
-	// Step 2: choose and mark the sublist heads (serial; s is tiny).
-	heads := chooseSublistHeads(l, s, seed)
-	m.Sequential(func(p *smp.Proc) {
-		for _, h := range heads {
-			p.Compute(6)
-			p.Store(addr(headOfA, int64(h)))
-		}
-	})
-	m.Barrier()
+	// Steps 1 and 2: find the head, then choose and mark the sublist
+	// heads.
+	heads := smpHeads(l, m, succA, headOfA, s, seed)
 
 	// Step 3: walk the sublists accumulating value prefixes. Each node
 	// costs the rank walk's references plus the value load.
 	k := len(heads)
-	workers := m.HostWorkers()
-	d := decompose(l, heads, markHeads(n, heads), workers)
-	pl, sums := d.sums(vals, workers)
+	d := decompose(l, heads, markHeads(n, heads), m.HostWorkers())
+	pl, sums := d.sums(vals)
 	m.Phase(func(p *smp.Proc) {
 		lo, hi := p.ID()*k/procs, (p.ID()+1)*k/procs
 		for i := lo; i < hi; i++ {
@@ -83,30 +61,6 @@ func PrefixSMP(l *list.List, vals []int64, m *smp.Machine, s int, seed uint64) [
 	})
 	m.Barrier()
 
-	// Step 4: serial prefix over the sublist value totals.
-	m.Sequential(func(p *smp.Proc) {
-		for i := 0; i < k; i++ {
-			p.Load(addr(sideA, int64(i)))
-			p.Store(addr(sideA, int64(k+i)))
-			p.Compute(2)
-		}
-	})
-	off := chain(d.next, sums)
-	m.Barrier()
-
-	// Step 5: array-order combining pass.
-	out := make([]int64, n)
-	m.Phase(func(p *smp.Proc) {
-		lo, hi := p.ID()*n/procs, (p.ID()+1)*n/procs
-		for i := lo; i < hi; i++ {
-			p.Load(addr(localA, int64(i)))
-			p.Load(addr(subA, int64(i)))
-			p.Load(addr(sideA, int64(k+int(pl[i].sub))))
-			p.Compute(2)
-			p.Store(addr(outA, int64(i)))
-			out[i] = pl[i].at + off[pl[i].sub]
-		}
-	})
-	m.Barrier()
-	return out
+	// Steps 4 and 5: prefix the sublist value totals, then combine.
+	return smpCombine(m, d, pl, sums, localA, subA, sideA, outA)
 }

@@ -2,7 +2,6 @@ package listrank
 
 import (
 	"pargraph/internal/list"
-	"pargraph/internal/par"
 )
 
 // SequentialPrefix computes the inclusive prefix sums of vals in list
@@ -38,17 +37,9 @@ func helmanJajaPrefixS(l *list.List, vals []int64, p, s int, seed uint64) []int6
 	// Step 3: walk the sublists accumulating value prefixes instead of
 	// positions.
 	d := decompose(l, heads, markHeads(n, heads), p)
-	pl, sums := d.sums(vals, p)
+	pl, sums := d.sums(vals)
 
-	// Step 4: chain the sublists, prefixing their value totals.
-	off := chain(d.next, sums)
-
-	// Step 5: array-order combining pass.
-	out := make([]int64, n)
-	par.For(n, p, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = pl[i].at + off[pl[i].sub]
-		}
-	})
-	return out
+	// Steps 4 and 5: chain the sublists, prefixing their value totals,
+	// then the array-order combining pass.
+	return combine(d, pl, chain(d.next, sums))
 }

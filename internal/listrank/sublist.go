@@ -36,10 +36,11 @@ const stageLen = 4096
 // That is why it costs no simulated cycle: each region still charges
 // every node of every walk, in list order, from these arrays.
 type sublists struct {
-	nodes  []int32 // every sublist's nodes in list order, one sublist after another
-	start  []int32 // sublist i is nodes[start[i] : start[i]+length[i]]
-	length []int32
-	next   []int32 // the sublist after i, -1 past the list's tail
+	nodes   []int32 // every sublist's nodes in list order, one sublist after another
+	start   []int32 // sublist i is nodes[start[i] : start[i]+length[i]]
+	length  []int32
+	next    []int32 // the sublist after i, -1 past the list's tail
+	workers int     // host goroutines that walk, label and combine the sublists
 }
 
 // of returns sublist i's nodes in list order.
@@ -67,7 +68,9 @@ func (d *sublists) after(i int, heads []int) int64 {
 // counter, so none idles while another still has sublists to start,
 // and each walks chaseWidth of them at a time. Every sublist's nodes,
 // length and successor are the same for any worker count and any run;
-// only where in nodes a sublist sits varies.
+// only where in nodes a sublist sits varies. workers < 1 is treated as
+// 1, as par.For does: every list kernel's host worker count passes
+// through here, and the labelling and combining passes use the result.
 //
 // It panics with the cycle message when a sublist passes n nodes
 // (checked once per pieceLen nodes) or when the sublists hold more than
@@ -77,10 +80,11 @@ func decompose[M int32 | int64](l *list.List, heads []int, mark []M, workers int
 	if n > math.MaxInt32 {
 		panic("listrank: list too long for 32-bit node indices")
 	}
-	d := &sublists{nodes: make([]int32, n), start: make([]int32, k), length: make([]int32, k), next: make([]int32, k)}
-	workers = min(workers, max(k/chaseWidth, 1))
-	sh := &share{k: k, batch: max(k/(64*workers), 1)}
-	par.For(workers, workers, func(_, _, _ int) { chase(d, l.Succ, heads, mark, sh) })
+	workers = max(workers, 1)
+	d := &sublists{nodes: make([]int32, n), start: make([]int32, k), length: make([]int32, k), next: make([]int32, k), workers: workers}
+	chasers := min(workers, max(k/chaseWidth, 1))
+	sh := &share{k: k, batch: max(k/(64*chasers), 1)}
+	par.For(chasers, chasers, func(_, _, _ int) { chase(d, l.Succ, heads, mark, sh) })
 	// Heads that skip the start of the list leave nodes unvisited.
 	d.nodes = d.nodes[:sh.filled.Load()]
 	return d
@@ -261,10 +265,10 @@ type place[T int32 | int64] struct {
 }
 
 // places returns every node's place, at being its position, filled
-// over workers host goroutines.
-func (d *sublists) places(n, workers int) []place[int32] {
+// over d's host workers.
+func (d *sublists) places(n int) []place[int32] {
 	pl := make([]place[int32], n)
-	eachSublist(len(d.length), workers, func(i int) {
+	d.each(func(i int) {
 		for p, v := range d.of(i) {
 			pl[v] = place[int32]{int32(i), int32(p)}
 		}
@@ -274,10 +278,10 @@ func (d *sublists) places(n, workers int) []place[int32] {
 
 // sums returns every node's place, at being the running sum of vals,
 // and each sublist's total.
-func (d *sublists) sums(vals []int64, workers int) ([]place[int64], []int64) {
+func (d *sublists) sums(vals []int64) ([]place[int64], []int64) {
 	pl := make([]place[int64], len(vals))
 	total := make([]int64, len(d.length))
-	eachSublist(len(d.length), workers, func(i int) {
+	d.each(func(i int) {
 		var acc int64
 		for _, v := range d.of(i) {
 			acc += vals[v]
@@ -288,18 +292,32 @@ func (d *sublists) sums(vals []int64, workers int) ([]place[int64], []int64) {
 	return pl, total
 }
 
-// eachSublist calls body for sublists 0..k-1 on workers host
-// goroutines, which take them in batches as decompose's do, so that
-// long and short sublists even out across the goroutines.
-func eachSublist(k, workers int, body func(i int)) {
-	sh := &share{k: k, batch: max(k/(64*workers), 1)}
-	par.For(workers, workers, func(_, _, _ int) {
+// each calls body for every sublist on d's host workers, which take
+// them in batches as decompose's do, so that long and short sublists
+// even out across the goroutines.
+func (d *sublists) each(body func(i int)) {
+	sh := &share{k: len(d.length), batch: max(len(d.length)/(64*d.workers), 1)}
+	par.For(d.workers, d.workers, func(_, _, _ int) {
 		for lo, hi := sh.take(); lo < hi; lo, hi = sh.take() {
 			for i := lo; i < hi; i++ {
 				body(i)
 			}
 		}
 	})
+}
+
+// combine is Helman–JáJá's step 5 on the host, which HelmanJajaS and
+// helmanJajaPrefixS share: in array order on d's host workers, every
+// node's answer is its place in its sublist plus the sublist's offset
+// off.
+func combine[T int32 | int64](d *sublists, pl []place[T], off []int64) []int64 {
+	out := make([]int64, len(pl))
+	par.For(len(pl), d.workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = int64(pl[i].at) + off[pl[i].sub]
+		}
+	})
+	return out
 }
 
 // chain follows the sublists from the one holding the list head

@@ -135,8 +135,8 @@ func testHeads(l *list.List) map[string][]int {
 
 // TestDecomposeMatchesSerialWalk compares the decomposition with the
 // serial walk on every layout and head set, for both mark types and
-// worker counts 1 to 4, whose results must be identical; and checks
-// that places labels each node as the walk does.
+// worker counts -1 to 4 (below 1 meaning 1), whose results must be
+// identical; and checks that places labels each node as the walk does.
 func TestDecomposeMatchesSerialWalk(t *testing.T) {
 	for _, layout := range []list.Layout{list.Ordered, list.Random, list.Clustered} {
 		for _, n := range []int{1, 37, 5000} {
@@ -146,7 +146,7 @@ func TestDecomposeMatchesSerialWalk(t *testing.T) {
 				if p != nil {
 					t.Fatalf("%v n=%d %s: oracle panicked: %v", layout, n, name, p)
 				}
-				for workers := 1; workers <= 4; workers++ {
+				for workers := -1; workers <= 4; workers++ {
 					for _, d := range []*sublists{
 						decompose(l, heads, markHeads(n, heads), workers),
 						decompose(l, heads, rankMarks(n, heads), workers),
@@ -157,7 +157,7 @@ func TestDecomposeMatchesSerialWalk(t *testing.T) {
 						if len(d.nodes) != n {
 							t.Fatalf("%v n=%d %s workers=%d: %d nodes laid out", layout, n, name, workers, len(d.nodes))
 						}
-						for v, pl := range d.places(n, workers) {
+						for v, pl := range d.places(n) {
 							if pl.sub != w.sublist[v] || int64(pl.at) != w.local[v] {
 								t.Fatalf("%v n=%d %s workers=%d: node %d placed at %+v, oracle sublist %d position %d",
 									layout, n, name, workers, v, pl, w.sublist[v], w.local[v])
@@ -179,8 +179,8 @@ func TestDecomposeSums(t *testing.T) {
 		vals[i] = int64(i%13) - 6
 	}
 	heads := chooseSublistHeads(l, 32, 5)
-	d := decompose(l, heads, markHeads(l.Len(), heads), 2)
-	pl, total := d.sums(vals, 3)
+	d := decompose(l, heads, markHeads(l.Len(), heads), 3)
+	pl, total := d.sums(vals)
 	for i := range heads {
 		var acc int64
 		for _, v := range d.of(i) {

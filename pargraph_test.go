@@ -1,6 +1,7 @@
 package pargraph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -181,5 +182,44 @@ func TestExportedConstantsMatchInternals(t *testing.T) {
 	}
 	if NilNext != list.NilNext {
 		t.Fatalf("NilNext %d drifted from list.NilNext %d", NilNext, list.NilNext)
+	}
+}
+
+// TestProcsBelowOneMeansOne checks that every entry point taking procs
+// treats procs < 1 as 1, the way par.For does, instead of dividing by
+// zero in the list kernels' host walk: the answers for procs 0 and -1
+// are the procs = 1 answers.
+func TestProcsBelowOneMeansOne(t *testing.T) {
+	l := NewRandomList(3000, 9)
+	vals := make([]int64, len(l.Succ))
+	for i := range vals {
+		vals[i] = int64(i%7) - 3
+	}
+	var edges []Edge // a random tree: vertex v hangs under a smaller vertex
+	for v := int32(1); v < 1000; v++ {
+		edges = append(edges, Edge{U: v * 7919 % v, V: v})
+	}
+	e := RandomExpression(2000, 4)
+	g := RandomGraph(500, 800, 6)
+	run := func(procs int) []any {
+		tree, err := RootTree(1000, edges, 0, procs)
+		if err != nil {
+			t.Fatalf("procs=%d: RootTree: %v", procs, err)
+		}
+		return []any{
+			RankList(l.Succ, l.Head, procs),
+			PrefixList(l.Succ, l.Head, vals, procs),
+			*tree,
+			EvalExpression(e, procs),
+			Components(g, procs),
+		}
+	}
+	want := run(1)
+	for _, procs := range []int{0, -1} {
+		for i, got := range run(procs) {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("procs=%d: answer %d differs from the procs=1 answer", procs, i)
+			}
+		}
 	}
 }
