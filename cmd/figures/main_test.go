@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pargraph/internal/cmdtest"
@@ -34,5 +35,18 @@ func TestFailedRunKeepsProfiles(t *testing.T) {
 	}
 	if st, err := os.Stat(mem); err != nil || st.Size() == 0 {
 		t.Errorf("heap profile not written: %v", err)
+	}
+}
+
+// TestRejectsUnbuildableEdgeFactor: an edge factor the scale's n cannot
+// hold is a one-line error before any cell runs, not a cell's panic.
+func TestRejectsUnbuildableEdgeFactor(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig2.toml")
+	if err := os.WriteFile(path, []byte("[run]\ncommand = \"figures\"\n[figures]\nfig = 2\nedge_factors = [5000]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := cmdtest.RunError(t, []string{"-spec", path}, "fig2: edge factor 5000: gnm with -n 8192 holds at most 33550336 edges")
+	if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != 1 {
+		t.Errorf("%d lines of output, want 1:\n%s", lines, out)
 	}
 }

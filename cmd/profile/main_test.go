@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pargraph/internal/cmdtest"
@@ -38,5 +39,23 @@ func TestSmokeChromeTrace(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace file holds no events")
+	}
+}
+
+// TestRejectsUnbuildableSizes: a size the kernel's input generator
+// cannot build is a one-line error, not a cell's panic and stack.
+func TestRejectsUnbuildableSizes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kernel", "fig2", "-machine", "smp", "-n", "16"}, `kernel "fig2" runs on G(n, 8n): gnm with -n 16 holds at most 120 edges`},
+		{[]string{"-kernel", "coloring", "-n", "16"}, `kernel "coloring" runs on G(n, 8n)`},
+		{[]string{"-kernel", "fig1", "-n", "1"}, "n must be at least 2, got 1"},
+	} {
+		out := cmdtest.RunError(t, c.args, c.want)
+		if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != 1 {
+			t.Errorf("%v: %d lines of output, want 1:\n%s", c.args, lines, out)
+		}
 	}
 }

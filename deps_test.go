@@ -97,9 +97,8 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 		}
 		sc := bufio.NewScanner(bytes.NewReader(out))
 		for sc.Scan() {
-			f := strings.Fields(sc.Text())
-			if len(f) == 3 && f[1] == "T" && strings.HasPrefix(f[2], "pargraph/internal/") {
-				linked[stripTypeArgs(f[2])] = true
+			if name, ok := textSymbol(sc.Text()); ok && strings.HasPrefix(name, "pargraph/internal/") {
+				linked[stripTypeArgs(name)] = true
 			}
 		}
 	}
@@ -164,6 +163,36 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 	}
 }
 
+// TestTextSymbol: the link check reads a function symbol whatever its
+// shape names hold, so a generic function instantiated only with
+// struct shapes still counts as linked.
+func TestTextSymbol(t *testing.T) {
+	cases := []struct {
+		line, want string
+		ok         bool
+	}{
+		{"  57ffe0 T pargraph/internal/sim.(*Machine).Run", "pargraph/internal/sim.(*Machine).Run", true},
+		{"  589400 T pargraph/internal/binenc.AppendList[go.shape.struct { Key string; SHA256 string; Bytes int64 }]",
+			"pargraph/internal/binenc.AppendList[go.shape.struct { Key string; SHA256 string; Bytes int64 }]", true},
+		{"  5a1000 T pargraph/internal/harness.(*tapeShelf).take", "pargraph/internal/harness.(*tapeShelf).take", true},
+		{"  6c2d40 D pargraph/internal/spec.fields", "", false},
+		{"  6c2d40 R pargraph/internal/x.F[go.shape.struct { A int }]", "", false},
+		{"         U pargraph/internal/x.F", "", false},
+		{"         U pargraph/internal/x.F[go.shape.struct { A int }]", "", false},
+		{"", "", false},
+	}
+	for _, c := range cases {
+		name, ok := textSymbol(c.line)
+		if name != c.want || ok != c.ok {
+			t.Errorf("textSymbol(%q) = %q, %t; want %q, %t", c.line, name, ok, c.want, c.ok)
+		}
+	}
+	const spaced = "pargraph/internal/binenc.AppendList[go.shape.struct { Key string; SHA256 string; Bytes int64 }]"
+	if got := stripTypeArgs(spaced); got != "pargraph/internal/binenc.AppendList" {
+		t.Errorf("stripTypeArgs(%q) = %q", spaced, got)
+	}
+}
+
 // linkerNames gives the symbols the linker uses for fn in package pkg:
 // pkg.F, pkg.(*T).M or pkg.T.M. A method on a value receiver may be
 // linked only through its pointer wrapper, so it has both names, the
@@ -188,6 +217,23 @@ func linkerNames(pkg string, fn *ast.FuncDecl) []string {
 		return []string{pkg + ".(*" + recv + ")." + fn.Name.Name}
 	}
 	return []string{pkg + "." + recv + "." + fn.Name.Name, pkg + ".(*" + recv + ")." + fn.Name.Name}
+}
+
+// textSymbol returns the name in one line of `go tool nm` output,
+// "addr T name", when the line is a text (function) symbol. The name is
+// the rest of the line after the type letter: a generic instantiation's
+// shape name may hold spaces, as in
+// pkg.F[go.shape.struct { Key string; Bytes int64 }].
+func textSymbol(line string) (string, bool) {
+	addr, rest, ok := strings.Cut(strings.TrimSpace(line), " ")
+	if !ok || addr == "" {
+		return "", false
+	}
+	typ, name, ok := strings.Cut(strings.TrimLeft(rest, " "), " ")
+	if !ok || typ != "T" {
+		return "", false
+	}
+	return name, true
 }
 
 // stripTypeArgs drops the bracketed shape arguments the compiler gives

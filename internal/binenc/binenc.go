@@ -1,9 +1,13 @@
-// Package binenc holds the little-endian bulk encoding primitives the
-// workload types use for their persistent-cache representation
-// (encoding.BinaryMarshaler on internal/list.List, internal/graph.Graph
-// and friends). The point is decode speed: a warm disk-cache read must
-// beat regenerating the workload, and reflection-driven encoders spend
-// tens of nanoseconds per element where these loops spend about one.
+// Package binenc holds the little-endian encodings behind the
+// persistent caches. The value codec (AppendValue, AppendList) encodes
+// a value from its Go type: the memoized results of internal/harness,
+// with their trace events and input digests, are written with it. The
+// bulk loops (AppendInt32s and friends) stay for the workload types'
+// persistent-cache representation (encoding.BinaryMarshaler on
+// internal/list.List, internal/graph.Graph and friends). Their point is
+// decode speed: a warm disk-cache read must beat regenerating the
+// workload, and reflection-driven encoders spend tens of nanoseconds
+// per element where these loops spend about one.
 //
 // The format is deliberately dumb — fixed-width little-endian words,
 // length-prefixed slices, no framing beyond what the caller writes —
@@ -49,40 +53,6 @@ func ConsumeFloat64(b []byte) (float64, []byte, bool) {
 		return 0, nil, false
 	}
 	return math.Float64frombits(u), b, true
-}
-
-// AppendFloat64s appends a length-prefixed []float64, with nil encoded
-// distinctly from an empty slice (the trace types render the two
-// differently, so codecs must preserve the distinction).
-func AppendFloat64s(buf []byte, v []float64) []byte {
-	if v == nil {
-		return AppendUint64(buf, 0)
-	}
-	buf = AppendUint64(buf, uint64(len(v))+1)
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
-
-// ConsumeFloat64s reads a length-prefixed []float64 off the front of b.
-func ConsumeFloat64s(b []byte) ([]float64, []byte, bool) {
-	n, b, ok := ConsumeUint64(b)
-	if !ok || n > maxLen {
-		return nil, nil, false
-	}
-	if n == 0 {
-		return nil, b, true
-	}
-	n--
-	if uint64(len(b)) < 8*n {
-		return nil, nil, false
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v, b[8*n:], true
 }
 
 // AppendString appends a length-prefixed string.

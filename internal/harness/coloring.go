@@ -140,7 +140,7 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 	stride := 1 + nP // cells per input: dynamics, then one per procs
 	dynamics := make([]ColoringDynamics, len(inputs))
 	rows := make([]ColoringRow, len(inputs)*nP)
-	_, err := e.runSweep(len(inputs)*stride, e.stdOpts(), func(idx int, c *Cell) error {
+	_, err := runCells(e, len(inputs)*stride, func(idx int, c *Cell) (struct{}, error) {
 		in := inputs[idx/stride]
 		gi, name := idx/stride, in.name
 		refKey := sweep.SpecRefKey(in.key)
@@ -155,7 +155,8 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 			})
 		}
 
-		if pi := idx%stride - 1; pi < 0 {
+		pi := idx%stride - 1
+		if pi < 0 {
 			// Dynamics cell: the machine-independent round behaviour.
 			d, err := Memo(c,
 				"coloring/dynamics/verify=true",
@@ -172,52 +173,45 @@ func (e *Env) RunColoring(params ColoringParams) (*ColoringResult, error) {
 						Conflicts:  ref.Stats.Conflicts,
 					}, nil
 				})
-			if err != nil {
-				return err
-			}
 			dynamics[gi] = d
-			return nil
-		} else {
-			procs := params.Procs[pi]
-			row, err := Memo(c,
-				fmt.Sprintf("coloring/time/p=%d/verify=true", procs),
-				memoInputs, func() (ColoringRow, error) {
-					g, ref := resolve()
-					row := ColoringRow{Input: name, Procs: procs}
-
-					mm, err := c.RunMTA(fmt.Sprintf("ColorMTA/%s/dynamic", in.key), nP,
-						mta.DefaultConfig(procs), func(m *mta.Machine) error {
-							gotM, stM := coloring.ColorMTA(g, m, sim.SchedDynamic)
-							if err := sameColors(ref.Color, gotM); err != nil {
-								return fmt.Errorf("coloring %s MTA: %w", name, err)
-							}
-							if stM.Rounds != ref.Stats.Rounds {
-								return fmt.Errorf("coloring %s MTA: %d rounds, reference took %d", name, stM.Rounds, ref.Stats.Rounds)
-							}
-							return nil
-						})
-					if err != nil {
-						return row, err
-					}
-					row.MTASeconds = mm.Seconds()
-
-					sm := c.SMP(smp.DefaultConfig(procs))
-					gotS, stS := coloring.ColorSMP(g, sm)
-					if err := sameColors(ref.Color, gotS); err != nil {
-						return row, fmt.Errorf("coloring %s SMP p=%d: %w", name, procs, err)
-					}
-					if stS.Rounds != ref.Stats.Rounds {
-						return row, fmt.Errorf("coloring %s SMP p=%d: %d rounds, reference took %d", name, procs, stS.Rounds, ref.Stats.Rounds)
-					}
-					row.SMPSeconds = sm.Seconds()
-					return row, nil
-				})
-			if err != nil {
-				return err
-			}
-			rows[gi*nP+pi] = row
-			return nil
+			return struct{}{}, err
 		}
+		procs := params.Procs[pi]
+		row, err := Memo(c,
+			fmt.Sprintf("coloring/time/p=%d/verify=true", procs),
+			memoInputs, func() (ColoringRow, error) {
+				g, ref := resolve()
+				row := ColoringRow{Input: name, Procs: procs}
+
+				mm, err := c.RunMTA(fmt.Sprintf("ColorMTA/%s/dynamic", in.key), nP,
+					mta.DefaultConfig(procs), func(m *mta.Machine) error {
+						gotM, stM := coloring.ColorMTA(g, m, sim.SchedDynamic)
+						if err := sameColors(ref.Color, gotM); err != nil {
+							return fmt.Errorf("coloring %s MTA: %w", name, err)
+						}
+						if stM.Rounds != ref.Stats.Rounds {
+							return fmt.Errorf("coloring %s MTA: %d rounds, reference took %d", name, stM.Rounds, ref.Stats.Rounds)
+						}
+						return nil
+					})
+				if err != nil {
+					return row, err
+				}
+				row.MTASeconds = mm.Seconds()
+
+				sm := c.SMP(smp.DefaultConfig(procs))
+				gotS, stS := coloring.ColorSMP(g, sm)
+				if err := sameColors(ref.Color, gotS); err != nil {
+					return row, fmt.Errorf("coloring %s SMP p=%d: %w", name, procs, err)
+				}
+				if stS.Rounds != ref.Stats.Rounds {
+					return row, fmt.Errorf("coloring %s SMP p=%d: %d rounds, reference took %d", name, procs, stS.Rounds, ref.Stats.Rounds)
+				}
+				row.SMPSeconds = sm.Seconds()
+				return row, nil
+			})
+		rows[gi*nP+pi] = row
+		return struct{}{}, err
 	})
 	if err != nil {
 		return nil, err

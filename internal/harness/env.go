@@ -62,10 +62,11 @@ type Env struct {
 	InputHook  func(sweep.Digest)
 	ResultHook func(key string, hit bool)
 
-	// TraceSink, when non-nil, receives every traced cell's events in
-	// cell order after each sweep; TraceSampleCycles additionally
-	// samples MTA within-region timelines at that simulated-cycle
-	// granularity.
+	// TraceSink, when non-nil, traces every sweep: it receives each
+	// cell's events in cell order after the sweep. TraceSampleCycles
+	// additionally samples MTA within-region timelines at that
+	// simulated-cycle granularity. Whether a sweep traces, and at what
+	// sampling, is part of each cell's result key (see Memo).
 	TraceSink         trace.Sink
 	TraceSampleCycles float64
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"pargraph/internal/cmdutil"
 	"pargraph/internal/concomp"
 	"pargraph/internal/graph"
 	"pargraph/internal/mta"
@@ -54,6 +55,13 @@ type Fig2Result struct {
 // MTA run (see Cell.RunMTA) are built once per edge factor and shared by
 // every processor count.
 func (e *Env) RunFig2(params Fig2Params) (*Fig2Result, error) {
+	// N is a scale default the spec never sees, so the edge factors are
+	// checked against it here, before any cell builds a graph.
+	for _, f := range params.EdgeFactors {
+		if err := cmdutil.CheckGraphGen("gnm", params.N, f*params.N, 0, 0, 0); err != nil {
+			return nil, fmt.Errorf("fig2: edge factor %d: %w", f, err)
+		}
+	}
 	nF := len(params.EdgeFactors)
 	outs, err := runCells(e, len(params.Procs)*nF, func(idx int, c *Cell) (pointPair, error) {
 		procs := params.Procs[idx/nF]

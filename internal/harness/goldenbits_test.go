@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"pargraph/internal/coloring"
 	"pargraph/internal/concomp"
 	"pargraph/internal/graph"
 	"pargraph/internal/list"
@@ -12,6 +13,7 @@ import (
 	"pargraph/internal/mta"
 	"pargraph/internal/sim"
 	"pargraph/internal/smp"
+	"pargraph/internal/treecon"
 )
 
 // statsBits renders a Stats struct so that two renderings are equal
@@ -34,7 +36,8 @@ func statsBits(stats any) uint64 {
 // not a power of two. Each list kernel (rank and prefix) and each MTA
 // connected-components kernel (Alg. 3 and the Alg. 2 star check) has
 // rows of its own, so a step the two kernels of a pair share cannot
-// drift in one of them unseen.
+// drift in one of them unseen. Speculative coloring and tree
+// contraction have rows on both machines too.
 func TestGoldenBits(t *testing.T) {
 	l := list.New(10000, list.Random, 42)
 	g := graph.RandomGnm(2000, 8000, 42)
@@ -46,6 +49,12 @@ func TestGoldenBits(t *testing.T) {
 	// direct-mapped L1 set and their order shows in the stats.
 	aliased := list.New(9328, list.Random, 42)
 	rankAliased := list.New(9920, list.Random, 42)
+	// colorAliased puts ColorSMP's colorA and workA 16 KB apart (4n
+	// bytes rounded to the 64-byte line, plus the allocator's stagger),
+	// so the init phase's two stores per vertex fall in one
+	// direct-mapped L1 set.
+	colorAliased := graph.RandomGnm(1728, 6912, 42)
+	expr := treecon.RandomExpr(4096, 42)
 	vals := make([]int64, l.Len())
 	for i := range vals {
 		vals[i] = int64(i%13) - 6
@@ -155,6 +164,26 @@ func TestGoldenBits(t *testing.T) {
 			concomp.LabelMTAStarCheck(g, m, sim.SchedBlock)
 			return m.Stats()
 		}, 0xf61b759586a8b3a5},
+		{"mta p=2 coloring dynamic", func() any {
+			m := mta.New(mtaCfg(2, true))
+			coloring.ColorMTA(g, m, sim.SchedDynamic)
+			return m.Stats()
+		}, 0x1f22f53bb1fb0260},
+		{"mta p=3 coloring block", func() any {
+			m := mta.New(mtaCfg(3, true))
+			coloring.ColorMTA(g, m, sim.SchedBlock)
+			return m.Stats()
+		}, 0x39eefa403ef66db8},
+		{"mta p=2 treecon dynamic", func() any {
+			m := mta.New(mtaCfg(2, true))
+			treecon.EvalMTA(expr, m, sim.SchedDynamic)
+			return m.Stats()
+		}, 0xfbe4244471657912},
+		{"mta p=3 unhashed treecon block", func() any {
+			m := mta.New(mtaCfg(3, false))
+			treecon.EvalMTA(expr, m, sim.SchedBlock)
+			return m.Stats()
+		}, 0x5bea7844d347f04},
 		{"smp direct-mapped listrank", func() any {
 			s := smp.New(smpCfg(1, 4<<20))
 			listrank.RankSMP(l, s, 16, 42)
@@ -190,6 +219,31 @@ func TestGoldenBits(t *testing.T) {
 			concomp.LabelSMP(g, s)
 			return s.Stats()
 		}, 0x5ccc1d9e983d513d},
+		{"smp direct-mapped coloring", func() any {
+			s := smp.New(smpCfg(1, 4<<20))
+			coloring.ColorSMP(g, s)
+			return s.Stats()
+		}, 0xab7b84225e3b811e},
+		{"smp 2-way coloring", func() any {
+			s := smp.New(smpCfg(2, 4<<20))
+			coloring.ColorSMP(g, s)
+			return s.Stats()
+		}, 0xfba3c4e12aa61315},
+		{"smp direct-mapped coloring aliased", func() any {
+			s := smp.New(smpCfg(1, 4<<20))
+			coloring.ColorSMP(colorAliased, s)
+			return s.Stats()
+		}, 0x5202b1ca71a15d7e},
+		{"smp direct-mapped treecon", func() any {
+			s := smp.New(smpCfg(1, 4<<20))
+			treecon.EvalSMP(expr, s, 42)
+			return s.Stats()
+		}, 0x6b63c0002f8de98b},
+		{"smp 2-way treecon", func() any {
+			s := smp.New(smpCfg(2, 4<<20))
+			treecon.EvalSMP(expr, s, 42)
+			return s.Stats()
+		}, 0xc79db5adf773235b},
 		{"smp 3MB L2 listrank", func() any {
 			s := smp.New(smpCfg(1, 3<<20))
 			listrank.RankSMP(long, s, 16, 42)

@@ -47,6 +47,12 @@ type Point struct {
 	Seconds float64 // simulated seconds
 }
 
+// pointPair is one fig1/fig2 cell's outcome: the MTA and SMP points.
+type pointPair struct {
+	MTA Point
+	SMP Point
+}
+
 // Series is one curve of a figure: a machine/workload/processor-count
 // combination swept over problem size.
 type Series struct {

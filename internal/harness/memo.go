@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"pargraph/internal/binenc"
 	"pargraph/internal/sim"
 	"pargraph/internal/sweep"
 	"pargraph/internal/trace"
@@ -61,8 +62,10 @@ const InputSchema = "pargraph-inputs-v1"
 
 // ResultSchema is the diskcache schema salt for memoized results. Bump
 // it whenever the stored bytes of any result type change: a change to
-// the encoding in resultcodec.go, or to the fields of a memoized type,
-// which the encoding derives from (TestResultEncodings pins the bytes).
+// binenc's value codec or the payload framing (encodeResult), or to the
+// fields of a memoized type, trace.Event or sweep.Digest, which the
+// encoding derives from (TestResultEncodings and
+// TestResultPayloadEncoding pin the bytes).
 // Bump sim.CostSchemaVersion instead when the simulated numbers
 // themselves change meaning.
 const ResultSchema = "pargraph-results-v2"
@@ -74,7 +77,7 @@ func (c *Cell) traceMode() string {
 	if c.rec == nil {
 		return "notrace"
 	}
-	return fmt.Sprintf("trace/%g", c.sample)
+	return fmt.Sprintf("trace/%g", c.env.TraceSampleCycles)
 }
 
 // Memo returns the memoized result of compute for this cell. cell is
@@ -87,7 +90,7 @@ func (c *Cell) traceMode() string {
 // it emitted and the listed inputs' digests, best-effort. With no
 // ResultStore the compute runs unmemoized, still checked. A Cell runs
 // one memoized computation. T's encoding derives from its type (see
-// appendResult).
+// binenc.AppendValue).
 func Memo[T any](c *Cell, cell string, inputs []string, compute func() (T, error)) (T, error) {
 	store, hook := c.env.ResultStore, c.env.ResultHook
 	var key string
@@ -138,8 +141,7 @@ func Memo[T any](c *Cell, cell string, inputs []string, compute func() (T, error
 		if c.rec != nil {
 			evs = c.rec.Events[start:]
 		}
-		payload := appendDigests(trace.AppendEvents(appendResult(nil, v), evs), ds)
-		store.Put(key, payload) // best-effort: a failed put only loses warmth
+		store.Put(key, encodeResult(v, evs, ds)) // best-effort: a failed put only loses warmth
 	}
 	if hook != nil {
 		hook(key, false)
@@ -165,19 +167,29 @@ func keySet(keys []string) []string {
 	return slices.Compact(s)
 }
 
+// encodeResult lays out a stored payload: the value, then the events it
+// emitted, then the listed inputs' digests. Each of the two sections is
+// a plain count followed by its elements' encodings (binenc.AppendList),
+// the framing every stored entry has had since results were first
+// memoized; encoding the payload as one struct would count its slices
+// n+1 and strand those entries.
+func encodeResult[T any](v T, evs []trace.Event, ds []sweep.Digest) []byte {
+	return binenc.AppendList(binenc.AppendList(binenc.AppendValue(nil, v), evs), ds)
+}
+
 // decodeResult splits a stored payload into the value, the events and
 // the input digests Memo stored. ok is false unless the payload decodes
 // exactly and its digests name the listed inputs in order; anything
 // else is recomputed rather than replayed.
 func decodeResult[T any](data []byte, inputs []string) (v T, evs []trace.Event, ds []sweep.Digest, ok bool) {
-	v, rest, ok := consumeResult[T](data)
+	v, rest, ok := binenc.ConsumeValue[T](data)
 	if !ok {
 		return v, nil, nil, false
 	}
-	if evs, rest, ok = trace.ConsumeEvents(rest); !ok {
+	if evs, rest, ok = binenc.ConsumeList[trace.Event](rest); !ok {
 		return v, nil, nil, false
 	}
-	if ds, rest, ok = consumeDigests(rest); !ok || len(rest) != 0 || len(ds) != len(inputs) {
+	if ds, rest, ok = binenc.ConsumeList[sweep.Digest](rest); !ok || len(rest) != 0 || len(ds) != len(inputs) {
 		return v, nil, nil, false
 	}
 	for i := range ds {

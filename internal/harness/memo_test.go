@@ -31,7 +31,7 @@ func TestMemoChecksListedInputs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := &Env{ResultStore: store}
-			_, err := e.runSweep(1, e.stdOpts(), func(_ int, c *Cell) error {
+			err := e.RunCell(func(c *Cell) error {
 				_, err := Memo(c, "memo-test/"+tc.name, tc.listed, func() (float64, error) {
 					for _, k := range tc.resolves {
 						cached(c, k, func() int { return len(k) })

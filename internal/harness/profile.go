@@ -13,7 +13,6 @@ import (
 	"pargraph/internal/sim"
 	"pargraph/internal/smp"
 	"pargraph/internal/sweep"
-	"pargraph/internal/trace"
 	"pargraph/internal/treecon"
 )
 
@@ -26,9 +25,6 @@ type ProfileParams struct {
 	Procs   int
 	Layout  list.Layout // list layout for fig1/prefix
 	Seed    uint64
-	// SampleCycles, when positive, records within-region issue timelines
-	// on the MTA at this granularity (see mta.Machine.SetTraceSampling).
-	SampleCycles float64
 }
 
 // prefixIn is the cached input of the prefix profile: a list, its
@@ -40,35 +36,30 @@ type prefixIn struct {
 	Want []int64
 }
 
-// ProfileRun summarizes one machine's traced execution.
-type ProfileRun struct {
-	Machine string
+// profPoint is one profile cell's model numbers (its events travel in
+// the shared trace section of the memo payload).
+type profPoint struct {
 	Cycles  float64
 	Seconds float64
-	Events  int
 }
 
-// ProfileResult is a traced kernel execution: the recorded event stream
-// plus per-machine summaries. Render it with the Recorder's
-// WriteChromeTrace / WriteAttribution* / WriteTimeline methods.
-type ProfileResult struct {
-	Params   ProfileParams
-	Recorder *trace.Recorder
-	Runs     []ProfileRun
+// ProfileRun summarizes one machine's execution.
+type ProfileRun struct {
+	Machine string // "MTA" or "SMP", as in its events' Machine
+	Cycles  float64
+	Seconds float64
 }
 
-// RunProfile executes the configured kernel under tracing on the
-// requested machine(s), verifying each result against the sequential
-// reference. Events are emitted at region commit on the kernel's
-// goroutine, so the recorded stream (and everything rendered from it)
-// is bit-identical for any HostWorkers value. With Machine "both" the
-// two machines are separate scheduled cells (run concurrently under
-// -jobs) sharing the cached input; their recorders are concatenated
-// MTA-first, exactly the sequential emission order.
-func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
-	if params.N < 2 {
-		return nil, fmt.Errorf("profile: n must be at least 2, got %d", params.N)
-	}
+// RunProfile executes the configured kernel on the requested
+// machine(s), verifying each result against the sequential reference,
+// and summarizes each machine's run. Its events go to the Env's
+// TraceSink, sampled at TraceSampleCycles, like every sweep's: they are
+// emitted at region commit on the kernel's goroutine, so the stream
+// (and everything rendered from it) is bit-identical for any
+// HostWorkers value. With Machine "both" the two machines are separate
+// scheduled cells (run concurrently under -jobs) sharing the cached
+// input, forwarded MTA-first, exactly the sequential emission order.
+func (e *Env) RunProfile(params ProfileParams) ([]ProfileRun, error) {
 	if params.Procs < 1 {
 		return nil, fmt.Errorf("profile: procs must be positive, got %d", params.Procs)
 	}
@@ -228,25 +219,25 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 	// sequential harness.
 	type profCell struct {
 		machine string
-		run     func(c *Cell) (cycles, seconds float64, err error)
+		run     func(c *Cell) (profPoint, error)
 	}
 	var cells []profCell
 	if wantMTA {
-		cells = append(cells, profCell{machine: "MTA", run: func(c *Cell) (float64, float64, error) {
+		cells = append(cells, profCell{machine: "MTA", run: func(c *Cell) (profPoint, error) {
 			m := c.MTA(mta.DefaultConfig(params.Procs))
 			if err := mtaKernel(c, m); err != nil {
-				return 0, 0, fmt.Errorf("profile MTA %s: %w", params.Kernel, err)
+				return profPoint{}, fmt.Errorf("profile MTA %s: %w", params.Kernel, err)
 			}
-			return m.Cycles(), m.Seconds(), nil
+			return profPoint{Cycles: m.Cycles(), Seconds: m.Seconds()}, nil
 		}})
 	}
 	if wantSMP {
-		cells = append(cells, profCell{machine: "SMP", run: func(c *Cell) (float64, float64, error) {
+		cells = append(cells, profCell{machine: "SMP", run: func(c *Cell) (profPoint, error) {
 			m := c.SMP(smp.DefaultConfig(params.Procs))
 			if err := smpKernel(c, m); err != nil {
-				return 0, 0, fmt.Errorf("profile SMP %s: %w", params.Kernel, err)
+				return profPoint{}, fmt.Errorf("profile SMP %s: %w", params.Kernel, err)
 			}
-			return m.Cycles(), m.Seconds(), nil
+			return profPoint{Cycles: m.Cycles(), Seconds: m.Seconds()}, nil
 		}})
 	}
 
@@ -254,33 +245,8 @@ func (e *Env) RunProfile(params ProfileParams) (*ProfileResult, error) {
 	if params.Kernel == "fig1" || params.Kernel == "prefix" {
 		cfg += "/layout=" + params.Layout.String()
 	}
-	runs := make([]ProfileRun, len(cells))
-	recs, err := e.runSweep(len(cells), sweepOpts{record: true, sample: params.SampleCycles}, func(i int, c *Cell) error {
-		pt, err := Memo(c, cfg+"/machine="+cells[i].machine, inputs, func() (profPoint, error) {
-			cycles, seconds, err := cells[i].run(c)
-			if err != nil {
-				return profPoint{}, err
-			}
-			return profPoint{Cycles: cycles, Seconds: seconds}, nil
-		})
-		if err != nil {
-			return err
-		}
-		runs[i] = ProfileRun{Machine: cells[i].machine, Cycles: pt.Cycles, Seconds: pt.Seconds}
-		return nil
+	return runCells(e, len(cells), func(i int, c *Cell) (ProfileRun, error) {
+		pt, err := Memo(c, cfg+"/machine="+cells[i].machine, inputs, func() (profPoint, error) { return cells[i].run(c) })
+		return ProfileRun{Machine: cells[i].machine, Cycles: pt.Cycles, Seconds: pt.Seconds}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	rec := &trace.Recorder{}
-	res := &ProfileResult{Params: params, Recorder: rec, Runs: runs}
-	for i := range runs {
-		if recs[i] == nil { // cell owned by another shard
-			continue
-		}
-		runs[i].Events = len(recs[i].Events)
-		rec.Events = append(rec.Events, recs[i].Events...)
-	}
-	return res, nil
 }

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"pargraph/internal/binenc"
+	"pargraph/internal/sweep"
+	"pargraph/internal/trace"
 )
 
 // TestResultEncodings pins the stored bytes of every memoized result
@@ -52,6 +56,12 @@ func TestResultEncodings(t *testing.T) {
 	}
 }
 
+// appendResult and consumeResult are the memoized value's encoding,
+// which the pins here are written against.
+func appendResult[T any](buf []byte, v T) []byte { return binenc.AppendValue(buf, v) }
+
+func consumeResult[T any](b []byte) (T, []byte, bool) { return binenc.ConsumeValue[T](b) }
+
 // encodingCase checks v's encoding against a pinned SHA-256, its
 // round trip, and that every strict prefix of it is refused.
 func encodingCase[T any](v T, sha string) func(t *testing.T) {
@@ -91,7 +101,7 @@ func TestResultDecodeOversizedCount(t *testing.T) {
 func TestResultUnsupportedTypes(t *testing.T) {
 	refusesType(t, struct{ On bool }{true})
 	refusesType(t, struct{ n int }{1})
-	refusesType(t, map[string]int{"a": 1})
+	refusesType(t, map[int]int{1: 1})
 }
 
 func refusesType[T any](t *testing.T, v T) {
@@ -106,5 +116,55 @@ func refusesType[T any](t *testing.T, v T) {
 	}()
 	if got, _, ok := consumeResult[T](make([]byte, 64)); ok {
 		t.Errorf("consumeResult decoded %#v", got)
+	}
+}
+
+// TestResultPayloadEncoding pins one whole stored payload: the value,
+// then the events it emitted, then its input digests, each section a
+// plain count and its elements. Every entry written since results were
+// first memoized has this layout, so it must not move without a
+// ResultSchema bump. The events cover a nil Attr, nil and empty
+// ProcBusy, and a sampled timeline.
+func TestResultPayloadEncoding(t *testing.T) {
+	v := pointPair{MTA: Point{X: 65536, Seconds: 0.0123}, SMP: Point{X: 65536, Seconds: 0.0456}}
+	evs := []trace.Event{
+		{
+			Machine: "MTA", Kind: "parallel", Seq: 0, Items: 1024,
+			Start: 0, Cycles: 2048.5, Procs: 8, ClockMHz: 220, Issued: 9000.25,
+			Attr:    map[string]float64{trace.CatIssue: 9000.25, trace.CatMemStall: 500, trace.CatHotspot: 12.5},
+			Samples: []float64{1, 2, 3.5}, SampleCy: 512,
+		},
+		{
+			Machine: "SMP", Kind: "phase", Seq: 1, Items: 4,
+			Start: 100, Cycles: 50, Procs: 4, ClockMHz: 400, Issued: 180,
+			Attr:     map[string]float64{trace.CatCompute: 100, trace.CatMem: 80},
+			ProcBusy: []float64{50, 45, 44, 41},
+		},
+		{Machine: "SMP", Kind: "barrier", Seq: 2, Start: 150, Cycles: 10, Procs: 4, ClockMHz: 400, ProcBusy: []float64{}},
+	}
+	ds := []sweep.Digest{
+		{Key: "list/65536/random/seed=42", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08", Bytes: 786456},
+		{Key: "gnm/8192/65536/seed=34/unionfind", SHA256: "60303ae22b998861bce3b28f33eec1be758a213c86c93c076dbe9f558c11c752", Bytes: 32776},
+	}
+	inputs := []string{ds[0].Key, ds[1].Key}
+	const want = "f1478c03fce27947dcb9f786748147e1f386d22531f7d18da679ba359203f48f"
+	b := encodeResult(v, evs, ds)
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("payload has SHA-256 %s, want %s", got, want)
+	}
+	gv, gevs, gds, ok := decodeResult[pointPair](b, inputs)
+	if !ok || gv != v || !reflect.DeepEqual(gevs, evs) || !reflect.DeepEqual(gds, ds) {
+		t.Errorf("round trip = %+v, %+v, %+v, ok=%t", gv, gevs, gds, ok)
+	}
+	for i := range b {
+		if _, _, _, ok := decodeResult[pointPair](b[:i], inputs); ok {
+			t.Fatalf("a %d-byte prefix of the %d-byte payload decoded", i, len(b))
+		}
+	}
+	if _, _, _, ok := decodeResult[pointPair](append(b, 0), inputs); ok {
+		t.Error("a payload with a trailing byte decoded")
+	}
+	if _, _, _, ok := decodeResult[pointPair](b, inputs[:1]); ok {
+		t.Error("a payload whose digests name other inputs decoded")
 	}
 }

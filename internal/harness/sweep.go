@@ -20,7 +20,6 @@ type Cell struct {
 	env      *Env
 	inputs   *sweep.Cache    // the sweep's shared single-flight input cache
 	rec      *trace.Recorder // per-cell event stream; nil when not tracing
-	sample   float64         // MTA within-region sampling for traced cells
 	resolved []string        // input keys this cell resolved, in call order
 	tapes    *tapeShelf      // the sweep's shared MTA runs (see RunMTA)
 
@@ -50,7 +49,8 @@ func cached[T any](c *Cell, key string, build func() T) T {
 
 // MTA borrows a machine with the given configuration from the Env's
 // pool (constructing one if none is free), Reset and rewired to the
-// cell: the Env's HostWorkers, and the cell's recorder when tracing.
+// cell: the Env's HostWorkers, and when tracing the cell's recorder,
+// sampling at the Env's TraceSampleCycles.
 func (c *Cell) MTA(cfg mta.Config) *mta.Machine {
 	m := c.env.leaseMTA(cfg)
 	if m == nil {
@@ -61,7 +61,7 @@ func (c *Cell) MTA(cfg mta.Config) *mta.Machine {
 	m.SetHostWorkers(c.env.HostWorkers)
 	if c.rec != nil {
 		m.SetSink(c.rec)
-		m.SetTraceSampling(c.sample)
+		m.SetTraceSampling(c.env.TraceSampleCycles)
 	} else {
 		m.SetSink(nil)
 		m.SetTraceSampling(0)
@@ -97,77 +97,49 @@ func (c *Cell) release() {
 	c.mtas, c.smps = nil, nil
 }
 
-// sweepOpts configures one runSweep call.
-type sweepOpts struct {
-	// record attaches a recorder to every cell even with no TraceSink
-	// configured; the caller collects the returned recorders itself
-	// (RunProfile). Without it, recorders exist only when TraceSink is
-	// set, and their events are forwarded there in cell order.
-	record bool
-	// sample is the MTA within-region sampling granularity for traced
-	// cells (see mta.Machine.SetTraceSampling).
-	sample float64
-}
-
-// stdOpts is the configuration every figure/ablation sweep uses: trace
-// into the Env's TraceSink (if any) at the Env's sampling rate.
-func (e *Env) stdOpts() sweepOpts { return sweepOpts{sample: e.TraceSampleCycles} }
-
 // RunCell runs fn as a one-cell sweep: the single-run workloads of
 // internal/runner lease machines, resolve and persist inputs, forward
 // their trace to TraceSink, report to CellObserver, honour Interrupt
 // and have a panic captured as the cell's error, exactly as a figures
 // cell does.
 func (e *Env) RunCell(fn func(*Cell) error) error {
-	_, err := e.runSweep(1, e.stdOpts(), func(_ int, c *Cell) error { return fn(c) })
+	_, err := runCells(e, 1, func(_ int, c *Cell) (struct{}, error) { return struct{}{}, fn(c) })
 	return err
 }
 
-// runCells runs n cells under stdOpts and returns their values in cell
-// order; it serves every sweep whose cells return one result type.
-// Cells another shard owns keep their zero values. On error the
-// lowest-index cell's comes back, with no values.
-func runCells[T any](e *Env, n int, cell func(i int, c *Cell) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if _, err := e.runSweep(n, e.stdOpts(), func(i int, c *Cell) (err error) {
-		out[i], err = cell(i, c)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runSweep runs n cells under the Env's Jobs setting with one shared
-// single-flight input cache and the Env's machine pool. Each traced
-// cell records into a private recorder; after the sweep the recorders
-// are replayed in cell-index order — cells are laid out in the
-// sequential loop order, and a machine's event Seq/Start counters are
-// per-machine, so the forwarded stream is byte-identical to what the
-// sequential harness would have emitted into TraceSink directly. The
-// lowest-index cell error is returned; all cells run regardless (the
-// scheduler's determinism contract).
+// runCells is the one cell loop: it runs n cells under the Env's Jobs
+// setting, with one shared single-flight input cache, one tape shelf
+// (see RunMTA) and the Env's machine pool, and returns their values in
+// cell order. With a TraceSink, each cell records into a private
+// recorder, sampling MTA regions at TraceSampleCycles; after the sweep
+// the recorders are forwarded in cell-index order — cells are laid out
+// in the sequential loop order, and a machine's event Seq/Start
+// counters are per-machine, so the forwarded stream is byte-identical
+// to what the sequential harness would have emitted into TraceSink
+// directly. All cells run regardless of errors (the scheduler's
+// determinism contract); on error the lowest-index cell's comes back,
+// with no values.
 //
-// Under an active Shard only owned cells execute; the rest leave their
-// output slots (and recorders) zero. A shard's product is the result
-// store its owned cells fill: the unsharded run on the same store then
+// Under an active Shard only owned cells execute; the rest keep their
+// zero values and record nothing. A shard's product is the result store
+// its owned cells fill: the unsharded run on the same store then
 // replays them (see Memo). With CacheStore attached, the sweep's input
 // cache persists to disk, so shard processes — and concurrent Envs
 // sharing the directory — generate each shared input once between them
 // instead of once each.
-func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) ([]*trace.Recorder, error) {
+func runCells[T any](e *Env, n int, cell func(i int, c *Cell) (T, error)) ([]T, error) {
 	inputs := e.NewInputCache()
 	tapes := &tapeShelf{}
-	record := opts.record || e.TraceSink != nil
+	out := make([]T, n)
 	var recs []*trace.Recorder
-	if record {
+	if e.TraceSink != nil {
 		recs = make([]*trace.Recorder, n)
 	}
 	ctx := e.Interrupt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	err := sweep.RunCtx(ctx, n, e.Jobs, func(i int) error {
+	err := sweep.RunCtx(ctx, n, e.Jobs, func(i int) (err error) {
 		if !e.Shard.Owns(i) {
 			return nil
 		}
@@ -175,26 +147,27 @@ func (e *Env) runSweep(n int, opts sweepOpts, cell func(i int, c *Cell) error) (
 			start := time.Now()
 			defer func() { e.CellObserver(time.Since(start).Seconds()) }()
 		}
-		c := &Cell{env: e, inputs: inputs, sample: opts.sample, tapes: tapes}
-		if record {
+		c := &Cell{env: e, inputs: inputs, tapes: tapes}
+		if recs != nil {
 			c.rec = &trace.Recorder{}
 			recs[i] = c.rec
 		}
-		if err := cell(i, c); err != nil {
+		if out[i], err = cell(i, c); err != nil {
 			return err
 		}
 		c.release()
 		return nil
 	})
-	if !opts.record && e.TraceSink != nil {
-		for _, r := range recs {
-			if r == nil {
-				continue
-			}
-			for _, e2 := range r.Events {
-				e.TraceSink.Emit(e2)
-			}
+	for _, r := range recs {
+		if r == nil {
+			continue
+		}
+		for _, ev := range r.Events {
+			e.TraceSink.Emit(ev)
 		}
 	}
-	return recs, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

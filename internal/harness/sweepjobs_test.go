@@ -147,25 +147,14 @@ func TestJobsDeterminismColoring(t *testing.T) {
 	}
 }
 
-// TestJobsDeterminismProfile covers the record path (RunProfile collects
-// its own recorders rather than forwarding to TraceSink): rendered
-// Chrome trace and attribution CSV must not depend on Jobs.
+// TestJobsDeterminismProfile covers the profile sweep, traced with
+// sampling: rendered Chrome trace and attribution CSV must not depend
+// on Jobs.
 func TestJobsDeterminismProfile(t *testing.T) {
 	forceHostParallelism(t, 8)
-	params := ProfileParams{Kernel: "fig1", Machine: "both", N: 30000, Procs: 8, Seed: 0x51, SampleCycles: 500}
+	params := ProfileParams{Kernel: "fig1", Machine: "both", N: 30000, Procs: 8, Seed: 0x51}
 	run := func(jobs int) (chrome, csv []byte) {
-		res, err := jobsEnv(jobs, nil).RunProfile(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cb, ab bytes.Buffer
-		if err := res.Recorder.WriteChromeTrace(&cb); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Recorder.WriteAttributionCSV(&ab); err != nil {
-			t.Fatal(err)
-		}
-		return cb.Bytes(), ab.Bytes()
+		return profileArtifacts(t, jobsEnv(jobs, nil), params, 500)
 	}
 	chrome1, csv1 := run(1)
 	if len(chrome1) == 0 || len(csv1) == 0 {

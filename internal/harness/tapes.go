@@ -15,7 +15,7 @@ import (
 // own machine. Cells, result keys and every simulated bit stay as they
 // were: a played machine's Stats and events are those of a live run.
 //
-// Tapes live in memory only, in a shelf owned by one runSweep call:
+// Tapes live in memory only, in a shelf owned by one runCells call:
 // never persisted, never a cell input, never in a manifest. A tape is
 // dropped after its last declared use and never outlives its sweep.
 

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pargraph/internal/binenc"
 	"pargraph/internal/concomp"
 	"pargraph/internal/graph"
 	"pargraph/internal/list"
@@ -29,7 +31,7 @@ func liveRun(cfg mta.Config, kernel func(*mta.Machine)) (*mta.Machine, []trace.E
 }
 
 func sameEventBytes(a, b []trace.Event) bool {
-	return bytes.Equal(trace.AppendEvents(nil, a), trace.AppendEvents(nil, b))
+	return bytes.Equal(binenc.AppendList(nil, a), binenc.AppendList(nil, b))
 }
 
 // TestSharedRunsMatchLive: Table 1 and the streams sweep share one MTA
@@ -125,9 +127,9 @@ func TestSharedRunFailureFailsEveryCell(t *testing.T) {
 			errs := make([]error, cells)
 			done := make(chan error, 1)
 			go func() {
-				_, err := jobsEnv(4, nil).runSweep(cells, sweepOpts{}, func(i int, c *Cell) error {
+				_, err := runCells(jobsEnv(4, nil), cells, func(i int, c *Cell) (struct{}, error) {
 					_, errs[i] = c.RunMTA("shared", cells, mta.DefaultConfig(1<<(i%4)), kernel)
-					return errs[i]
+					return struct{}{}, errs[i]
 				})
 				done <- err
 			}()
@@ -170,25 +172,24 @@ func TestSharedRunFailureFailsEveryCell(t *testing.T) {
 func TestSharedRunsByName(t *testing.T) {
 	l := list.New(3000, list.Random, 2)
 	nwalk := func(i int) int { return 300 + 100*(i/2) } // cells 0,1 and 2,3 share
-	var live, got [4]float64
+	live := make([]float64, 4)
 	for i := range live {
 		m := mta.New(mta.DefaultConfig(1 + i%2))
 		listrank.RankMTA(l, m, nwalk(i), sim.SchedDynamic)
 		live[i] = m.Seconds()
 	}
-	_, err := jobsEnv(2, nil).runSweep(len(got), sweepOpts{}, func(i int, c *Cell) error {
+	got, err := runCells(jobsEnv(2, nil), len(live), func(i int, c *Cell) (float64, error) {
 		run := fmt.Sprintf("RankMTA/nwalk=%d", nwalk(i))
 		m, err := c.RunMTA(run, 3, mta.DefaultConfig(1+i%2), func(m *mta.Machine) error {
 			listrank.RankMTA(l, m, nwalk(i), sim.SchedDynamic)
 			return nil
 		})
-		got[i] = m.Seconds()
-		return err
+		return m.Seconds(), err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != live {
+	if !slices.Equal(got, live) {
 		t.Fatalf("shared runs %v, live runs %v", got, live)
 	}
 }

@@ -17,19 +17,28 @@ import (
 	"pargraph/internal/trace"
 )
 
-// profileArtifacts runs one traced profile at the given worker count and
-// returns the rendered Chrome JSON and attribution CSV.
-func profileArtifacts(t *testing.T, params ProfileParams, workers int) (chrome, csv []byte) {
+// traceProfile runs one profile on e traced into a fresh recorder,
+// sampling MTA regions every sample cycles, as cmd/profile does.
+func traceProfile(t *testing.T, e *Env, params ProfileParams, sample float64) *trace.Recorder {
 	t.Helper()
-	res, err := (&Env{HostWorkers: workers}).RunProfile(params)
-	if err != nil {
+	rec := &trace.Recorder{}
+	e.TraceSink, e.TraceSampleCycles = rec, sample
+	if _, err := e.RunProfile(params); err != nil {
 		t.Fatal(err)
 	}
+	return rec
+}
+
+// profileArtifacts runs one traced profile on e and returns the
+// rendered Chrome JSON and attribution CSV.
+func profileArtifacts(t *testing.T, e *Env, params ProfileParams, sample float64) (chrome, csv []byte) {
+	t.Helper()
+	rec := traceProfile(t, e, params, sample)
 	var cb, ab bytes.Buffer
-	if err := res.Recorder.WriteChromeTrace(&cb); err != nil {
+	if err := rec.WriteChromeTrace(&cb); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Recorder.WriteAttributionCSV(&ab); err != nil {
+	if err := rec.WriteAttributionCSV(&ab); err != nil {
 		t.Fatal(err)
 	}
 	return cb.Bytes(), ab.Bytes()
@@ -37,19 +46,22 @@ func profileArtifacts(t *testing.T, params ProfileParams, workers int) (chrome, 
 
 func TestTraceWorkerDeterminism(t *testing.T) {
 	forceHostParallelism(t, 8)
-	cases := []ProfileParams{
-		{Kernel: "fig1", Machine: "both", N: 30000, Procs: 8, Layout: list.Random, Seed: 0x51, SampleCycles: 500},
-		{Kernel: "fig2", Machine: "both", N: 4096, Procs: 8, Seed: 0x52, SampleCycles: 1000},
-		{Kernel: "coloring", Machine: "both", N: 4096, Procs: 8, Seed: 0x53, SampleCycles: 1000},
+	cases := []struct {
+		params ProfileParams
+		sample float64
+	}{
+		{ProfileParams{Kernel: "fig1", Machine: "both", N: 30000, Procs: 8, Layout: list.Random, Seed: 0x51}, 500},
+		{ProfileParams{Kernel: "fig2", Machine: "both", N: 4096, Procs: 8, Seed: 0x52}, 1000},
+		{ProfileParams{Kernel: "coloring", Machine: "both", N: 4096, Procs: 8, Seed: 0x53}, 1000},
 	}
-	for _, params := range cases {
-		t.Run(params.Kernel, func(t *testing.T) {
-			chrome1, csv1 := profileArtifacts(t, params, 1)
+	for _, tc := range cases {
+		t.Run(tc.params.Kernel, func(t *testing.T) {
+			chrome1, csv1 := profileArtifacts(t, &Env{HostWorkers: 1}, tc.params, tc.sample)
 			if len(chrome1) == 0 || len(csv1) == 0 {
 				t.Fatal("empty artifacts")
 			}
 			for _, w := range []int{2, 4, 8} {
-				chromeW, csvW := profileArtifacts(t, params, w)
+				chromeW, csvW := profileArtifacts(t, &Env{HostWorkers: w}, tc.params, tc.sample)
 				if !bytes.Equal(chrome1, chromeW) {
 					t.Errorf("Chrome trace differs between workers=1 and workers=%d", w)
 				}
@@ -68,17 +80,14 @@ func TestTraceWorkerDeterminism(t *testing.T) {
 func TestTraceAttributionAccounting(t *testing.T) {
 	for _, kernel := range []string{"fig1", "fig2", "prefix", "treecon", "coloring"} {
 		t.Run(kernel, func(t *testing.T) {
-			res, err := testEnv().RunProfile(ProfileParams{
+			rec := traceProfile(t, testEnv(), ProfileParams{
 				Kernel: kernel, Machine: "both", N: 4096, Procs: 8,
 				Layout: list.Random, Seed: 0x77,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Recorder.Events) == 0 {
+			}, 0)
+			if len(rec.Events) == 0 {
 				t.Fatal("no events recorded")
 			}
-			for _, e := range res.Recorder.Events {
+			for _, e := range rec.Events {
 				capacity := e.Cycles * float64(e.Procs)
 				var sum float64
 				for _, v := range e.Attr {
@@ -114,15 +123,12 @@ func TestTraceAttributionAccounting(t *testing.T) {
 // TestTraceSamplesSumToIssued checks the within-region timeline is
 // exact: bucket contents integrate to the region's issue slots.
 func TestTraceSamplesSumToIssued(t *testing.T) {
-	res, err := testEnv().RunProfile(ProfileParams{
+	rec := traceProfile(t, testEnv(), ProfileParams{
 		Kernel: "fig1", Machine: "mta", N: 20000, Procs: 8,
-		Layout: list.Random, Seed: 0x88, SampleCycles: 250,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		Layout: list.Random, Seed: 0x88,
+	}, 250)
 	sampled := 0
-	for _, e := range res.Recorder.Events {
+	for _, e := range rec.Events {
 		if e.Samples == nil {
 			continue
 		}

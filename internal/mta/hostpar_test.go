@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pargraph/internal/binenc"
 	"pargraph/internal/sim"
 	"pargraph/internal/trace"
 )
@@ -114,7 +115,7 @@ func TestOverlappedTimingMatchesSerial(t *testing.T) {
 		m.ParallelFor(n, sim.SchedDynamic, chargeBody(out))
 		o.cycles = append(o.cycles, m.Cycles())
 		o.stats = m.Stats()
-		o.events = trace.AppendEvents(nil, rec.Events)
+		o.events = binenc.AppendList(nil, rec.Events)
 		pm := New(cfg)
 		if err := pm.Play(tape); err != nil {
 			t.Fatal(err)

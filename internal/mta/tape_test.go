@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pargraph/internal/binenc"
 	"pargraph/internal/coloring"
 	"pargraph/internal/concomp"
 	"pargraph/internal/graph"
@@ -138,7 +139,7 @@ func newMachine(cfg mta.Config, k tapeKernel, traced bool) (*mta.Machine, *trace
 func outcome(m *mta.Machine, rec *trace.Recorder) timed {
 	out := timed{stats: statsBits(m.Stats())}
 	if rec != nil {
-		out.events = trace.AppendEvents(nil, rec.Events)
+		out.events = binenc.AppendList(nil, rec.Events)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"pargraph/internal/harness"
 	"pargraph/internal/list"
+	"pargraph/internal/trace"
 )
 
 // runProfile is cmd/profile's execution body: one kernel under
@@ -22,12 +23,17 @@ func (rc *runCtx) runProfile() error {
 	if p.Layout == "ordered" {
 		layout = list.Ordered
 	}
-	params := harness.ProfileParams{
+	// The run traces into one recorder, sampling MTA regions at the
+	// spec's granularity, the way runFigures traces; every rendering
+	// below reads it. Shards trace too: trace mode is part of each
+	// cell's result key.
+	rec := &trace.Recorder{}
+	rc.env.TraceSink, rc.env.TraceSampleCycles = rec, p.Sample
+	runs, err := rc.env.RunProfile(harness.ProfileParams{
 		Kernel: p.Kernel, Machine: p.Machine,
 		N: p.N, Procs: p.Procs, Layout: layout,
-		Seed: sp.Run.Seed, SampleCycles: p.Sample,
-	}
-	res, err := rc.env.RunProfile(params)
+		Seed: sp.Run.Seed,
+	})
 	if err != nil {
 		return err
 	}
@@ -39,29 +45,35 @@ func (rc *runCtx) runProfile() error {
 	// Run headers, the attribution in the requested format, and an
 	// optional utilization timeline.
 	var buf bytes.Buffer
-	for _, run := range res.Runs {
+	for _, run := range runs {
+		events := 0
+		for _, ev := range rec.Events {
+			if ev.Machine == run.Machine {
+				events++
+			}
+		}
 		fmt.Fprintf(&buf, "%s %s n=%d p=%d: %.0f cycles (%.6f s), %d trace events\n",
-			run.Machine, res.Params.Kernel, res.Params.N, res.Params.Procs, run.Cycles, run.Seconds, run.Events)
+			run.Machine, p.Kernel, p.N, p.Procs, run.Cycles, run.Seconds, events)
 	}
 	fmt.Fprintln(&buf)
 	switch p.Attr {
 	case "table":
-		res.Recorder.WriteAttribution(&buf)
+		rec.WriteAttribution(&buf)
 	case "csv":
-		if err := res.Recorder.WriteAttributionCSV(&buf); err != nil {
+		if err := rec.WriteAttributionCSV(&buf); err != nil {
 			return err
 		}
 	case "json":
-		if err := res.Recorder.WriteAttributionJSON(&buf); err != nil {
+		if err := rec.WriteAttributionJSON(&buf); err != nil {
 			return err
 		}
 	}
 	if p.Timeline > 0 {
-		res.Recorder.WriteTimeline(&buf, p.Timeline)
+		rec.WriteTimeline(&buf, p.Timeline)
 	}
 	if _, err := o.Stdout.Write(buf.Bytes()); err != nil {
 		return err
 	}
 	rc.record("stdout", "", buf.Bytes())
-	return rc.traceArtifacts(res.Recorder)
+	return rc.traceArtifacts(rec)
 }

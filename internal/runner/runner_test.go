@@ -211,3 +211,41 @@ func TestCollectedRunsReadNoInputFile(t *testing.T) {
 		t.Fatalf("CLI run of the same spec: %v", err)
 	}
 }
+
+// TestUnbuildableSizesFailBeforeAnyCell: a size the graph generator
+// cannot build ends the run with a one-line error before any cell runs:
+// from Validate for a profile, whose spec names n, and from RunFig2 for
+// a figures edge factor, whose n is a scale default.
+func TestUnbuildableSizesFailBeforeAnyCell(t *testing.T) {
+	cases := []struct{ name, text, want string }{
+		{"profile-fig2", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"fig2\"\nmachine = \"smp\"\nn = 16\n",
+			`spec: [profile] kernel "fig2" runs on G(n, 8n): gnm with -n 16 holds at most 120 edges, got -m 128`},
+		{"profile-coloring", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"coloring\"\nn = 16\n",
+			`spec: [profile] kernel "coloring" runs on G(n, 8n): gnm with -n 16 holds at most 120 edges, got -m 128`},
+		{"profile-n-1", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"prefix\"\nn = 1\n",
+			`spec: [profile] n must be at least 2, got 1`},
+		{"fig2-edge-factor", "[run]\ncommand = \"figures\"\n[figures]\nfig = 2\nedge_factors = [4, 5000]\n",
+			`fig2: edge factor 5000: gnm with -n 8192 holds at most 33550336 edges, got -m 40960000`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sp, err := spec.Parse([]byte(c.text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cells atomic.Int64
+			if err = sp.Validate(); err == nil {
+				_, err = RunContext(context.Background(), sp, Options{
+					Stdout: io.Discard, Stderr: io.Discard,
+					CellObserver: func(float64) { cells.Add(1) },
+				})
+			}
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("error = %v\n     want %s", err, c.want)
+			}
+			if n := cells.Load(); n != 0 {
+				t.Errorf("%d cells ran before the error", n)
+			}
+		})
+	}
+}

@@ -230,9 +230,9 @@ func TestStatusAndArtifactErrors(t *testing.T) {
 		t.Errorf("unknown job artifact: %d, want 404", code)
 	}
 
-	// A spec that validates but fails at run time: a profile of one
-	// node, which the kernel rejects.
-	bad := "[run]\ncommand = \"profile\"\n[profile]\nn = 1\n"
+	// A spec that validates but fails at run time: an edge factor the
+	// small scale's n cannot hold, which RunFig2 rejects.
+	bad := "[run]\ncommand = \"figures\"\n[figures]\nfig = 2\nformat = \"json\"\nedge_factors = [5000]\n"
 	v, resp := submit(t, ts, "text/plain", []byte(bad))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", resp.StatusCode, v)

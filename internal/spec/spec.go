@@ -284,6 +284,14 @@ func (s *Spec) validateProfile() error {
 	if err := positive("profile", "n", p.N); err != nil {
 		return err
 	}
+	if p.N < 2 {
+		return fmt.Errorf("spec: [profile] n must be at least 2, got %d", p.N)
+	}
+	if p.Kernel == "fig2" || p.Kernel == "coloring" {
+		if err := cmdutil.CheckGraphGen("gnm", p.N, 8*p.N, 0, 0, 0); err != nil {
+			return fmt.Errorf("spec: [profile] kernel %q runs on G(n, 8n): %w", p.Kernel, err)
+		}
+	}
 	if err := positive("profile", "procs", p.Procs); err != nil {
 		return err
 	}

@@ -91,6 +91,11 @@ func TestBoundaries(t *testing.T) {
 		{"bad-kernel", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"fig3\"\n", `spec: [profile] kernel must be one of fig1, fig2, prefix, treecon, coloring; got "fig3"`},
 		{"bad-profile-machine", "[run]\ncommand = \"profile\"\n[profile]\nmachine = \"gpu\"\n", `spec: [profile] machine must be one of mta, smp, both; got "gpu"`},
 		{"zero-profile-n", "[run]\ncommand = \"profile\"\n[profile]\nn = 0\n", `spec: [profile] n must be positive, got 0`},
+		{"one-profile-n", "[run]\ncommand = \"profile\"\n[profile]\nn = 1\n", `spec: [profile] n must be at least 2, got 1`},
+		{"fig2-profile-n-too-small", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"fig2\"\nmachine = \"smp\"\nn = 16\n", `spec: [profile] kernel "fig2" runs on G(n, 8n): gnm with -n 16 holds at most 120 edges, got -m 128`},
+		{"coloring-profile-n-too-small", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"coloring\"\nn = 4\n", `spec: [profile] kernel "coloring" runs on G(n, 8n): gnm with -n 4 holds at most 6 edges, got -m 32`},
+		{"fig2-profile-smallest-n", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"fig2\"\nn = 17\n", ""},
+		{"fig1-profile-n-2", "[run]\ncommand = \"profile\"\n[profile]\nkernel = \"fig1\"\nn = 2\n", ""},
 		{"negative-profile-procs", "[run]\ncommand = \"profile\"\n[profile]\nprocs = -8\n", `spec: [profile] procs must be positive, got -8`},
 		{"bad-profile-layout", "[run]\ncommand = \"profile\"\n[profile]\nlayout = \"clustered\"\n", `spec: [profile] layout must be one of ordered, random; got "clustered"`},
 		{"bad-attr-format", "[run]\ncommand = \"profile\"\n[profile]\nattr = \"xml\"\n", `spec: [profile] attr must be one of table, csv, json, none; got "xml"`},

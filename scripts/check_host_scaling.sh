@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI guard against inverted host scaling, with one leg per host size.
-# Each of five rounds runs both configurations back to back and yields
-# one ratio per engine; the guard decides on the median of the five:
+# Each of eleven rounds runs both configurations back to back and yields
+# one ratio per engine; the guard decides on the median of the eleven:
 #
 #   - 4 or more cores: BenchmarkHostScaling at workers=1 and workers=4;
 #     fails if workers=4 is more than 25% slower than workers=1 on either
@@ -18,21 +18,19 @@
 #     allocation, the barriers) weigh more the shorter it runs.
 #
 # A ratio of two runs adjacent in time cancels the host's drift, and
-# the median drops a round the host's moment-to-moment noise spoiled
-# (single rounds read 1.02-2.30x). The minimum of each configuration
+# the median drops the rounds the host's moment-to-moment noise spoiled
+# (single rounds read 0.95-2.42x). The minimum of each configuration
 # over all rounds would let one lucky run set the ratio: one workers=1
 # run read 318 ms on the MTA where the others read 471-514 ms, as fast
-# as workers=2. On a 2-vCPU VM (GOMAXPROCS 2, go1.24.0), ten runs of
-# each, alternating: the medians read MTA 1.42-1.68x and SMP 1.48-1.77x
-# and all passed, while the minimum failed three times (SMP 1.29x and
-# 1.35x, MTA 1.12x). With machines that ignore SetHostWorkers the
-# medians read MTA 0.86-1.14x and SMP 0.96-1.17x, so an MTA floor of
-# 1.15x let such a machine pass the MTA leg. At 1.25x, on the same VM:
-# fifteen unmutated runs read MTA medians of 1.26-1.86x, all passing
-# the MTA leg, and ten with SetHostWorkers ignored 0.90-1.248x, all
-# failing it. The SMP floor sits inside this VM's noise: four of those
-# fifteen runs read SMP medians of 1.35-1.38x, and one of five runs of
-# the code before them 1.29x.
+# as workers=2. With five rounds, on a 2-vCPU VM (GOMAXPROCS 2,
+# go1.24.0), four of fifteen runs read SMP medians of 1.35-1.38x, below
+# the floor. With eleven, on the same VM, ten runs read MTA medians of
+# 1.36-1.60x and SMP 1.33-1.85x, and one failed the SMP leg (1.33x); ten
+# runs with machines that ignore SetHostWorkers read MTA 0.92-1.09x and
+# SMP 0.85-1.05x and failed both legs every time. The SMP floor still
+# sits at the edge of this VM's noise: its per-round ratios drift
+# between stretches of time, not only between rounds. A run takes
+# 27-32 s, against 14 s with five rounds.
 #
 # A single-core host cannot express any parallelism, so it skips.
 #
@@ -52,10 +50,12 @@ fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Five rounds, each running both configurations, the order alternating
-# between rounds; each round's output goes to its own file.
+# Eleven rounds, each running both configurations, the order
+# alternating between rounds; each round's output goes to its own file.
+rounds=11
 go test -c -o "$work/scaling.test" .
-for round in 1 2 3 4 5; do
+round=1
+while [ "$round" -le "$rounds" ]; do
     order="1 $w"
     if [ $((round % 2)) -eq 0 ]; then
         order="$w 1"
@@ -63,11 +63,12 @@ for round in 1 2 3 4 5; do
     for k in $order; do
         "$work/scaling.test" -test.run '^$' \
             -test.bench "BenchmarkHostScaling/(MTA|SMP)/workers=$k\$" \
-            -test.benchtime 2x | tee -a "$work/round$round.txt"
+            -test.benchtime 2x | tee -a "$work/round$(printf %02d "$round").txt"
     done
+    round=$((round + 1))
 done
 
-awk -v w="$w" '
+awk -v w="$w" -v want="$rounds" '
 /^Benchmark/ && $4 == "ns/op" {
     name = $1
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
@@ -103,8 +104,8 @@ END {
             }
             ratio[j] = x
         }
-        if (n < 5) {
-            printf "check_host_scaling: %s has %d complete rounds of 5\n", e, n
+        if (n < want) {
+            printf "check_host_scaling: %s has %d complete rounds of %d\n", e, n, want
             status = 1
             continue
         }
