@@ -42,6 +42,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	cmdtest.RunError(t, []string{"-gen", "gnm", "-n", "4", "-m", "100"})
 	cmdtest.RunError(t, []string{"-gen", "petersen"})
 	cmdtest.RunError(t, []string{"-sched", "zigzag"}, "sched must be one of dynamic, block")
+	cmdtest.RunError(t, []string{"-gen", "gnm", "-n", "256", "-m", "1024", "-machine", "seq", "-attr", "a.csv"}, "attr needs a simulated machine")
 }
 
 func TestRejectsMalformedDIMACS(t *testing.T) {

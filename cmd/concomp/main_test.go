@@ -21,4 +21,5 @@ func TestRejectsBadFlags(t *testing.T) {
 	cmdtest.RunError(t, []string{"-p", "0"}, "procs must be positive")
 	cmdtest.RunError(t, []string{"-gen", "gnm", "-n", "0"})
 	cmdtest.RunError(t, []string{"-gen", "unknown-gen"})
+	cmdtest.RunError(t, []string{"-machine", "bfs", "-trace", "t.json", "-emit-manifest", "mm.json"}, "trace needs a simulated machine")
 }

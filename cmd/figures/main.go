@@ -79,8 +79,7 @@ func main() {
 	}
 
 	err = cmdutil.RunProfiled(*cpuProf, *memProf, func(ctx context.Context) error {
-		opts.Interrupt = ctx
-		return runner.Run(sp, opts)
+		return runner.Run(ctx, sp, opts)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
 	"os"
@@ -44,7 +45,7 @@ func main() {
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := runner.Run(sp, opts); err != nil {
+	if err := runner.Run(context.Background(), sp, opts); err != nil {
 		log.Fatal(err)
 	}
 }

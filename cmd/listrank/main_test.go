@@ -21,4 +21,5 @@ func TestRejectsBadFlags(t *testing.T) {
 	cmdtest.RunError(t, []string{"-n", "0"}, "n must be positive")
 	cmdtest.RunError(t, []string{"-p", "-2"}, "procs must be positive")
 	cmdtest.RunError(t, []string{"-nodes-per-walk", "0"}, "-nodes-per-walk")
+	cmdtest.RunError(t, []string{"-n", "4096", "-machine", "native", "-trace", "t.json"}, "trace needs a simulated machine")
 }

@@ -6,9 +6,9 @@
 //     (artifact paths resolve relative to the manifest's directory;
 //     artifacts that went to stdout exist only as hashes and are
 //     checked in phase 2).
-//  2. The manifest's embedded canonical spec is re-run in a scratch
-//     directory and every recomputed input and artifact hash is
-//     diffed against the record.
+//  2. The manifest's embedded canonical spec is re-run in memory
+//     (runner.Reproduce), writing no file, and every recomputed input
+//     and artifact hash is diffed against the record.
 //
 // Any mismatch is reported and the exit status is nonzero. A manifest
 // whose spec reads input files by relative path must be re-run from
@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -40,10 +41,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"pargraph/internal/harness"
 	"pargraph/internal/manifest"
 	"pargraph/internal/runner"
-	"pargraph/internal/spec"
 )
 
 func main() {
@@ -98,49 +97,12 @@ func main() {
 		return
 	}
 
-	// Phase 2: re-run the embedded spec in a scratch directory and diff
-	// everything the manifest recorded.
-	if m.InputSchema != harness.InputSchema {
-		log.Fatalf("manifest recorded inputs under schema %q; this build hashes them under %q, so input hashes are not comparable", m.InputSchema, harness.InputSchema)
-	}
-	sp, err := spec.Parse([]byte(m.Spec))
-	if err != nil {
-		log.Fatalf("embedded spec: %v", err)
-	}
-	if err := sp.Validate(); err != nil {
-		log.Fatalf("embedded spec: %v", err)
-	}
-	tmp, err := os.MkdirTemp("", "reproduce-*")
+	// Phase 2: re-run the embedded spec and diff everything the
+	// manifest recorded.
+	m2, diffs, err := runner.Reproduce(context.Background(), m, *cacheDir,
+		runner.Options{Stdout: io.Discard, Stderr: io.Discard, NoResultCache: *noResult})
 	if err != nil {
 		log.Fatal(err)
-	}
-	defer os.RemoveAll(tmp)
-	sp.Output.Manifest = filepath.Join(tmp, "rerun.manifest.json")
-	// CacheDir is an execution field: the spec's canonical form excludes
-	// it, so pointing the re-run at a cache cannot move the spec hash.
-	sp.Run.CacheDir = *cacheDir
-
-	cwd, err := os.Getwd()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.Chdir(tmp); err != nil {
-		log.Fatal(err)
-	}
-	runErr := runner.Run(sp, runner.Options{Stdout: io.Discard, Stderr: io.Discard, NoResultCache: *noResult})
-	if err := os.Chdir(cwd); err != nil {
-		log.Fatal(err)
-	}
-	if runErr != nil {
-		log.Fatalf("re-run: %v", runErr)
-	}
-	m2, err := manifest.ReadFile(sp.Output.Manifest)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if m2.SpecSHA256 != m.SpecSHA256 {
-		fail("spec hash drifted: re-run %s, manifest records %s", m2.SpecSHA256, m.SpecSHA256)
 	}
 	if m.GoVersion != m2.GoVersion || m.Commit != m2.Commit {
 		// Informational: a different toolchain or commit reproducing the
@@ -148,42 +110,9 @@ func main() {
 		fmt.Printf("note: recorded by %s commit %s, re-run by %s commit %s\n",
 			m.GoVersion, m.Commit, m2.GoVersion, m2.Commit)
 	}
-
-	rerunInputs := make(map[string]manifest.Input, len(m2.Inputs))
-	for _, in := range m2.Inputs {
-		rerunInputs[in.Key] = in
+	for _, d := range diffs {
+		fail("%s", d)
 	}
-	for _, in := range m.Inputs {
-		got, ok := rerunInputs[in.Key]
-		switch {
-		case !ok:
-			fail("input %q: not resolved by the re-run", in.Key)
-		case got.SHA256 != in.SHA256 || got.Bytes != in.Bytes:
-			fail("input %q: re-run produced %s (%d bytes), manifest records %s (%d bytes)",
-				in.Key, got.SHA256, got.Bytes, in.SHA256, in.Bytes)
-		}
-		delete(rerunInputs, in.Key)
-	}
-	for key := range rerunInputs {
-		fail("input %q: resolved by the re-run but absent from the manifest", key)
-	}
-
-	if len(m2.Artifacts) != len(m.Artifacts) {
-		fail("re-run produced %d artifact(s), manifest records %d", len(m2.Artifacts), len(m.Artifacts))
-	} else {
-		for i, a := range m.Artifacts {
-			got := m2.Artifacts[i]
-			if got.Name != a.Name || got.Path != a.Path {
-				fail("artifact %d: re-run produced %s (%q), manifest records %s (%q)", i, got.Name, got.Path, a.Name, a.Path)
-				continue
-			}
-			if got.SHA256 != a.SHA256 || got.Bytes != a.Bytes {
-				fail("artifact %s (%q): re-run produced %s (%d bytes), manifest records %s (%d bytes)",
-					a.Name, a.Path, got.SHA256, got.Bytes, a.SHA256, a.Bytes)
-			}
-		}
-	}
-
 	if failed {
 		os.Exit(1)
 	}

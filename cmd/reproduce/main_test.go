@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,12 +20,12 @@ const repoSpec = "[run]\ncommand = \"coloring\"\nseed = 7\n" +
 	"[workload]\ngen = \"gnm\"\nn = 256\nm = 1024\nmachine = \"mta\"\nprocs = 2\n" +
 	"[output]\ntrace = \"c.trace.json\"\nattr = \"c.attr.csv\"\nmanifest = \"c.manifest.json\"\n"
 
-// writeManifest runs repoSpec in dir (artifact paths are relative, so
+// writeManifest runs the spec text in dir (its paths are relative, so
 // the run must happen from there) and returns the manifest's absolute
 // path.
-func writeManifest(t *testing.T, dir string) string {
+func writeManifest(t *testing.T, dir, text string) string {
 	t.Helper()
-	sp, err := spec.Parse([]byte(repoSpec))
+	sp, err := spec.Parse([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,24 +39,24 @@ func writeManifest(t *testing.T, dir string) string {
 	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
-	runErr := runner.Run(sp, runner.Options{Stdout: io.Discard, Stderr: io.Discard})
+	runErr := runner.Run(context.Background(), sp, runner.Options{Stdout: io.Discard, Stderr: io.Discard})
 	if err := os.Chdir(cwd); err != nil {
 		t.Fatal(err)
 	}
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return filepath.Join(dir, "c.manifest.json")
+	return filepath.Join(dir, sp.Output.Manifest)
 }
 
 func TestRoundTrip(t *testing.T) {
-	mani := writeManifest(t, t.TempDir())
+	mani := writeManifest(t, t.TempDir(), repoSpec)
 	cmdtest.Expect(t, []string{mani},
 		"2 on-disk artifact(s) match", "re-run reproduced 2 input(s) and 3 artifact(s) exactly")
 }
 
 func TestVerifyOnly(t *testing.T) {
-	mani := writeManifest(t, t.TempDir())
+	mani := writeManifest(t, t.TempDir(), repoSpec)
 	out := cmdtest.Expect(t, []string{"-verify-only", mani}, "2 on-disk artifact(s) match")
 	if strings.Contains(out, "re-run") {
 		t.Errorf("-verify-only still re-ran the spec:\n%s", out)
@@ -64,7 +65,7 @@ func TestVerifyOnly(t *testing.T) {
 
 func TestCorruptedArtifactFails(t *testing.T) {
 	dir := t.TempDir()
-	mani := writeManifest(t, dir)
+	mani := writeManifest(t, dir, repoSpec)
 	attr := filepath.Join(dir, "c.attr.csv")
 	data, err := os.ReadFile(attr)
 	if err != nil {
@@ -79,7 +80,7 @@ func TestCorruptedArtifactFails(t *testing.T) {
 
 func TestMissingArtifactFails(t *testing.T) {
 	dir := t.TempDir()
-	mani := writeManifest(t, dir)
+	mani := writeManifest(t, dir, repoSpec)
 	if err := os.Remove(filepath.Join(dir, "c.trace.json")); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestMissingArtifactFails(t *testing.T) {
 
 func TestTamperedSpecFails(t *testing.T) {
 	dir := t.TempDir()
-	mani := writeManifest(t, dir)
+	mani := writeManifest(t, dir, repoSpec)
 	data, err := os.ReadFile(mani)
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +105,21 @@ func TestTamperedSpecFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmdtest.RunError(t, []string{mani})
+}
+
+// TestRelativeInputFile: a manifest whose spec reads a DIMACS file by a
+// relative path reproduces from the directory that path resolves in.
+func TestRelativeInputFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "g.dimacs"), []byte("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mani := writeManifest(t, dir, "[run]\ncommand = \"concomp\"\n"+
+		"[workload]\ninput = \"g.dimacs\"\nmachine = \"mta\"\nprocs = 2\n[output]\nmanifest = \"m.json\"\n")
+	want := "re-run reproduced 2 input(s) and 1 artifact(s) exactly"
+	if out := cmdtest.RunIn(t, dir, "m.json"); !strings.Contains(out, want) {
+		t.Errorf("reproduce %s from its directory: output missing %q; got:\n%s", mani, want, out)
+	}
 }
 
 func TestRejectsUsageErrors(t *testing.T) {

@@ -14,17 +14,32 @@ import (
 	"testing"
 )
 
-// Run builds the main package in the current directory, executes it with
-// args, and returns its combined output. It fails the test on build
-// error, non-zero exit, or empty output.
-func Run(t *testing.T, args ...string) string {
+// build builds the main package in the current directory and returns
+// the binary's path.
+func build(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "smoke")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	cmd := exec.Command(bin, args...)
+	return bin
+}
+
+// Run builds the main package in the current directory, executes it with
+// args, and returns its combined output. It fails the test on build
+// error, non-zero exit, or empty output.
+func Run(t *testing.T, args ...string) string {
+	t.Helper()
+	return RunIn(t, "", args...)
+}
+
+// RunIn is Run with the binary executed in dir ("" = the current
+// directory), where its relative paths resolve.
+func RunIn(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(build(t), args...)
+	cmd.Dir = dir
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &buf, &buf
 	if err := cmd.Run(); err != nil {
@@ -56,12 +71,7 @@ func Expect(t *testing.T, args []string, want ...string) string {
 // want substring is missing from the combined output.
 func RunError(t *testing.T, args []string, want ...string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "smoke")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(build(t), args...)
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &buf, &buf
 	err := cmd.Run()

@@ -55,6 +55,12 @@ func TestGoldenBits(t *testing.T) {
 	// direct-mapped L1 set.
 	colorAliased := graph.RandomGnm(1728, 6912, 42)
 	expr := treecon.RandomExpr(4096, 42)
+	// exprAliased (581 leaves, 1,161 nodes) puts EvalSMP's parentA and
+	// linA entries for node i 9,408 + 12i bytes apart, within a line of
+	// 16 KB at i = 580 and 581, the first nodes of processor 1's init
+	// range: that phase's two stores per node fall in one direct-mapped
+	// L1 set there, so their order shows in the stats.
+	exprAliased := treecon.RandomExpr(581, 42)
 	vals := make([]int64, l.Len())
 	for i := range vals {
 		vals[i] = int64(i%13) - 6
@@ -244,6 +250,11 @@ func TestGoldenBits(t *testing.T) {
 			treecon.EvalSMP(expr, s, 42)
 			return s.Stats()
 		}, 0xc79db5adf773235b},
+		{"smp direct-mapped treecon aliased", func() any {
+			s := smp.New(smpCfg(1, 4<<20))
+			treecon.EvalSMP(exprAliased, s, 42)
+			return s.Stats()
+		}, 0xcac549b733b3bbe1},
 		{"smp 3MB L2 listrank", func() any {
 			s := smp.New(smpCfg(1, 3<<20))
 			listrank.RankSMP(long, s, 16, 42)

@@ -142,15 +142,6 @@ func Decode(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteFile encodes the manifest into path.
-func (m *Manifest) WriteFile(path string) error {
-	data, err := m.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // ReadFile loads and schema-checks the manifest at path.
 func ReadFile(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)

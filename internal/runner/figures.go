@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 
 	"pargraph/internal/harness"
@@ -16,7 +15,7 @@ import (
 // the result cache and renders nothing: its other cells' slots are
 // zero.
 func (rc *runCtx) runFigures() error {
-	sp, o := rc.sp, rc.o
+	sp := rc.sp
 	f := &sp.Figures
 	scale, err := harness.ParseScale(sp.Run.Scale)
 	if err != nil {
@@ -32,9 +31,6 @@ func (rc *runCtx) runFigures() error {
 		rec = &trace.Recorder{}
 		rc.env.TraceSink = rec
 	}
-
-	text := render && f.Format == "text"
-	csvMode := render && f.Format == "csv"
 
 	// Scale defaults, with the spec's sweep-axis overrides applied.
 	fig1P := harness.DefaultFig1(scale)
@@ -54,11 +50,10 @@ func (rc *runCtx) runFigures() error {
 		fig2P.EdgeFactors = f.EdgeFactors
 	}
 
+	// Fig. 1 and Fig. 2 are filed in the report when they first run, so
+	// the summary reuses them (and a -summary -json report carries both).
 	rep := &harness.Report{}
-	var buf bytes.Buffer
-	out := &buf
-
-	runFig1 := func() (*harness.Fig1Result, error) {
+	fig1 := func() (*harness.Fig1Result, error) {
 		if rep.Fig1 == nil {
 			res, err := rc.env.RunFig1(fig1P)
 			if err != nil {
@@ -68,7 +63,7 @@ func (rc *runCtx) runFigures() error {
 		}
 		return rep.Fig1, nil
 	}
-	runFig2 := func() (*harness.Fig2Result, error) {
+	fig2 := func() (*harness.Fig2Result, error) {
 		if rep.Fig2 == nil {
 			res, err := rc.env.RunFig2(fig2P)
 			if err != nil {
@@ -79,142 +74,76 @@ func (rc *runCtx) runFigures() error {
 		return rep.Fig2, nil
 	}
 
-	if f.All || f.Fig == 1 {
-		r, err := runFig1()
-		if err != nil {
-			return err
-		}
-		if text {
-			r.WriteText(out)
-		}
-		if csvMode {
-			if err := r.WriteCSV(out); err != nil {
-				return err
-			}
+	// The selected sections in report order: the paper's figures and
+	// table, the summary, then the experiments.
+	var sections []func() (any, error)
+	add := func(on bool, section func() (any, error)) {
+		if on {
+			sections = append(sections, section)
 		}
 	}
-	if f.All || f.Fig == 2 {
-		r, err := runFig2()
+	add(f.All || f.Fig == 1, func() (any, error) { return fig1() })
+	add(f.All || f.Fig == 2, func() (any, error) { return fig2() })
+	add(f.All || f.Table == 1, func() (any, error) { return rc.env.RunTable1(table1P) })
+	add(f.All || f.Summary, func() (any, error) {
+		f1, err := fig1()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if text {
-			r.WriteText(out)
-		}
-		if csvMode {
-			if err := r.WriteCSV(out); err != nil {
-				return err
-			}
-		}
-	}
-	if f.All || f.Table == 1 {
-		if rep.Table1, err = rc.env.RunTable1(table1P); err != nil {
-			return err
-		}
-		if text {
-			rep.Table1.WriteText(out)
-		}
-		if csvMode {
-			if err := rep.Table1.WriteCSV(out); err != nil {
-				return err
-			}
-		}
-	}
-	if f.All || f.Summary {
-		f1, err := runFig1()
+		f2, err := fig2()
 		if err != nil {
-			return err
-		}
-		f2, err := runFig2()
-		if err != nil {
-			return err
+			return nil, err
 		}
 		// The headline ratios derive from every fig1/fig2 cell, so a
 		// shard, holding only its slice of them, skips the derivation.
-		if render {
-			sum, err := harness.Summarize(f1, f2)
-			if err != nil {
-				return err
-			}
-			rep.Summary = sum
-			if text {
-				sum.WriteText(out)
-			}
+		if !render {
+			return nil, nil
 		}
+		return harness.Summarize(f1, f2)
+	})
+	exps := rc.experiments(scale, coloringP)
+	for _, name := range spec.FigureExps {
+		add(f.All || f.Exp == name, exps[name])
 	}
 
-	exps := rc.experiments(scale, coloringP)
-	runExp := func(name string) error {
-		res, err := exps[name]()
+	var buf bytes.Buffer
+	for _, section := range sections {
+		res, err := section()
 		if err != nil {
 			return err
 		}
-		switch v := res.(type) {
-		case *harness.SaturationResult:
-			rep.Saturation = v
-		case *harness.StreamsResult:
-			rep.Streams = v
-		case *harness.TreeEvalResult:
-			rep.TreeEval = v
-		case *harness.ColoringResult:
-			rep.Coloring = v
-		case *harness.AblationResult:
-			rep.Ablations = append(rep.Ablations, v)
+		if !render {
+			continue
 		}
-		if text {
-			res.(interface{ WriteText(io.Writer) }).WriteText(out)
-		}
-		return nil
-	}
-	if f.All {
-		for _, name := range spec.FigureExps {
-			if err := runExp(name); err != nil {
+		rep.Add(res)
+		switch f.Format {
+		case "text":
+			res.(interface{ WriteText(io.Writer) }).WriteText(&buf)
+		case "csv": // Fig. 1, Fig. 2 and Table 1 only (spec.Validate)
+			if err := res.(interface{ WriteCSV(io.Writer) error }).WriteCSV(&buf); err != nil {
 				return err
 			}
 		}
-	} else if f.Exp != "" {
-		if err := runExp(f.Exp); err != nil {
-			return err
-		}
 	}
-
 	if !render {
 		return nil
 	}
-
 	if f.Format == "json" {
 		if err := rep.WriteJSON(&buf); err != nil {
 			return err
 		}
 	}
 
-	// Emit: report (file or stdout), then trace/attr files rendered
+	// The report (a file, or stdout), then the trace/attr files rendered
 	// from the whole-run recorder; the manifest records them in that
 	// same order.
-	if sp.Output.Report != "" {
-		if err := rc.emit("report", sp.Output.Report, buf.Bytes(), ""); err != nil {
-			return err
-		}
-	} else {
-		if _, err := o.Stdout.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		rc.record("report", "", buf.Bytes())
-	}
-
-	if err := rc.traceArtifacts(rec); err != nil {
-		return err
-	}
-
-	if text {
-		fmt.Fprintln(o.Stdout, "done.")
-	}
-	return nil
+	rc.record("report", sp.Output.Report, buf.Bytes())
+	return rc.traceArtifacts(rec)
 }
 
 // experiments maps each -exp name (spec.FigureExps) to its run at
 // scale; each returns its result, which runFigures files in the report
-// and writes out.
+// and renders.
 func (rc *runCtx) experiments(scale harness.Scale, coloringP harness.ColoringParams) map[string]func() (any, error) {
 	return map[string]func() (any, error){
 		"saturation": func() (any, error) {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -57,7 +58,7 @@ type cachedRun struct {
 func runWithStats(t *testing.T, sp *spec.Spec) cachedRun {
 	t.Helper()
 	var out, errb bytes.Buffer
-	if err := Run(sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
+	if err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := manifest.ReadFile(sp.Output.Manifest)
@@ -194,7 +195,8 @@ func TestMixedSweepRecordsColdInputs(t *testing.T) {
 // TestForgedInputDigestFailsRun: a replayed digest goes through the
 // manifest log's conflict check like a freshly hashed one. A result
 // entry rewritten with one input digest altered, replayed beside a
-// cell that hashes the same input, fails the run.
+// cell that hashes the same input, fails the run, which then prints
+// none of the report it rendered.
 func TestForgedInputDigestFailsRun(t *testing.T) {
 	t.Setenv(cmdutil.CacheEnv, "")
 	dir := t.TempDir()
@@ -230,10 +232,14 @@ func TestForgedInputDigestFailsRun(t *testing.T) {
 	}
 
 	sp := parseSpec(t, fig1Spec("[1, 2, 4]"), filepath.Join(dir, "mixed.json"), cache)
-	err = Run(sp, Options{Stdout: &bytes.Buffer{}, Stderr: &bytes.Buffer{}})
+	var out bytes.Buffer
+	err = Run(context.Background(), sp, Options{Stdout: &out, Stderr: &bytes.Buffer{}})
 	want := fmt.Sprintf("input %q resolved twice with different content", in.Key)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v, want the manifest conflict %q", err, want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("the failed run printed its report:\n%s", out.String())
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // computes its machine's cell into the result cache and renders
 // nothing.
 func (rc *runCtx) runProfile() error {
-	sp, o := rc.sp, rc.o
+	sp := rc.sp
 	p := &sp.Profile
 
 	layout := list.Random
@@ -70,9 +70,6 @@ func (rc *runCtx) runProfile() error {
 	}
 	if p.Timeline > 0 {
 		rec.WriteTimeline(&buf, p.Timeline)
-	}
-	if _, err := o.Stdout.Write(buf.Bytes()); err != nil {
-		return err
 	}
 	rc.record("stdout", "", buf.Bytes())
 	return rc.traceArtifacts(rec)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -49,14 +50,14 @@ func TestWarmRunIsByteIdenticalAndSkipsSimulation(t *testing.T) {
 	cold := loadTestSpec(t, dir, "cold.json")
 	cold.Run.CacheDir = cache
 	var coldOut bytes.Buffer
-	if err := Run(cold, Options{Stdout: &coldOut, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), cold, Options{Stdout: &coldOut, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 
 	warm := loadTestSpec(t, dir, "warm.json")
 	warm.Run.CacheDir = cache
 	var warmOut, warmErr bytes.Buffer
-	if err := Run(warm, Options{Stdout: &warmOut, Stderr: &warmErr, CacheStats: true}); err != nil {
+	if err := Run(context.Background(), warm, Options{Stdout: &warmOut, Stderr: &warmErr, CacheStats: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), warmOut.Bytes()) {
@@ -118,14 +119,14 @@ func TestNoResultCacheForcesRecompute(t *testing.T) {
 	cold := loadTestSpec(t, dir, "cold.json")
 	cold.Run.CacheDir = cache
 	var coldOut bytes.Buffer
-	if err := Run(cold, Options{Stdout: &coldOut, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), cold, Options{Stdout: &coldOut, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 
 	off := loadTestSpec(t, dir, "off.json")
 	off.Run.CacheDir = cache
 	var offOut, offErr bytes.Buffer
-	if err := Run(off, Options{Stdout: &offOut, Stderr: &offErr, CacheStats: true, NoResultCache: true}); err != nil {
+	if err := Run(context.Background(), off, Options{Stdout: &offOut, Stderr: &offErr, CacheStats: true, NoResultCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), offOut.Bytes()) {
@@ -185,7 +186,7 @@ func TestUnopenableCacheDirRunsUncached(t *testing.T) {
 	sp.Run.Shard = "0/2"
 	var cells atomic.Int32
 	var out bytes.Buffer
-	err := Run(sp, Options{Stdout: &out, Stderr: &out, CellObserver: func(float64) { cells.Add(1) }})
+	err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: &out, CellObserver: func(float64) { cells.Add(1) }})
 	if err == nil || !strings.HasPrefix(err.Error(), "opening input cache: diskcache: mkdir ") {
 		t.Fatalf("sharded run on an unopenable cache: err = %v, want the open error", err)
 	}
@@ -203,7 +204,7 @@ func TestResultKeysPinSchemaVersion(t *testing.T) {
 	dir := t.TempDir()
 	sp := loadTestSpec(t, dir, "m.json")
 	sp.Run.CacheDir = filepath.Join(dir, "cache")
-	if err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := manifest.ReadFile(sp.Output.Manifest)
@@ -253,7 +254,7 @@ func TestResultCacheCorruptionRecomputesSilently(t *testing.T) {
 	cold := loadTestSpec(t, dir, "cold.json")
 	cold.Run.CacheDir = cache
 	var coldOut bytes.Buffer
-	if err := Run(cold, Options{Stdout: &coldOut, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), cold, Options{Stdout: &coldOut, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,7 +285,7 @@ func TestResultCacheCorruptionRecomputesSilently(t *testing.T) {
 	tampered := loadTestSpec(t, dir, "tampered.json")
 	tampered.Run.CacheDir = cache
 	var tamperedOut, tamperedErr bytes.Buffer
-	if err := Run(tampered, Options{Stdout: &tamperedOut, Stderr: &tamperedErr, CacheStats: true}); err != nil {
+	if err := Run(context.Background(), tampered, Options{Stdout: &tamperedOut, Stderr: &tamperedErr, CacheStats: true}); err != nil {
 		t.Fatalf("run over a corrupted cache errored instead of recomputing: %v", err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), tamperedOut.Bytes()) {
@@ -307,7 +308,7 @@ func TestResultCacheCorruptionRecomputesSilently(t *testing.T) {
 	again := loadTestSpec(t, dir, "again.json")
 	again.Run.CacheDir = cache
 	var againOut bytes.Buffer
-	if err := Run(again, Options{Stdout: &againOut, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), again, Options{Stdout: &againOut, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), againOut.Bytes()) {
@@ -336,7 +337,7 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 	prime := loadTestSpec(t, dir, "prime.json")
 	prime.Run.CacheDir = cache
 	var want bytes.Buffer
-	if err := Run(prime, Options{Stdout: &want, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), prime, Options{Stdout: &want, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,7 +346,7 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 	base := loadTestSpec(t, dir, "warm-base.json")
 	base.Run.CacheDir = cache
 	var baseOut bytes.Buffer
-	if err := Run(base, Options{Stdout: &baseOut, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), base, Options{Stdout: &baseOut, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), baseOut.Bytes()) {
@@ -361,7 +362,7 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 		sp.Run.CacheDir = cache
 		sp.Run.Jobs = jobs
 		var out bytes.Buffer
-		if err := Run(sp, Options{Stdout: &out, Stderr: io.Discard}); err != nil {
+		if err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: io.Discard}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		if !bytes.Equal(out.Bytes(), want.Bytes()) {
@@ -386,7 +387,7 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 			sp.Run.CacheDir = cache
 			sp.Run.Shard = fmt.Sprintf("%d/%d", i, count)
 			var out, errb bytes.Buffer
-			if err := Run(sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
+			if err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
 				t.Fatalf("shard %d/%d: %v", i, count, err)
 			}
 			if out.Len() != 0 {
@@ -399,7 +400,7 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 		sp := loadTestSpec(t, dir, fmt.Sprintf("rmerged-%d.json", count))
 		sp.Run.CacheDir = cache
 		var mergedOut bytes.Buffer
-		if err := Run(sp, Options{Stdout: &mergedOut, Stderr: io.Discard}); err != nil {
+		if err := Run(context.Background(), sp, Options{Stdout: &mergedOut, Stderr: io.Discard}); err != nil {
 			t.Fatalf("unsharded run over %d shards: %v", count, err)
 		}
 		if !bytes.Equal(mergedOut.Bytes(), want.Bytes()) {

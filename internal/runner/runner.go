@@ -8,10 +8,17 @@
 // single-run commands (coloring, listrank, concomp) are one-cell
 // sweeps (harness.Env.RunCell).
 //
+// Every run collects its artifacts in memory. RunContext hands them
+// back (cmd/serve, perfbench); Run, which the cmds call, writes them in
+// one last step, after the whole run succeeded: artifacts bound for
+// standard output to Options.Stdout, every other one to its spec path.
+//
 // When the spec names a manifest ([output] manifest, the cmds'
-// -emit-manifest), the runner records every input the run resolves
-// (through the sweep cache's hook) and every artifact it writes, and
-// emits a reproducibility manifest (internal/manifest).
+// -emit-manifest), and always under RunContext, the runner records
+// every input the run resolves (through the sweep cache's hook) and
+// every artifact it produces, and builds a reproducibility manifest
+// (internal/manifest). Reproduce re-runs a manifest's spec and diffs
+// the two records (cmd/reproduce).
 //
 // A sharded run ([run] shard = "i/N") computes only the cells it owns
 // and stores them in the result cache; it renders nothing. The same
@@ -39,7 +46,7 @@ import (
 // Options carries the execution extras that live outside the spec:
 // where output goes, and the flag-only toggles individual cmds keep.
 type Options struct {
-	Stdout io.Writer // defaults to os.Stdout
+	Stdout io.Writer // where Run prints; defaults to os.Stdout
 	Stderr io.Writer // defaults to os.Stderr
 
 	// DumpGraph writes the built graph to a DIMACS file before running
@@ -51,19 +58,14 @@ type Options struct {
 	// a cache directory is attached.
 	NoResultCache bool
 
-	// CacheStats prints the input- and result-cache hit/miss/byte
-	// counters to stderr after the run (-cache-stats).
+	// CacheStats makes Run print the input- and result-cache
+	// hit/miss/byte counters to stderr after its artifacts
+	// (-cache-stats); RunContext hands them back in its Result.
 	CacheStats bool
 
 	// CacheMaxBytes bounds the cache directory's size; on overflow the
 	// oldest entries are pruned (-cache-max-bytes, 0 = unbounded).
 	CacheMaxBytes int64
-
-	// Interrupt, when non-nil, cancels a Run at the next sweep-cell
-	// boundary (the cmds wire signal.NotifyContext here). RunContext's
-	// ctx takes precedence; this field exists for the file-writing Run
-	// path, which has no context parameter.
-	Interrupt context.Context
 
 	// CellObserver, when non-nil, receives the wall-clock seconds of
 	// every sweep cell the run executes, the one cell of a single-run
@@ -74,27 +76,28 @@ type Options struct {
 
 // Artifact is one produced output with its rendered bytes retained in
 // memory. Name is the artifact's role (report, stdout, trace, attr,
-// manifest); Path is where the spec would have written it, "" meaning
-// it would have gone to standard output.
+// manifest); Path is where Run writes it, "" meaning standard output.
 type Artifact struct {
 	Name string
 	Path string
 	Data []byte
 }
 
-// Result is what a collected run (RunContext) hands back: every
-// artifact the CLI would have written, the run's decoded provenance
-// manifest, and the run's own cache traffic.
+// Result is what a run produced: every artifact in the order Run
+// writes them, the run's decoded provenance manifest, and the run's own
+// cache traffic.
 type Result struct {
 	Artifacts []Artifact
-	// Manifest is the run's reproducibility record (always built for
-	// collected runs): spec hash, input content keys, artifact hashes,
-	// and — when the result cache was consulted — each sweep cell's
-	// computed-vs-cache provenance.
+	// Manifest is the run's reproducibility record (nil for a shard):
+	// spec hash, input content keys, artifact hashes, and — when the
+	// result cache was consulted — each sweep cell's computed-vs-cache
+	// provenance.
 	Manifest *manifest.Manifest
 	// InputStats / ResultStats are this run's disk-cache counters
 	// (zero-valued when the respective store is off).
 	InputStats, ResultStats diskcache.Stats
+
+	inputStore, resultStore *diskcache.Store
 }
 
 // Artifact returns the artifact with the given role name, or nil.
@@ -107,58 +110,88 @@ func (r *Result) Artifact(name string) *Artifact {
 	return nil
 }
 
-// Run executes a validated spec. The caller must have called
-// sp.Validate; Run trusts the spec's invariants. Cancellation follows
-// Options.Interrupt (the cmds wire signal.NotifyContext there).
-func Run(sp *spec.Spec, o Options) error {
-	_, err := run(o.Interrupt, sp, o, false)
-	return err
+// fileNotes is the stderr line Run prints after writing an artifact of
+// each role to its file; a report file gets none.
+var fileNotes = map[string]string{
+	"trace":    "wrote Chrome trace to %s\n",
+	"attr":     "wrote attribution CSV to %s\n",
+	"manifest": "wrote manifest to %s\n",
 }
 
-// RunContext executes a validated spec under ctx and collects every
-// artifact in memory instead of writing files: the entry point for
-// embedding the runner in a long-running process (cmd/serve), where a
-// job's artifacts are served back over HTTP rather than landing in the
-// server's working directory — a client-supplied spec never touches the
-// server's filesystem outside the cache directory: a spec naming a
-// [workload] input file is rejected before anything is opened. The
-// provenance manifest is always built, whether or not the spec names
-// one; ctx cancellation stops sweeps at the next cell boundary.
+// Run executes a validated spec under ctx and writes what it produced,
+// in order: each artifact bound for standard output to o.Stdout, each
+// other one to its path with a note on o.Stderr, then a figures text
+// report's closing "done." line. No artifact is written unless the
+// whole run succeeded (Options.DumpGraph's file is no artifact). The
+// caller must have called sp.Validate; Run trusts the spec's
+// invariants. ctx cancellation stops sweeps at the next cell boundary
+// (the cmds wire signal.NotifyContext there).
+func Run(ctx context.Context, sp *spec.Spec, o Options) error {
+	res, err := run(ctx, sp, &o, sp.Output.Manifest != "")
+	if err != nil {
+		return err
+	}
+	for _, a := range res.Artifacts {
+		if a.Path == "" {
+			if _, err := o.Stdout.Write(a.Data); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := os.WriteFile(a.Path, a.Data, 0o644); err != nil {
+			if a.Name == "manifest" {
+				err = fmt.Errorf("writing manifest: %w", err)
+			}
+			return err
+		}
+		if note := fileNotes[a.Name]; note != "" {
+			fmt.Fprintf(o.Stderr, note, a.Path)
+		}
+	}
+	if sp.Figures.Format == "text" && res.Artifact("report") != nil {
+		fmt.Fprintln(o.Stdout, "done.")
+	}
+	if o.CacheStats {
+		cmdutil.PrintCacheStats(o.Stderr, "input", res.inputStore)
+		cmdutil.PrintCacheStats(o.Stderr, "result", res.resultStore)
+	}
+	return nil
+}
+
+// RunContext executes a validated spec under ctx and returns its
+// artifacts in memory, writing none: the entry point for embedding the
+// runner in a long-running process (cmd/serve), where a job's artifacts
+// are served back over HTTP rather than landing in the server's working
+// directory. The provenance manifest is always built, whether or not
+// the spec names one; ctx cancellation stops sweeps at the next cell
+// boundary. A [workload] input file is read like Run reads it: a caller
+// serving outside clients refuses such specs before the run.
 func RunContext(ctx context.Context, sp *spec.Spec, o Options) (*Result, error) {
-	return run(ctx, sp, o, true)
+	return run(ctx, sp, &o, true)
 }
 
-func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, error) {
+// run executes sp, collecting its artifacts, and builds the manifest
+// when withManifest is set (a shard builds none). It fills in o's
+// default writers.
+func run(ctx context.Context, sp *spec.Spec, o *Options, withManifest bool) (*Result, error) {
 	if o.Stdout == nil {
 		o.Stdout = os.Stdout
 	}
 	if o.Stderr == nil {
 		o.Stderr = os.Stderr
 	}
-	if collect && o.DumpGraph != "" {
-		return nil, fmt.Errorf("collected runs write no files; -out is not available")
-	}
-	if collect && sp.Workload.Input != "" {
-		return nil, fmt.Errorf("collected runs read no files; [workload] input is not available")
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// Each run executes in its own harness.Env — no process-global
 	// state, so concurrent runs (cmd/serve's job workers) don't see
 	// each other's shard, caches, hooks, or trace wiring.
-	env := &harness.Env{CellObserver: o.CellObserver}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		env.Interrupt = ctx
-	}
+	env := &harness.Env{CellObserver: o.CellObserver, Interrupt: ctx}
 
 	shard, err := sweep.ParseShard(sp.Run.Shard)
 	if err != nil {
 		return nil, err
-	}
-	if collect && shard.Active() {
-		return nil, fmt.Errorf("sharded runs write no artifacts; collected runs cannot shard")
 	}
 	env.Shard = shard
 	if env.HostWorkers, err = cmdutil.ResolveWorkers(sp.Run.Workers); err != nil {
@@ -206,8 +239,8 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		}
 	}
 
-	rc := &runCtx{sp: sp, o: &o, collect: collect, env: env}
-	if (sp.Output.Manifest != "" || collect) && !shard.Active() {
+	rc := &runCtx{sp: sp, o: o, env: env}
+	if withManifest && !shard.Active() {
 		rc.mlog = &manifest.Log{}
 		env.InputHook = func(d sweep.Digest) { rc.mlog.Add(manifest.Input(d)) }
 		env.ResultHook = rc.mlog.AddResult
@@ -233,75 +266,52 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		fmt.Fprintf(o.Stderr, "shard %s: stored its cells in the result cache at %s; rerun without -shard on that cache directory to write the artifacts\n", shard, resultStore.Dir())
 	}
 
-	var result *Result
-	if collect {
-		result = &Result{}
-	}
+	res := &Result{inputStore: inputStore, resultStore: resultStore}
 	if rc.mlog != nil {
 		m, err := rc.buildManifest()
 		if err != nil {
 			return nil, err
 		}
-		if collect {
-			data, err := m.Encode()
-			if err != nil {
-				return nil, err
-			}
-			rc.keep("manifest", sp.Output.Manifest, data)
-			result.Manifest = m
-		} else {
-			if err := m.WriteFile(sp.Output.Manifest); err != nil {
-				return nil, fmt.Errorf("writing manifest: %w", err)
-			}
-			fmt.Fprintf(o.Stderr, "wrote manifest to %s\n", sp.Output.Manifest)
+		data, err := m.Encode()
+		if err != nil {
+			return nil, err
 		}
+		rc.keep("manifest", sp.Output.Manifest, data)
+		res.Manifest = m
 	}
-	if collect {
-		result.Artifacts = rc.out
-		if inputStore != nil {
-			result.InputStats = inputStore.Stats()
-		}
-		if resultStore != nil {
-			result.ResultStats = resultStore.Stats()
-		}
+	res.Artifacts = rc.out
+	if inputStore != nil {
+		res.InputStats = inputStore.Stats()
 	}
-
-	if o.CacheStats {
-		cmdutil.PrintCacheStats(o.Stderr, "input", inputStore)
-		cmdutil.PrintCacheStats(o.Stderr, "result", resultStore)
+	if resultStore != nil {
+		res.ResultStats = resultStore.Stats()
 	}
-	return result, nil
+	return res, nil
 }
 
 // runCtx is one run's mutable state: the spec, the output options, the
 // run's private execution environment, the manifest input log (nil when
-// no manifest was requested), and the artifacts recorded so far. With
-// collect set, rendered artifact bytes are retained in out instead of
-// being written to their spec paths.
+// no manifest was requested), and the artifacts produced so far.
 type runCtx struct {
-	sp      *spec.Spec
-	o       *Options
-	env     *harness.Env
-	mlog    *manifest.Log
-	arts    []manifest.Artifact
-	collect bool
-	out     []Artifact
+	sp   *spec.Spec
+	o    *Options
+	env  *harness.Env
+	mlog *manifest.Log
+	arts []manifest.Artifact
+	out  []Artifact
 }
 
-// keep retains artifact bytes for the in-memory result without
-// recording them in the manifest — used for wall-clock outputs no
-// manifest can promise to reproduce, and for the manifest itself (which
-// cannot contain its own hash).
+// keep retains artifact bytes without recording them in the manifest —
+// used for wall-clock outputs no manifest can promise to reproduce, and
+// for the manifest itself (which cannot contain its own hash).
 func (rc *runCtx) keep(name, path string, data []byte) {
-	if rc.collect {
-		rc.out = append(rc.out, Artifact{Name: name, Path: path, Data: data})
-	}
+	rc.out = append(rc.out, Artifact{Name: name, Path: path, Data: data})
 }
 
-// record notes a produced artifact (already-rendered bytes) for the
-// manifest and, when collecting, the in-memory result. Call order
-// defines the manifest's artifact order; each sub-runner records in its
-// fixed role order.
+// record retains a produced artifact (already-rendered bytes) and notes
+// it for the manifest. Call order defines the artifacts' order, in the
+// manifest and on output; each sub-runner records in its fixed role
+// order.
 func (rc *runCtx) record(name, path string, data []byte) {
 	rc.keep(name, path, data)
 	if rc.mlog == nil {
@@ -312,27 +322,9 @@ func (rc *runCtx) record(name, path string, data []byte) {
 	})
 }
 
-// emit delivers one file-bound artifact: written to its path (unless
-// the run collects artifacts in memory, where nothing touches the
-// filesystem), noted on stderr with note ("wrote ... to %s\n"), and
-// recorded. Artifacts bound for stdout don't come through here — their
-// callers write o.Stdout and call record directly.
-func (rc *runCtx) emit(name, path string, data []byte, note string) error {
-	if !rc.collect {
-		if err := writeFile(path, data); err != nil {
-			return err
-		}
-		if note != "" {
-			fmt.Fprintf(rc.o.Stderr, note, path)
-		}
-	}
-	rc.record(name, path, data)
-	return nil
-}
-
-// traceArtifacts renders and writes the trace and attribution artifacts
-// the spec asks for from the run's recorder (nil: not traced), in that
-// order, recording them in the manifest.
+// traceArtifacts renders the trace and attribution artifacts the spec
+// asks for from the run's recorder (nil: not traced), in that order,
+// and records them.
 func (rc *runCtx) traceArtifacts(rec *trace.Recorder) error {
 	if rec == nil {
 		return nil
@@ -342,18 +334,14 @@ func (rc *runCtx) traceArtifacts(rec *trace.Recorder) error {
 		if err := rec.WriteChromeTrace(&b); err != nil {
 			return err
 		}
-		if err := rc.emit("trace", path, b.Bytes(), "wrote Chrome trace to %s\n"); err != nil {
-			return err
-		}
+		rc.record("trace", path, b.Bytes())
 	}
 	if path := rc.sp.Output.Attr; path != "" {
 		var b bytes.Buffer
 		if err := rec.WriteAttributionCSV(&b); err != nil {
 			return err
 		}
-		if err := rc.emit("attr", path, b.Bytes(), "wrote attribution CSV to %s\n"); err != nil {
-			return err
-		}
+		rc.record("attr", path, b.Bytes())
 	}
 	return nil
 }
@@ -370,9 +358,4 @@ func (rc *runCtx) buildManifest() (*manifest.Manifest, error) {
 	m.Artifacts = rc.arts
 	m.Results = rc.mlog.Results()
 	return m, nil
-}
-
-// writeFile writes rendered artifact bytes to path.
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

@@ -55,7 +55,7 @@ func TestManifestInvariantToExecutionKnobs(t *testing.T) {
 		sp := loadTestSpec(t, dir, name)
 		sp.Run.Jobs = cfg.jobs
 		sp.Run.Workers = cfg.workers
-		if err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+		if err := Run(context.Background(), sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 			t.Fatalf("jobs=%d workers=%d: %v", cfg.jobs, cfg.workers, err)
 		}
 		got, err := os.ReadFile(sp.Output.Manifest)
@@ -82,7 +82,7 @@ func TestMergedShardManifestMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 
 	un := loadTestSpec(t, dir, "unsharded.json")
-	if err := Run(un, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+	if err := Run(context.Background(), un, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 	want, wantResults := manifestWithoutResults(t, un.Output.Manifest)
@@ -93,13 +93,13 @@ func TestMergedShardManifestMatchesUnsharded(t *testing.T) {
 			sp := loadTestSpec(t, dir, fmt.Sprintf("shard%d-%d.json", i, count))
 			sp.Run.CacheDir = cache
 			sp.Run.Shard = fmt.Sprintf("%d/%d", i, count)
-			if err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+			if err := Run(context.Background(), sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 				t.Fatalf("shard %d/%d: %v", i, count, err)
 			}
 		}
 		merged := loadTestSpec(t, dir, fmt.Sprintf("merged-%d.json", count))
 		merged.Run.CacheDir = cache
-		if err := Run(merged, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+		if err := Run(context.Background(), merged, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 			t.Fatalf("unsharded run over %d shards: %v", count, err)
 		}
 		got, gotResults := manifestWithoutResults(t, merged.Output.Manifest)
@@ -179,7 +179,7 @@ func TestSingleRunsReportOneCell(t *testing.T) {
 		}
 		var cells atomic.Int32
 		o := Options{Stdout: io.Discard, Stderr: io.Discard, CellObserver: func(float64) { cells.Add(1) }}
-		if err := Run(sp, o); err != nil {
+		if err := Run(context.Background(), sp, o); err != nil {
 			t.Fatal(err)
 		}
 		if got := cells.Load(); got != 1 {
@@ -188,10 +188,10 @@ func TestSingleRunsReportOneCell(t *testing.T) {
 	}
 }
 
-// TestCollectedRunsReadNoInputFile: a collected run (cmd/serve's path)
-// refuses a spec naming a [workload] input file with one line, where a
-// CLI run of the same spec reads it.
-func TestCollectedRunsReadNoInputFile(t *testing.T) {
+// TestCollectedRunReadsInputFile: RunContext reads a [workload] input
+// file as Run does and collects the bytes Run prints. cmd/serve's
+// admission, not the runner, keeps a client's spec off server files.
+func TestCollectedRunReadsInputFile(t *testing.T) {
 	t.Setenv(cmdutil.CacheEnv, "")
 	path := filepath.Join(t.TempDir(), "g.dimacs")
 	if err := os.WriteFile(path, []byte("p edge 3 2\ne 1 2\ne 2 3\n"), 0o644); err != nil {
@@ -203,12 +203,19 @@ func TestCollectedRunsReadNoInputFile(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := RunContext(context.Background(), sp, Options{Stdout: io.Discard, Stderr: io.Discard})
-	if err == nil || !strings.Contains(err.Error(), "[workload] input is not available") {
-		t.Fatalf("collected run with an input file: err = %v, want the one-line refusal", err)
+	var out bytes.Buffer
+	if err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: io.Discard}); err != nil {
+		t.Fatalf("CLI run: %v", err)
 	}
-	if err := Run(sp, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
-		t.Fatalf("CLI run of the same spec: %v", err)
+	if !strings.Contains(out.String(), "components verified ok") {
+		t.Fatalf("CLI run printed:\n%s", out.String())
+	}
+	res, err := RunContext(context.Background(), sp, Options{Stdout: io.Discard, Stderr: io.Discard})
+	if err != nil {
+		t.Fatalf("collected run: %v", err)
+	}
+	if a := res.Artifact("stdout"); a == nil || !bytes.Equal(a.Data, out.Bytes()) {
+		t.Errorf("collected stdout %+v, want the CLI's:\n%s", a, out.String())
 	}
 }
 

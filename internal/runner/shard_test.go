@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func shardRun(t *testing.T, text, dir, name, cache, shard string) artifacts {
 		sp.Output.Attr = filepath.Join(dir, name+".attr")
 	}
 	var out, errb bytes.Buffer
-	if err := Run(sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
+	if err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: &errb, CacheStats: true}); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	a := artifacts{stdout: out.Bytes(), files: map[string][]byte{}, stderr: errb.String()}
@@ -221,7 +222,7 @@ func TestShardNeedsResultCache(t *testing.T) {
 			sp.Run.Shard = "0/2"
 			var cells atomic.Int32
 			var out bytes.Buffer
-			err := Run(sp, Options{Stdout: &out, Stderr: &out, NoResultCache: tc.noResult,
+			err := Run(context.Background(), sp, Options{Stdout: &out, Stderr: &out, NoResultCache: tc.noResult,
 				CellObserver: func(float64) { cells.Add(1) }})
 			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
 				t.Fatalf("err = %v, want one line containing %q", err, want)

@@ -35,16 +35,17 @@ import (
 // One rule decides memo and manifest: stdout without a wall-clock field
 // (cell names its result-relevant config) is memoized under cell with
 // the listed inputs (harness.Memo) and recorded in the manifest;
-// wall-clock stdout (cell == "") is neither, only kept for collected
-// runs. prepare, when non-nil, runs in the cell before the memo
-// (concomp -out needs the graph even when the result is cached).
-// A simulated machine is traced when the spec asks for a trace or an
-// attribution; the artifacts come out as trace, attr, then stdout.
+// wall-clock stdout (cell == "") is neither, only kept. prepare, when
+// non-nil, runs in the cell before the memo (concomp -out needs the
+// graph even when the result is cached). The run is traced when the
+// spec asks for a trace or an attribution, which spec.Validate allows
+// only on a simulated machine; the artifacts come out as trace, attr,
+// then stdout.
 func (rc *runCtx) runWorkload(cell string, inputs []string, prepare func(*harness.Cell) error,
 	body func(c *harness.Cell, buf *bytes.Buffer) error) error {
 	sp := rc.sp
 	var rec *trace.Recorder
-	if simulated(sp.Workload.Machine) && (sp.Output.Trace != "" || sp.Output.Attr != "") {
+	if sp.Output.Trace != "" || sp.Output.Attr != "" {
 		rec = &trace.Recorder{}
 		rc.env.TraceSink = rec
 	}
@@ -74,23 +75,14 @@ func (rc *runCtx) runWorkload(cell string, inputs []string, prepare func(*harnes
 	if err := rc.traceArtifacts(rec); err != nil {
 		return err
 	}
-	if _, err := rc.o.Stdout.Write(out); err != nil {
-		return err
-	}
 	if cell == "" {
-		// Wall-clock output: retained for collected runs (a served job's
-		// client still wants it) but never promised by a manifest.
+		// Wall-clock output: printed, and handed back to a served job's
+		// client, but never promised by a manifest.
 		rc.keep("stdout", "", out)
 	} else {
 		rc.record("stdout", "", out)
 	}
 	return nil
-}
-
-// simulated reports whether a single run's machine is one of the
-// simulators; the others run on the host and are never traced.
-func simulated(machine string) bool {
-	return machine == "mta" || machine == "mta-star" || machine == "smp"
 }
 
 // schedule maps the spec's sched name to the MTA loop schedule.
@@ -185,7 +177,7 @@ func (rc *runCtx) runColoring() error {
 	// The simulated machines must also reproduce the host speculative
 	// reference exactly.
 	refKey := sweep.SpecRefKey(gKey)
-	checkRef := w.Verify && simulated(w.Machine)
+	checkRef := w.Verify && spec.Simulated(w.Machine)
 	inputs := []string{gKey}
 	if checkRef {
 		inputs = append(inputs, refKey)
@@ -328,7 +320,7 @@ func (rc *runCtx) runConcomp() error {
 		inputs = append(inputs, ufKey)
 	}
 	var cell string
-	if simulated(w.Machine) {
+	if spec.Simulated(w.Machine) {
 		cell = fmt.Sprintf("wl/concomp/%s/p=%d/verify=%t", w.Machine, w.Procs, w.Verify)
 	}
 	var dump func(*harness.Cell) error

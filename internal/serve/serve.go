@@ -4,9 +4,11 @@
 // artifacts back over HTTP. The server owns the cache directory — a
 // submitted spec's cache-dir setting is overridden with the server's,
 // so every job shares one warm input/result store and a repeated job is
-// a pure cache replay — and collected runs neither write files nor
-// read a [workload] input file (POST /jobs answers 400 to one), so a
-// client-supplied spec cannot name paths on the server's filesystem.
+// a pure cache replay. A job's artifacts come back in memory
+// (runner.RunContext writes no file), and POST /jobs answers 400 to a
+// spec naming a [workload] input file, which the runner would read:
+// that admission check is what keeps a client-supplied spec off paths
+// on the server's filesystem.
 //
 // Endpoints:
 //

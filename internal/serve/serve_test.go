@@ -124,7 +124,7 @@ func TestJobArtifactMatchesCLI(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := runner.Run(sp, runner.Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+	if err := runner.Run(context.Background(), sp, runner.Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(ref)

@@ -310,6 +310,12 @@ func (s *Spec) validateProfile() error {
 	return nil
 }
 
+// Simulated reports whether a single run's [workload] machine is one of
+// the simulators; the others run on the host and are never traced.
+func Simulated(machine string) bool {
+	return machine == "mta" || machine == "mta-star" || machine == "smp"
+}
+
 func (s *Spec) validateWorkload() error {
 	w := &s.Workload
 	cmd := s.Run.Command
@@ -325,6 +331,15 @@ func (s *Spec) validateWorkload() error {
 	case CmdConcomp:
 		if err := enum("workload", "machine", w.Machine, "mta", "mta-star", "smp", "native", "as", "randmate", "hybrid", "seq", "bfs"); err != nil {
 			return err
+		}
+	}
+	// A host machine runs no simulator to trace: a trace or attribution
+	// file would name an artifact the run never writes.
+	if !Simulated(w.Machine) {
+		for _, o := range []struct{ key, path string }{{"trace", s.Output.Trace}, {"attr", s.Output.Attr}} {
+			if o.path != "" {
+				return fmt.Errorf("spec: [output] %s needs a simulated machine; [workload] machine %q runs on the host", o.key, w.Machine)
+			}
 		}
 	}
 	if err := positive("workload", "procs", w.Procs); err != nil {

@@ -122,6 +122,11 @@ func TestBoundaries(t *testing.T) {
 		{"report-on-profile", "[run]\ncommand = \"profile\"\n[output]\nreport = \"r.json\"\n", `spec: [output] report applies only to command "figures"`},
 		{"attr-on-listrank", "[run]\ncommand = \"listrank\"\n[output]\nattr = \"a.csv\"\n", `spec: [output] attr does not apply to command "listrank"`},
 		{"empty-report-on-profile", "[run]\ncommand = \"profile\"\n[output]\nreport = \"\"\n", `spec: [output] report applies only to command "figures"`},
+		{"trace-on-host-listrank", "[run]\ncommand = \"listrank\"\n[workload]\nmachine = \"native\"\n[output]\ntrace = \"t.json\"\n", `spec: [output] trace needs a simulated machine; [workload] machine "native" runs on the host`},
+		{"attr-on-host-coloring", "[run]\ncommand = \"coloring\"\n[workload]\nmachine = \"seq\"\n[output]\nattr = \"a.csv\"\n", `spec: [output] attr needs a simulated machine; [workload] machine "seq" runs on the host`},
+		{"trace-on-host-coloring", "[run]\ncommand = \"coloring\"\n[workload]\nmachine = \"spec\"\n[output]\ntrace = \"t.json\"\n", `spec: [output] trace needs a simulated machine; [workload] machine "spec" runs on the host`},
+		{"trace-on-host-concomp", "[run]\ncommand = \"concomp\"\n[workload]\nmachine = \"bfs\"\n[output]\ntrace = \"t.json\"\nmanifest = \"m.json\"\n", `spec: [output] trace needs a simulated machine; [workload] machine "bfs" runs on the host`},
+		{"trace-on-mta-star", "[run]\ncommand = \"concomp\"\n[workload]\nmachine = \"mta-star\"\n[output]\ntrace = \"t.json\"\n", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

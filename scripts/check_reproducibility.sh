@@ -8,7 +8,9 @@
 # and coloring, a spec written here and the same experiment given by
 # flags must print the same stdout, write the same trace/attr files and
 # carry the same spec hash in their manifests: the guard on each
-# command's flag-to-spec-key mapping.
+# command's flag-to-spec-key mapping. Last, a concomp spec reading a
+# DIMACS file (written by concomp -out) by a relative path, with a
+# manifest: cmd/reproduce, run from that directory, must accept it.
 #
 # Usage: scripts/check_reproducibility.sh
 set -eu
@@ -154,5 +156,21 @@ sched = "block"
 [output]
 attr = "c.attr.csv"' \
     -gen mesh3d -rows 8 -cols 9 -depth 4 -machine mta -p 4 -sched block -seed 9 -attr c.attr.csv
+
+# The relative path resolves against the working directory, for the
+# run and for reproduce's in-memory re-run alike.
+dir="$work/relative"
+mkdir -p "$dir"
+printf '[run]\ncommand = "concomp"\n[workload]\ninput = "g.dimacs"\nmachine = "mta"\nprocs = 2\n[output]\nmanifest = "m.json"\n' >"$dir/rel.toml"
+if ! (cd "$dir" && "$bin/concomp" -n 256 -m 1024 -machine mta -p 2 -out g.dimacs >/dev/null 2>&1 &&
+    "$bin/concomp" -spec rel.toml >/dev/null 2>&1); then
+    echo "FAIL: relative-dimacs: the concomp runs failed"
+    fail=1
+elif ! (cd "$dir" && "$bin/reproduce" m.json >/dev/null); then
+    echo "FAIL: relative-dimacs: reproduce rejected a manifest whose spec reads g.dimacs by a relative path"
+    fail=1
+else
+    echo "ok: relative-dimacs"
+fi
 
 exit $fail
